@@ -1,12 +1,11 @@
 """Elementary number theory: factorization, multiplicative functions,
 Kronecker symbols, Hall divisors.
 
-Everything is exact integer arithmetic; no floats except where a
-function's docstring says so.
+Everything is exact integer arithmetic.
 """
 
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError
 
@@ -156,9 +155,7 @@ def hall_divisors(n: int) -> tuple[int, ...]:
 def is_hall_divisor(m: int, n: int) -> bool:
     if m < 1 or n % m != 0:
         return False
-    rest = n // m
-    from math import gcd
-    return gcd(m, rest) == 1
+    return gcd(m, n // m) == 1
 
 
 def continued_fraction_sqrt(m: int) -> tuple[int, tuple[int, ...]]:

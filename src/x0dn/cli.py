@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 
-from .arith import is_squarefree
+from .arith import is_prime, is_squarefree
 from .atkinlehner import (fixed_point_count, quotient_genus,
                           subgroup_quotient_genus)
 from .embeddings import embedding_count, is_definite, locally_embeds
@@ -84,8 +84,11 @@ def _write(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _cmd_genus(args) -> int:
@@ -100,7 +103,12 @@ def _cmd_fixed_points(args) -> int:
 
 def _cmd_quotient_genus(args) -> int:
     if args.subgroup is not None:
-        gens = tuple(int(piece) for piece in args.subgroup.split(","))
+        try:
+            gens = tuple(int(piece) for piece in args.subgroup.split(","))
+        except ValueError:
+            raise DomainError(
+                f"--subgroup wants comma-separated integers, got {args.subgroup!r}"
+            ) from None
         print(subgroup_quotient_genus(args.d, args.n, gens))
     else:
         print(quotient_genus(args.d, args.n, args.m))
@@ -117,6 +125,9 @@ def _cmd_embed(args) -> int:
     order = QuadOrder(base.fundamental_discriminant,
                       base.conductor * args.conductor)
     skip = tuple(args.exclude_p or ())
+    for p in skip:
+        if not is_prime(p):
+            raise DomainError(f"--exclude-p wants a prime, got {p}")
     if args.definite:
         if not is_definite(args.d):
             raise DomainError(

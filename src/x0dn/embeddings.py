@@ -12,7 +12,7 @@ given level; positivity of every local number says exactly that R
 embeds into at least one of them.
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import (divisors, is_squarefree, kronecker, omega,
                     prime_divisors, psi_p, valuation)
@@ -77,11 +77,15 @@ def embedding_count(order: QuadOrder, d: int, n: int,
                     skip: tuple[int, ...] = ()) -> int:
     """h(R) * prod of local numbers over p | dn with p not in skip.
 
-    Meaningful as a global count for indefinite d (one conjugacy class
-    of Eichler orders); the skip argument drops the local factors at a
-    given set of primes, which is how fixed-point counts arise.
+    A global count only for indefinite d (one conjugacy class of Eichler
+    orders), so a definite d is rejected; the skip argument drops the
+    local factors at a given set of primes, which is how fixed-point
+    counts arise.
     """
     check_algebra(d, n)
+    if is_definite(d):
+        raise DomainError(
+            f"embedding counts need an indefinite algebra, {d} is definite")
     out = class_number(order.discriminant)
     for p in prime_divisors(d * n):
         if p in skip:
@@ -113,7 +117,6 @@ def element_embeds(radicand: int, d: int, n: int) -> bool:
     if radicand == 0:
         raise DomainError("element_embeds wants a nonzero radicand")
     if radicand > 0:
-        from math import isqrt
         if isqrt(radicand) ** 2 == radicand:
             raise DomainError(f"radicand {radicand} is a perfect square")
         if is_definite(d):

@@ -1,11 +1,10 @@
 """Genus of the curves attached to an Eichler order of level N in the
 indefinite rational quaternion algebra of discriminant D.
 
-All arithmetic is exact (fractions.Fraction); the final genus must come
-out an integer or IntegralityError is raised.
+All arithmetic is over the integers: 12(g - 1) is computed exactly and
+must be divisible by 12, or IntegralityError is raised.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -49,14 +48,13 @@ def e_k(d: int, n: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def genus(d: int, n: int) -> int:
-    """g = 1 + phi(D) psi(N) / 12 - e_4/4 - e_3/3."""
+    """g = 1 + phi(D) psi(N) / 12 - e_4/4 - e_3/3, computed as
+    12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3."""
     check_pair(d, n)
-    g = (Fraction(1)
-         + Fraction(euler_phi(d) * psi(n), 12)
-         - Fraction(e_k(d, n, 4), 4)
-         - Fraction(e_k(d, n, 3), 3))
-    if g.denominator != 1:
-        raise IntegralityError(f"genus({d}, {n}) = {g} is not an integer")
+    t = euler_phi(d) * psi(n) - 3 * e_k(d, n, 4) - 4 * e_k(d, n, 3)
+    if t % 12 != 0:
+        raise IntegralityError(f"genus({d}, {n}) = 1 + {t}/12 is not an integer")
+    g = t // 12 + 1
     if g < 0:
         raise IntegralityError(f"genus({d}, {n}) = {g} is negative")
-    return int(g)
+    return g

@@ -8,17 +8,17 @@ with their fixture-backed rationality columns; the trigonal sweep
 produces the final list of curves.  A third report assembles the pairs
 whose curve has infinitely many quadratic points.
 
-Everything downstream of the candidate lists is exact integer
-arithmetic; the only floating point in the package is the analytic
-genus lower bound used to terminate the enumerations.
+Everything is exact integer arithmetic, including where the
+enumerations stop: one pair generator runs up to a certified bound on
+DN, proved from an integer lower bound for the genus.
 """
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count
 from math import gcd
 
-from .arith import is_squarefree, kronecker, omega, prime_divisors, valuation
+from .arith import (euler_phi, is_prime, is_squarefree, kronecker, omega,
+                    prime_divisors, valuation)
 from .atkinlehner import (
     all_subgroups,
     fixed_point_count,
@@ -47,8 +47,6 @@ STATUS_NEEDS_MANUAL = "needs_manual"
 # bielliptic involution has not been ruled out
 MANUAL_PAIRS = ((6, 25), (10, 9))
 
-_EULER_GAMMA = 0.5772156649015329
-
 
 @dataclass(frozen=True)
 class BiellipticVerdict:
@@ -71,29 +69,63 @@ class TableRow:
     reason: str  # citation tag from the fixture file
 
 
-def genus_floor(dn: int) -> float:
-    """Analytic lower bound for the genus of any X_0^D(N) with DN equal
-    to the given product: 1 + (DN/12) / (e^gamma loglog DN + 3/loglog 6)
-    - 7 sqrt(DN) / 3."""
+def genus_floor(dn: int) -> int:
+    """Lower bound for the genus of every X_0^D(N) with DN equal to the
+    given product M: 1 + ceil((phi(M) - 7 * 2^omega(M)) / 12).
+
+    Lemma: every local factor of e_4 and of e_3 is at most 2, so
+    3 e_4 + 4 e_3 <= 7 * 2^omega(DN); and psi(N) >= phi(N), so
+    12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3 >= phi(DN) - 7 * 2^omega(DN).
+
+    Applied to D alone it rules out a whole discriminant: if
+    genus_floor(D) > gmax >= 1, no level N gives genus <= gmax, because
+    psi(N) >= 2^omega(N) makes
+    12(g - 1) >= 2^omega(N) (phi(D) - 7 * 2^omega(D)) > 12(gmax - 1)."""
     if dn < 2:
         raise DomainError(f"genus_floor wants DN >= 2, got {dn}")
-    den = math.exp(_EULER_GAMMA) * math.log(math.log(dn)) + 3 / math.log(math.log(6))
-    return 1 + dn / (12 * den) - 7 * math.sqrt(dn) / 3
+    return 1 - (7 * 2 ** omega(dn) - euler_phi(dn)) // 12
 
 
-@lru_cache(maxsize=None)
 def dn_cutoff(gmax: int) -> int:
-    """Largest DN whose genus lower bound does not exceed gmax; beyond
-    it every curve has genus > gmax.  The bound dips before rising, so
-    scan upward and stop once it has stayed above gmax for a long
-    stretch."""
-    last = 2
-    dn = 2
-    while dn < last + 10 ** 5:
-        if genus_floor(dn) <= gmax:
-            last = dn
-        dn += 1
-    return last
+    """Certified bound: every pair (D, N) of genus at most gmax has
+    DN <= dn_cutoff(gmax).
+
+    Let P_w be the product of the first w primes and B = 12(gmax - 1).
+    Lemma: if genus(D, N) <= gmax and omega(DN) = w (w >= 2, as D has an
+    even number of prime factors), genus_floor gives
+    phi(DN) <= B + 7 * 2^w, and DN / phi(DN) <= P_w / phi(P_w), so
+    DN <= (B + 7 * 2^w) P_w / phi(P_w).  Since phi(DN) >= phi(P_w), no
+    pair has omega(DN) = w once phi(P_w) - 7 * 2^w > B; nor any larger
+    w, because going from w to w + 1 multiplies phi(P_w) by p - 1 >= 2
+    and 2^w by 2, so phi(P_w) - 7 * 2^w at least doubles.  The per-w
+    bounds grow with w, so the last one before that point is the
+    cutoff."""
+    if gmax < 1:
+        raise DomainError(f"dn_cutoff wants gmax >= 1, got {gmax}")
+    budget = 12 * (gmax - 1)
+    cutoff, prod, phi, p = 0, 2, 1, 2
+    for w in count(2):
+        p = next(q for q in count(p + 1) if is_prime(q))
+        prod, phi = prod * p, phi * (p - 1)
+        if phi - 7 * 2 ** w > budget:
+            return cutoff
+        cutoff = (budget + 7 * 2 ** w) * prod // phi
+
+
+def _pairs(gmax: int, discs=None):
+    """Every pair (D, N) of genus at most gmax with D in discs (default:
+    every quaternion discriminant).  No pair is missed: DN is at most
+    dn_cutoff(gmax), and a D with genus_floor(D) > gmax carries none."""
+    cutoff = dn_cutoff(gmax)
+    if discs is None:
+        discs = (d for d in range(2, cutoff + 1)
+                 if is_squarefree(d) and omega(d) % 2 == 0)
+    for d in discs:
+        if genus_floor(d) > gmax:
+            continue
+        for n in range(1, cutoff // d + 1):
+            if gcd(d, n) == 1 and genus(d, n) <= gmax:
+                yield d, n
 
 
 def bielliptic_candidates(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
@@ -101,13 +133,8 @@ def bielliptic_candidates(fixtures: FixtureSet | None = None) -> list[tuple[int,
     allowed-discriminant fixture, N > 1 prime to D, and genus at most
     the Abramovich cap."""
     fx = fixtures if fixtures is not None else load_fixtures()
-    cutoff = dn_cutoff(GENUS_CAP_BIELLIPTIC)
-    out = []
-    for d in fx.allowed_d:
-        for n in range(2, cutoff // d + 1):
-            if gcd(d, n) == 1 and genus(d, n) <= GENUS_CAP_BIELLIPTIC:
-                out.append((d, n))
-    return sorted(out)
+    return sorted((d, n) for d, n in _pairs(GENUS_CAP_BIELLIPTIC, fx.allowed_d)
+                  if n > 1)
 
 
 def automorphism_status(d: int, n: int) -> str:
@@ -353,15 +380,7 @@ def automorphism_exception_pairs(fixtures: FixtureSet | None = None) -> list[tup
 def trigonal_candidates() -> list[tuple[int, int]]:
     """Pairs (D, N) over every quaternion discriminant whose curve has
     genus at most the trigonal cap."""
-    cutoff = dn_cutoff(GENUS_CAP_TRIGONAL)
-    out = []
-    for d in range(2, cutoff + 1):
-        if not is_squarefree(d) or omega(d) % 2 != 0:
-            continue
-        for n in range(1, cutoff // d + 1):
-            if gcd(d, n) == 1 and genus(d, n) <= GENUS_CAP_TRIGONAL:
-                out.append((d, n))
-    return sorted(out)
+    return sorted(_pairs(GENUS_CAP_TRIGONAL))
 
 
 def schweizer_survivors() -> list[tuple[int, int]]:
@@ -408,7 +427,7 @@ def classify_trigonal(fixtures: FixtureSet | None = None) -> list[tuple[int, int
     (214, 1) is excluded on the strength of the classification theorem
     itself: its w_107 quotient is a double cover of the genus-one
     full-group quotient, but the recomputed quotient genera (3 and 1,
-    exposed via trigonal_exclusion_genera) are too small for the
+    checked via trigonal_exclusion_genera) are too small for the
     Castelnuovo--Severi route to close the case here, so the exclusion
     is carried, not re-derived.
     """
@@ -421,7 +440,9 @@ def classify_trigonal(fixtures: FixtureSet | None = None) -> list[tuple[int, int
         elif g == 4 and (d, n) not in fx.hyperelliptic_pairs:
             final.append((d, n))
         elif (d, n) == (214, 1):
-            trigonal_exclusion_genera()
+            genera = trigonal_exclusion_genera()
+            if genera != (3, 1):
+                raise PipelineError(f"(214,1) exclusion genera drifted to {genera}")
         else:
             raise PipelineError(
                 f"no trigonality decision for ({d},{n}) of genus {g}")
@@ -447,13 +468,7 @@ AIRR2_PAIRS = (
 def low_genus_pairs(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
     """All pairs whose curve has genus at most one."""
     fx = fixtures if fixtures is not None else load_fixtures()
-    cutoff = dn_cutoff(1)
-    out = []
-    for d in fx.allowed_d:
-        for n in range(1, cutoff // d + 1):
-            if gcd(d, n) == 1 and genus(d, n) <= 1:
-                out.append((d, n))
-    return sorted(out)
+    return sorted(_pairs(1, fx.allowed_d))
 
 
 def positive_rank_pairs(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:

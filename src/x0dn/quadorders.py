@@ -152,7 +152,9 @@ def _indefinite_cycle_count(disc: int) -> int:
         while cur not in seen:
             seen.add(cur)
             cur = _rho(*cur, disc)
-            assert cur in reduced, (disc, form, cur)
+            if cur not in reduced:
+                raise DomainError(
+                    f"rho left the reduced forms of {disc}: {form} -> {cur}")
     return cycles
 
 

@@ -5,6 +5,7 @@ theory beyond the definitions, so they cannot share a bug with the
 library code they check.
 """
 
+from fractions import Fraction
 from math import gcd, isqrt
 
 
@@ -157,3 +158,47 @@ def brute_real_class_number(disc: int) -> int:
         assert cycles % 2 == 0, disc
         return cycles // 2
     return cycles
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) with p^e || n, by trial division over every integer."""
+    out = []
+    p = 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
+
+
+def _splitting(poly, p: int) -> int:
+    """1, 0 or -1 as the monic quadratic x^2 + b x + c has two, one or
+    no roots mod p: split, ramified or inert."""
+    b, c = poly
+    roots = sum(1 for x in range(p) if (x * x + b * x + c) % p == 0)
+    return roots - 1
+
+
+def fraction_genus(d: int, n: int) -> Fraction:
+    """g = 1 + phi(D) psi(N) / 12 - e_4 / 4 - e_3 / 3 in exact fractions,
+    with phi counted, psi from the definition and the elliptic point
+    counts from root counts of x^2 + 1 (order 2) and x^2 + x + 1
+    (order 3) modulo each prime."""
+    phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+    psi = Fraction(n)
+    for p, _ in _prime_powers(n):
+        psi *= Fraction(p + 1, p)
+    e = {}
+    for k, poly in ((4, (0, 1)), (3, (1, 1))):
+        out = 1
+        for p, _ in _prime_powers(d):
+            out *= 1 - _splitting(poly, p)
+        for p, a in _prime_powers(n):
+            s = _splitting(poly, p)
+            out *= 1 + s if a == 1 else (2 if s == 1 else 0)
+        e[k] = out
+    return 1 + phi * psi / 12 - Fraction(e[4], 4) - Fraction(e[3], 3)

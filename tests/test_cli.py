@@ -1,8 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from x0dn.cli import main
+from x0dn.embeddings import is_definite
 from x0dn.errors import IntegralityError
 
 
@@ -160,3 +164,78 @@ def test_fixtures_flag(capsys, tmp_path):
     missing = tmp_path / "nope.txt"
     code, _, err = run(capsys, "airr2", "--fixtures", str(missing))
     assert code == 1
+
+
+def test_bad_subgroup_is_a_domain_error(capsys):
+    for text in ("2,x", ","):
+        code, out, err = run(capsys, "quotient-genus", "--d", "34", "--n",
+                             "7", "--m", "14", "--subgroup", text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --subgroup")
+
+
+def test_unwritable_out_is_a_domain_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "classify", "--kind", "trigonal",
+                         "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write")
+
+
+def test_embed_rejects_definite_and_composite_exclusions(capsys):
+    # no real quadratic order embeds in a definite algebra
+    code, out, err = run(capsys, "embed", "--disc", "5", "--d", "3",
+                         "--n", "1")
+    assert (code, out) == (1, "")
+    assert "definite" in err
+    code, out, err = run(capsys, "embed", "--disc", "-107", "--d", "214",
+                         "--n", "1", "--exclude-p", "4")
+    assert (code, out) == (1, "")
+    assert "prime" in err
+
+
+_INT = st.integers(min_value=-10 ** 4, max_value=10 ** 4)
+# small values as well, so that valid pairs and Hall divisors come up
+_SMALL = st.integers(min_value=-2, max_value=60) | _INT
+_DISC = st.sampled_from((3, 5, 6, 10, 14, 15, 21, 22, 35, 39)) | _INT
+_FLAGS = {
+    "genus": {"--d": _DISC, "--n": _SMALL},
+    "fixed-points": {"--d": _DISC, "--n": _SMALL, "--m": _SMALL},
+    "quotient-genus": {"--d": _DISC, "--n": _SMALL, "--m": _SMALL},
+    "class-number": {"--disc": _INT},
+    "embed": {"--disc": _SMALL, "--d": _DISC, "--n": _SMALL},
+    "local-points": {"--d": _DISC, "--n": _SMALL, "--m": _SMALL},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_fuzz(data):
+    """Drawn integers never produce a traceback: every run ends in exit 0,
+    1 or 2, and an embedding count is never printed for a definite
+    algebra."""
+    command = data.draw(st.sampled_from(sorted(_FLAGS)))
+    values = {flag: data.draw(strategy, label=flag)
+              for flag, strategy in _FLAGS[command].items()}
+    argv = [command] + [f"{flag}={v}" for flag, v in values.items()]
+    if command == "quotient-genus":
+        subgroup = data.draw(st.none() | st.text("0123456789,x-", max_size=12))
+        if subgroup is not None:
+            argv.append(f"--subgroup={subgroup}")
+    if command == "embed":
+        # the conductor stays small: it enters the discriminant squared
+        conductor = data.draw(st.integers(min_value=-10, max_value=10))
+        argv.append(f"--conductor={conductor}")
+        argv += [f"--exclude-p={p}" for p in data.draw(st.lists(_INT, max_size=2))]
+        definite = data.draw(st.booleans())
+        if definite:
+            argv.append("--definite")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if command == "embed" and not definite and code == 0:
+        assert not is_definite(values["--d"]), argv

@@ -83,6 +83,8 @@ def test_rejects_bad_input():
     with pytest.raises(DomainError):
         embedding_count(QuadOrder(-4), 6, 0)
     with pytest.raises(DomainError):
+        embedding_count(QuadOrder(5), 3, 1)  # definite algebra
+    with pytest.raises(DomainError):
         element_embeds(0, 6, 1)
     with pytest.raises(DomainError):
         element_embeds(9, 6, 1)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import fraction_genus
 from x0dn.errors import DomainError
 from x0dn.genus import check_pair, e_k, genus
 
@@ -70,4 +71,6 @@ def test_genus_integral_and_nonnegative(d, n):
         return
     g = genus(d, n)          # raises IntegralityError if the formula broke
     assert g >= 0
+    assert g == fraction_genus(d, n)
     check_pair(d, n)
+

@@ -1,7 +1,10 @@
+from math import gcd
+
 import pytest
 
-from x0dn.arith import is_squarefree
+from x0dn.arith import is_squarefree, omega
 from x0dn.errors import DomainError, PipelineError
+from x0dn.fixtures import load_fixtures
 from x0dn.genus import genus
 from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, UNKNOWN, airr2_report,
                            automorphism_exception_pairs, automorphism_status,
@@ -41,17 +44,50 @@ def bielliptic_run():
     return classify_bielliptic()
 
 
-def test_genus_floor_monotone_region():
-    assert genus_floor(78524) <= 39 < genus_floor(78531)
+@pytest.fixture(scope="module")
+def small_pairs():
+    """Genus of every valid pair with DN at most 4 * dn_cutoff(39)."""
+    limit = 4 * dn_cutoff(39)
+    return {
+        (d, n): genus(d, n)
+        for d in range(6, limit + 1)
+        if is_squarefree(d) and omega(d) % 2 == 0
+        for n in range(1, limit // d + 1)
+        if gcd(d, n) == 1
+    }
+
+
+def test_dn_cutoff(small_pairs):
+    assert [dn_cutoff(g) for g in (1, 29, 39)] == [490, 2695, 3272]
+    for g in (0, -1):
+        with pytest.raises(DomainError):
+            dn_cutoff(g)
+    assert len(small_pairs) == 19300
+    for cap in (1, 29, 39):
+        assert max(d * n for (d, n), g in small_pairs.items()
+                   if g <= cap) <= dn_cutoff(cap)
+
+
+def test_genus_floor_bounds_genus(small_pairs):
+    assert genus_floor(6) == -1
     with pytest.raises(DomainError):
         genus_floor(1)
+    for (d, n), g in small_pairs.items():
+        assert genus_floor(d * n) <= g
+        # the per-discriminant prune: genus_floor(D) > cap >= 1 leaves D
+        # with no pair of genus at most cap
+        assert genus_floor(d) <= max(g, 1)
 
 
-def test_dn_cutoff():
-    assert dn_cutoff(39) == 78524
-    assert dn_cutoff(29) == 76288
-    # any DN beyond the cutoff has genus floor above the cap
-    assert genus_floor(dn_cutoff(39) + 1) > 39
+def test_enumerators_match_brute_force(small_pairs):
+    allowed = set(load_fixtures().allowed_d)
+    assert trigonal_candidates() == sorted(
+        p for p, g in small_pairs.items() if g <= 29)
+    assert bielliptic_candidates() == sorted(
+        p for p, g in small_pairs.items()
+        if p[0] in allowed and p[1] > 1 and g <= 39)
+    assert low_genus_pairs() == sorted(
+        p for p, g in small_pairs.items() if p[0] in allowed and g <= 1)
 
 
 def test_candidate_counts():
