@@ -1,71 +1,101 @@
 """The group of Atkin--Lehner involutions on X_0^D(N), their fixed
 points, and genera of the quotient curves.
 
-The group is indexed by Hall divisors of DN under the twisted product
-m1 * m2 / gcd(m1, m2)^2, an elementary abelian 2-group of rank
-omega(DN).  Fixed points of w_m are CM points by one or two explicit
-imaginary quadratic orders; their number is a class number times local
-embedding factors away from m.  Quotient genera then come out of
-Riemann--Hurwitz, which must produce integers.
+The involutions w_m are indexed by the Hall divisors m of DN, and they
+form an elementary abelian 2-group of rank omega(DN), that is F_2^omega.
+Inside this module a Hall divisor is a bitmask over the prime-power
+factors q_0 < q_1 < ... of DN (bit i is set when q_i divides m), so the
+twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  A per-pair
+index, validated once and cached while the pair is in use, maps each Hall
+divisor to its mask and back.  Subgroups are spans of reduced echelon
+bases over F_2, each built once.  The public API stays in Hall divisors:
+elements are ints and subgroups are frozensets of Hall divisors
+containing 1.
+
+Fixed points of w_m are CM points by one or two explicit imaginary
+quadratic orders; their number is a class number times local embedding
+factors away from m.  Quotient genera then come out of Riemann--Hurwitz,
+which must produce integers.
 """
 
 from functools import lru_cache
-from math import gcd
 
-from .arith import hall_divisors, is_hall_divisor, prime_divisors
+from .arith import factorize, prime_divisors
 from .embeddings import embedding_count
 from .errors import DomainError, IntegralityError
 from .genus import check_pair, genus
 from .quadorders import QuadOrder, order_from_discriminant
 
 
-def hall_product(m1: int, m2: int) -> int:
-    """Group law on Hall divisors: m1 * m2 / gcd^2."""
-    g = gcd(m1, m2)
-    return m1 * m2 // (g * g)
+@lru_cache(maxsize=1)
+def _index(d: int, n: int) -> tuple[dict[int, int], tuple[int, ...]]:
+    """For a valid pair: the mask of each Hall divisor of DN, and the
+    Hall divisor of each mask (a tuple indexed by mask).
+
+    Callers work through one pair at a time, so only the last pair is
+    kept: a stream of curves then holds one index, not one per curve."""
+    check_pair(d, n)
+    divisor = [1]
+    for p, e in factorize(d * n):
+        q = p ** e
+        divisor += [m * q for m in divisor]
+    return {m: mask for mask, m in enumerate(divisor)}, tuple(divisor)
+
+
+@lru_cache(maxsize=None)
+def _subgroup_spans(w: int) -> tuple[tuple[int, ...], ...]:
+    """Every subgroup of F_2^w, once each, as the masks of its span.
+
+    A subgroup has exactly one reduced echelon basis: the pivot of a row
+    is its highest set bit, and below its pivot a row has bits only
+    outside the set of pivots.  So choose the pivots, then the free bits
+    of each row, and span the rows by doubling.  The result depends on w
+    alone, so it is built once per rank."""
+    out = []
+    for pivots in range(1 << w):
+        spans = [(0,)]
+        for p in range(w):
+            if not pivots >> p & 1:
+                continue
+            rows = [(1 << p) | s for s in range(1 << p) if not s & pivots]
+            spans = [span + tuple(x ^ r for x in span)
+                     for span in spans for r in rows]
+        out += spans
+    return tuple(out)
 
 
 def group_elements(d: int, n: int) -> tuple[int, ...]:
     """Hall divisors of DN, the index set of the involutions (1 is the
-    identity)."""
-    check_pair(d, n)
-    return hall_divisors(d * n)
+    identity), ascending."""
+    return tuple(sorted(_index(d, n)[1]))
 
 
 def subgroup_generated(gens, d: int, n: int) -> frozenset[int]:
     """Subgroup of the Atkin--Lehner group generated by the given Hall
-    divisors, as a frozenset containing 1."""
-    dn = d * n
-    out = {1}
+    divisors, as a frozenset containing 1.
+
+    The span doubles for each generator outside it; a generator already
+    in it costs one lookup, so passing a whole subgroup costs O(|H|)."""
+    mask_of, divisor = _index(d, n)
+    span = {0}
     for m in gens:
-        if not is_hall_divisor(m, dn):
-            raise DomainError(f"{m} is not a Hall divisor of {dn}")
-        out |= {hall_product(m, x) for x in out}
-    return frozenset(out)
+        b = mask_of.get(m)
+        if b is None:
+            raise DomainError(f"{m} is not a Hall divisor of {d * n}")
+        if b not in span:
+            span |= {x ^ b for x in span}
+    return frozenset(map(divisor.__getitem__, span))
 
 
 def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
-    """Every subgroup of the Atkin--Lehner group, the trivial one first.
-
-    Breadth-first span growing; for an elementary abelian 2-group each
-    span step is just s union m*s.
-    """
-    elems = group_elements(d, n)
-    trivial = frozenset({1})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for m in elems:
-                if m in s:
-                    continue
-                t = frozenset(s | {hall_product(m, x) for x in s})
-                if t not in found:
-                    found.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+    """Every subgroup of the Atkin--Lehner group, sorted by size and then
+    by sorted elements, so the trivial one comes first."""
+    divisor = _index(d, n)[1]
+    w = len(divisor).bit_length() - 1      # len(divisor) = 2^omega(DN)
+    subs = [sorted(map(divisor.__getitem__, span))
+            for span in _subgroup_spans(w)]
+    subs.sort(key=lambda s: (len(s), s))
+    return tuple(map(frozenset, subs))
 
 
 def fixed_point_orders(m: int) -> tuple[QuadOrder, ...]:
@@ -86,16 +116,11 @@ def fixed_point_orders(m: int) -> tuple[QuadOrder, ...]:
 def fixed_point_count(d: int, n: int, m: int) -> int:
     """Number of fixed points of w_m on X_0^D(N), for a nontrivial Hall
     divisor m of DN."""
-    check_pair(d, n)
-    if m == 1 or not is_hall_divisor(m, d * n):
+    if m == 1 or m not in _index(d, n)[0]:
         raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
     skip = prime_divisors(m)
     return sum(embedding_count(order, d, n, skip=skip)
                for order in fixed_point_orders(m))
-
-
-def fricke_count(d: int, n: int) -> int:
-    return fixed_point_count(d, n, d * n)
 
 
 def quotient_genus(d: int, n: int, m: int) -> int:

@@ -35,6 +35,11 @@ def e_k(d: int, n: int, k: int) -> int:
     if k not in (3, 4):
         raise DomainError(f"e_k wants k in (3, 4), got {k}")
     check_pair(d, n)
+    return _elliptic_count(d, n, k)
+
+
+def _elliptic_count(d: int, n: int, k: int) -> int:
+    """The product of e_k for a pair and a k already checked."""
     out = 1
     for p, _ in factorize(d):
         out *= 1 - kronecker(-k, p)
@@ -51,7 +56,8 @@ def genus(d: int, n: int) -> int:
     """g = 1 + phi(D) psi(N) / 12 - e_4/4 - e_3/3, computed as
     12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3."""
     check_pair(d, n)
-    t = euler_phi(d) * psi(n) - 3 * e_k(d, n, 4) - 4 * e_k(d, n, 3)
+    t = (euler_phi(d) * psi(n) - 3 * _elliptic_count(d, n, 4)
+         - 4 * _elliptic_count(d, n, 3))
     if t % 12 != 0:
         raise IntegralityError(f"genus({d}, {n}) = 1 + {t}/12 is not an integer")
     g = t // 12 + 1

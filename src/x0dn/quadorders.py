@@ -74,18 +74,6 @@ def order_from_discriminant(disc: int) -> QuadOrder:
     return QuadOrder(d0, f)
 
 
-def order_from_radicand(m: int, half: bool = False) -> QuadOrder:
-    """The order Z[sqrt(m)] (disc 4m), or Z[(1+sqrt(m))/2] (disc m) when
-    half is set; m squarefree, not 0 or 1, and half needs m = 1 mod 4."""
-    if not is_squarefree(m) or m in (0, 1):
-        raise DomainError(f"radicand must be squarefree and not 0, 1: {m}")
-    if half:
-        if m % 4 != 1:
-            raise DomainError(f"half-order needs m = 1 mod 4, got {m}")
-        return order_from_discriminant(m)
-    return order_from_discriminant(4 * m)
-
-
 def _imaginary_form_count(disc: int) -> int:
     """Primitive reduced forms (a,b,c) of discriminant disc < 0:
     -a < b <= a <= c, with b >= 0 whenever a == c or b == a."""
@@ -192,7 +180,3 @@ def class_number(disc: int) -> int:
             raise DomainError(f"narrow class number parity broken at {disc}")
         return h_plus // 2
     return h_plus
-
-
-def order_class_number(order: QuadOrder) -> int:
-    return class_number(order.discriminant)

@@ -202,3 +202,30 @@ def fraction_genus(d: int, n: int) -> Fraction:
             out *= 1 + s if a == 1 else (2 if s == 1 else 0)
         e[k] = out
     return 1 + phi * psi / 12 - Fraction(e[4], 4) - Fraction(e[3], 3)
+
+
+def bfs_subgroups(d: int, n: int) -> list[frozenset[int]]:
+    """Every subgroup of the Atkin--Lehner group of DN, grown
+    breadth-first from the trivial one under the twisted product
+    m1 * m2 / gcd(m1, m2)^2 of Hall divisors, sorted by size and then by
+    sorted elements."""
+    def times(a: int, b: int) -> int:
+        g = gcd(a, b)
+        return a * b // (g * g)
+
+    elems = brute_hall_divisors(d * n)
+    trivial = frozenset({1})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for m in elems:
+                if m in s:
+                    continue
+                t = frozenset(s | {times(m, x) for x in s})
+                if t not in found:
+                    found.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return sorted(found, key=lambda s: (len(s), sorted(s)))

@@ -1,20 +1,26 @@
-import pytest
-from hypothesis import given, strategies as st
+from math import gcd
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from x0dn.arith import omega
 from x0dn.atkinlehner import (all_subgroups, fixed_point_count,
-                              fixed_point_orders, fricke_count,
-                              group_elements, hall_product, quotient_genus,
-                              subgroup_generated, subgroup_quotient_genus)
+                              fixed_point_orders, group_elements,
+                              quotient_genus, subgroup_generated,
+                              subgroup_quotient_genus)
 from x0dn.errors import DomainError
 from x0dn.genus import genus
 from x0dn.quadorders import class_number
 
+from _oracles import bfs_subgroups
 
-def test_hall_product():
-    assert hall_product(2, 3) == 6
-    assert hall_product(6, 10) == 15
-    assert hall_product(7, 7) == 1
-    assert hall_product(1, 42) == 42
+
+def test_group_law():
+    # the twisted product m1 * m2 / gcd(m1, m2)^2 of Hall divisors
+    assert subgroup_generated((2, 3), 6, 1) == {1, 2, 3, 6}
+    assert subgroup_generated((6, 10), 6, 5) == {1, 6, 10, 15}
+    assert subgroup_generated((7, 7), 14, 1) == {1, 7}
+    assert subgroup_generated((1, 42), 6, 7) == {1, 42}
 
 
 def test_group_structure():
@@ -27,13 +33,49 @@ def test_group_structure():
         subgroup_generated((4,), 6, 1)
 
 
+def test_subgroup_generated_any_generating_set():
+    # a basis, the whole subgroup and a redundant list give one subgroup
+    for sub in all_subgroups(6, 35):
+        basis = []
+        for m in sorted(sub):
+            if m not in subgroup_generated(basis, 6, 35):
+                basis.append(m)
+        assert len(sub) == 2 ** len(basis)
+        assert subgroup_generated(basis, 6, 35) == sub
+        assert subgroup_generated(sub, 6, 35) == sub
+        redundant = basis[::-1] + sorted(sub) + basis
+        assert subgroup_generated(redundant, 6, 35) == sub
+
+
+def test_subgroup_generated_rejects():
+    for m in (4, 5, 0, -2):
+        with pytest.raises(DomainError):
+            subgroup_generated((2, m), 6, 1)
+    for d, n in ((4, 1), (30, 1), (6, 2), (6, 0), (1, 1)):
+        with pytest.raises(DomainError):
+            subgroup_generated((), d, n)
+
+
 def test_all_subgroups_counts():
-    # rank 2 and rank 3 elementary abelian groups
-    assert len(all_subgroups(6, 1)) == 5
-    assert len(all_subgroups(6, 5)) == 16
+    # elementary abelian groups of rank 2..6: the sums over k of the
+    # Gaussian binomials [w choose k]_2
+    for (d, n), count in (((6, 1), 5), ((6, 5), 16), ((210, 1), 67),
+                          ((6, 385), 374), ((6, 5005), 2825),
+                          ((210, 2431), 29212)):
+        assert len(all_subgroups(d, n)) == count, (d, n)
     subs = all_subgroups(6, 1)
     assert subs[0] == frozenset({1})
     assert frozenset({1, 2, 3, 6}) in subs
+
+
+SMALL_D = (6, 10, 14, 15, 21, 22, 26, 33, 34, 35, 38, 39, 210, 330)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_D), st.integers(1, 400))
+def test_all_subgroups_match_bfs(d, n):
+    assume(gcd(d, n) == 1 and omega(d * n) <= 5)
+    assert list(all_subgroups(d, n)) == bfs_subgroups(d, n)
 
 
 def test_fixed_point_orders():
@@ -87,11 +129,13 @@ def test_26_level_one():
 
 def test_fricke_is_class_number():
     # the product over p | DN/m is empty for the full involution
-    assert fricke_count(6, 1) == class_number(-24) == 2
-    assert fricke_count(10, 1) == class_number(-40) == 2
-    assert fricke_count(6, 23) == class_number(-552)     # 138 = 2 mod 4
-    assert fricke_count(15, 1) == class_number(-15) + class_number(-60)
-    assert fricke_count(6, 25) == class_number(-600)
+    for d, n, expected in ((6, 1, class_number(-24)),
+                           (10, 1, class_number(-40)),
+                           (6, 23, class_number(-552)),    # 138 = 2 mod 4
+                           (15, 1, class_number(-15) + class_number(-60)),
+                           (6, 25, class_number(-600))):
+        assert fixed_point_count(d, n, d * n) == expected, (d, n)
+    assert class_number(-24) == class_number(-40) == 2
 
 
 def test_34_7_subgroup_quotient():

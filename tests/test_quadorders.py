@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from x0dn.errors import DomainError
 from x0dn.quadorders import (QuadOrder, class_number, is_discriminant,
                              is_fundamental_discriminant,
-                             order_from_discriminant, order_from_radicand,
-                             unit_norm)
+                             order_from_discriminant, unit_norm)
 
 from _oracles import brute_imaginary_class_number, brute_unit_norm
 
@@ -41,19 +40,6 @@ def test_order_splitting():
         order_from_discriminant(-6)
     with pytest.raises(DomainError):
         QuadOrder(-28)
-
-
-def test_order_from_radicand():
-    assert order_from_radicand(-1).discriminant == -4
-    assert order_from_radicand(-2).discriminant == -8
-    assert order_from_radicand(-7).discriminant == -28
-    assert order_from_radicand(-7, half=True).discriminant == -7
-    assert order_from_radicand(6).discriminant == 24
-    assert order_from_radicand(5, half=True).discriminant == 5
-    with pytest.raises(DomainError):
-        order_from_radicand(-2, half=True)
-    with pytest.raises(DomainError):
-        order_from_radicand(12)
 
 
 # anchors: classical values, the kind every table of imaginary quadratic
