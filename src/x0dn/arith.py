@@ -141,17 +141,6 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def hall_divisors(n: int) -> tuple[int, ...]:
-    """Divisors m of n with gcd(m, n/m) = 1, ascending. Includes 1 and n."""
-    if n < 1:
-        raise DomainError(f"hall_divisors wants n >= 1, got {n}")
-    out = [1]
-    for p, e in factorize(n):
-        q = p ** e
-        out += [d * q for d in out]
-    return tuple(sorted(out))
-
-
 def is_hall_divisor(m: int, n: int) -> bool:
     if m < 1 or n % m != 0:
         return False

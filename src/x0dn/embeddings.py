@@ -12,22 +12,12 @@ given level; positivity of every local number says exactly that R
 embeds into at least one of them.
 """
 
-from math import gcd, isqrt
+from math import isqrt
 
-from .arith import (divisors, is_squarefree, kronecker, omega,
-                    prime_divisors, psi_p, valuation)
+from .arith import divisors, kronecker, omega, prime_divisors, psi_p, valuation
 from .errors import DomainError
+from .genus import check_algebra, check_pair
 from .quadorders import QuadOrder, class_number, order_from_discriminant
-
-
-def check_algebra(d: int, n: int) -> None:
-    """Quaternion discriminant d > 1 squarefree, level n >= 1 prime to d."""
-    if d < 2 or not is_squarefree(d):
-        raise DomainError(f"algebra discriminant must be squarefree > 1, got {d}")
-    if n < 1:
-        raise DomainError(f"level must be >= 1, got {n}")
-    if gcd(d, n) != 1:
-        raise DomainError(f"discriminant {d} and level {n} are not coprime")
 
 
 def is_definite(d: int) -> bool:
@@ -82,10 +72,7 @@ def embedding_count(order: QuadOrder, d: int, n: int,
     local factors at a given set of primes, which is how fixed-point
     counts arise.
     """
-    check_algebra(d, n)
-    if is_definite(d):
-        raise DomainError(
-            f"embedding counts need an indefinite algebra, {d} is definite")
+    check_pair(d, n)
     out = class_number(order.discriminant)
     for p in prime_divisors(d * n):
         if p in skip:

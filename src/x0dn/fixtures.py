@@ -1,26 +1,25 @@
 """Fixture records carrying results quoted from prior literature.
 
 Everything the pipeline cannot derive at desk scale lives in one
-line-oriented text file: allowed discriminants, hyperelliptic pairs,
-level-one bielliptic discriminants, rationality and rank columns, and the
-two automorphism overrides.  Each record is one comma-separated line whose
-first field is a tag and whose last field is a citation; malformed lines
-are fatal.
+line-oriented text file: hyperelliptic pairs, Rotger's level-one
+bielliptic and positive-rank discriminants, rationality and rank columns,
+and the two automorphism overrides.  Each record is one comma-separated
+line whose first field is a tag and whose last field is a citation; every
+discriminant, pair and triple must pass `genus.check_pair`, and malformed
+lines are fatal.
 """
 
 import os
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd
 
-from .arith import is_hall_divisor, is_squarefree, omega
-from .errors import FixtureError
+from .errors import DomainError, FixtureError
+from .genus import check_pair
 
 ENV_VAR = "X0DN_FIXTURES"
 DATA_NAME = "prior_work.txt"
 
 _TAGS = (
-    "ALLOWED_D",
     "HYPERELLIPTIC",
     "BIELLIPTIC_L1",
     "AIRR2_L1",
@@ -41,7 +40,6 @@ class RationalityEntry:
 
 @dataclass(frozen=True)
 class FixtureSet:
-    allowed_d: tuple[int, ...]
     hyperelliptic_pairs: frozenset
     bielliptic_level_one: tuple[int, ...]
     airr2_level_one: tuple[int, ...]
@@ -61,15 +59,20 @@ def _ints(fields, lineno, line):
         raise _fail(lineno, line, "non-integer field") from None
 
 
-def _check_triple(d, n, m, lineno, line):
-    if d <= 1 or n < 1 or gcd(d, n) != 1:
-        raise _fail(lineno, line, "bad (D, N) pair")
-    if not is_hall_divisor(m, d * n) or m == 1:
-        raise _fail(lineno, line, f"m = {m} is not a nontrivial Hall divisor")
+def _check(lineno, line, d, n=1, m=1):
+    try:
+        check_pair(d, n, m)
+    except DomainError as exc:
+        raise _fail(lineno, line, str(exc)) from None
+
+
+def _check_triple(lineno, line, d, n, m):
+    _check(lineno, line, d, n, m)
+    if m == 1:
+        raise _fail(lineno, line, "m = 1 is the trivial involution")
 
 
 def parse_fixtures(text: str) -> FixtureSet:
-    allowed = {}
     hyper = {}
     biell = {}
     airr2 = {}
@@ -87,19 +90,11 @@ def parse_fixtures(text: str) -> FixtureSet:
             raise _fail(lineno, line, f"unknown record tag {tag}")
         if not citation:
             raise _fail(lineno, line, "empty citation")
-        if tag == "ALLOWED_D":
-            if len(body) != 1:
-                raise _fail(lineno, line, "ALLOWED_D wants one integer")
-            (d,) = _ints(body, lineno, line)
-            if d <= 1 or omega(d) % 2 or not is_squarefree(d):
-                raise _fail(lineno, line, "not a quaternion discriminant")
-            if d in allowed:
-                raise _fail(lineno, line, "duplicate discriminant")
-            allowed[d] = citation
-        elif tag in ("BIELLIPTIC_L1", "AIRR2_L1"):
+        if tag in ("BIELLIPTIC_L1", "AIRR2_L1"):
             if len(body) != 1:
                 raise _fail(lineno, line, f"{tag} wants one integer")
             (d,) = _ints(body, lineno, line)
+            _check(lineno, line, d)
             target = biell if tag == "BIELLIPTIC_L1" else airr2
             if d in target:
                 raise _fail(lineno, line, "duplicate discriminant")
@@ -108,8 +103,7 @@ def parse_fixtures(text: str) -> FixtureSet:
             if len(body) != 2:
                 raise _fail(lineno, line, f"{tag} wants two integers")
             d, n = _ints(body, lineno, line)
-            if d <= 1 or n < 1 or gcd(d, n) != 1:
-                raise _fail(lineno, line, "bad (D, N) pair")
+            _check(lineno, line, d, n)
             target = hyper if tag == "HYPERELLIPTIC" else overrides
             if (d, n) in target:
                 raise _fail(lineno, line, "duplicate pair")
@@ -119,7 +113,7 @@ def parse_fixtures(text: str) -> FixtureSet:
                 raise _fail(lineno, line, "RATIONALITY wants D,N,m,genus,verdict")
             d, n, m, g = _ints(body[:4], lineno, line)
             verdict = body[4]
-            _check_triple(d, n, m, lineno, line)
+            _check_triple(lineno, line, d, n, m)
             if verdict not in _VERDICTS:
                 raise _fail(lineno, line, f"verdict must be one of {_VERDICTS}")
             if g < 0:
@@ -131,14 +125,13 @@ def parse_fixtures(text: str) -> FixtureSet:
             if len(body) != 4:
                 raise _fail(lineno, line, "RANK wants D,N,m,rank")
             d, n, m, r = _ints(body, lineno, line)
-            _check_triple(d, n, m, lineno, line)
+            _check_triple(lineno, line, d, n, m)
             if r < 0:
                 raise _fail(lineno, line, "negative rank")
             if (d, n, m) in ranks:
                 raise _fail(lineno, line, "duplicate triple")
             ranks[(d, n, m)] = r
     return FixtureSet(
-        allowed_d=tuple(sorted(allowed)),
         hyperelliptic_pairs=frozenset(hyper),
         bielliptic_level_one=tuple(sorted(biell)),
         airr2_level_one=tuple(sorted(airr2)),

@@ -8,22 +8,32 @@ must be divisible by 12, or IntegralityError is raised.
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, factorize, is_squarefree, kronecker, omega, psi
+from .arith import (euler_phi, factorize, is_hall_divisor, is_squarefree,
+                    kronecker, omega, psi)
 from .errors import DomainError, IntegralityError
 
 
-def check_pair(d: int, n: int) -> None:
-    """A valid pair: D > 1 squarefree with an even number of prime
-    factors (so the algebra is indefinite), N >= 1 prime to D."""
+def check_algebra(d: int, n: int) -> None:
+    """A quaternion discriminant d > 1 squarefree, definite or not, and
+    a level n >= 1 prime to d."""
     if d < 2 or not is_squarefree(d):
         raise DomainError(f"D must be squarefree > 1, got {d}")
-    if omega(d) % 2 != 0:
-        raise DomainError(
-            f"D = {d} has an odd number of prime factors (definite algebra)")
     if n < 1:
         raise DomainError(f"N must be >= 1, got {n}")
     if gcd(d, n) != 1:
         raise DomainError(f"D = {d} and N = {n} are not coprime")
+
+
+def check_pair(d: int, n: int, m: int = 1) -> None:
+    """A valid pair: D > 1 squarefree with an even number of prime
+    factors (so the algebra is indefinite), N >= 1 prime to D; and m a
+    Hall divisor of DN, the index of an Atkin--Lehner involution."""
+    check_algebra(d, n)
+    if omega(d) % 2 != 0:
+        raise DomainError(
+            f"D = {d} has an odd number of prime factors (definite algebra)")
+    if m != 1 and not is_hall_divisor(m, d * n):
+        raise DomainError(f"m = {m} is not a Hall divisor of DN = {d * n}")
 
 
 def e_k(d: int, n: int, k: int) -> int:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import (
-    is_hall_divisor,
     is_prime,
     kronecker,
     omega,
@@ -48,12 +47,6 @@ class LocalVerdict:
     source: str  # which criterion produced it
 
 
-def _check_quotient(d: int, n: int, m: int) -> None:
-    check_pair(d, n)
-    if not is_hall_divisor(m, d * n):
-        raise DomainError(f"m = {m} is not a Hall divisor of DN = {d * n}")
-
-
 def real_component_count(d: int, n: int, m: int) -> int:
     """Number of connected components of the real locus of X_0^D(N)/<w_m>.
 
@@ -65,7 +58,7 @@ def real_component_count(d: int, n: int, m: int) -> int:
     conditions, weight by wide class numbers, and halve; one exceptional
     configuration contributes extra fixed components.
     """
-    _check_quotient(d, n, m)
+    check_pair(d, n, m)
     if isqrt(m) ** 2 == m:
         return 0
     orders = [order_from_discriminant(4 * m)]
@@ -116,7 +109,7 @@ def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     class set) and into the Eichler orders of level N in the indefinite
     algebra itself.
     """
-    _check_quotient(d, n, m)
+    check_pair(d, n, m)
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
     if d % p != 0:
@@ -175,7 +168,7 @@ def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
     Applies when D = pq is a product of two primes, N is prime and m = D:
     the quotient has Q_p-points iff N is not inert in Q(sqrt(-q)).
     """
-    _check_quotient(d, n, m)
+    check_pair(d, n, m)
     if omega(d) != 2 or m != d or not is_prime(n) or d % p != 0:
         return NOT_APPLICABLE
     q = d // p
@@ -187,7 +180,7 @@ def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
     """All applicable local verdicts for X_0^D(N)/<w_m>: the real place
     first, then each p | D in order, p-adic criterion before the
     prime-level one."""
-    _check_quotient(d, n, m)
+    check_pair(d, n, m)
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
     verdicts = [

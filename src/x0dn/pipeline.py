@@ -128,12 +128,28 @@ def _pairs(gmax: int, discs=None):
                 yield d, n
 
 
+def allowed_discriminants(fixtures: FixtureSet) -> tuple[int, ...]:
+    """The discriminants D that can carry a bielliptic curve at some
+    level, ascending: those whose level-one curve has genus at most one,
+    is hyperelliptic, or is bielliptic (Rotger's level-one list).
+
+    A curve with a degree-two map to a genus-one curve forces every curve
+    it covers, X_0^D(1) among them, into one of these three classes.  The
+    first comes from the genus formula; the other two are the level-one
+    HYPERELLIPTIC records and the BIELLIPTIC_L1 records."""
+    return tuple(sorted(
+        {d for d, n in _pairs(1) if n == 1}
+        | {d for d, n in fixtures.hyperelliptic_pairs if n == 1}
+        | set(fixtures.bielliptic_level_one)))
+
+
 def bielliptic_candidates(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
-    """Pairs (D, N) that could carry a bielliptic curve: D in the
-    allowed-discriminant fixture, N > 1 prime to D, and genus at most
-    the Abramovich cap."""
+    """Pairs (D, N) that could carry a bielliptic curve: D in
+    allowed_discriminants, N > 1 prime to D, and genus at most the
+    Abramovich cap."""
     fx = fixtures if fixtures is not None else load_fixtures()
-    return sorted((d, n) for d, n in _pairs(GENUS_CAP_BIELLIPTIC, fx.allowed_d)
+    return sorted((d, n) for d, n in
+                  _pairs(GENUS_CAP_BIELLIPTIC, allowed_discriminants(fx))
                   if n > 1)
 
 
@@ -465,10 +481,11 @@ AIRR2_PAIRS = (
 )
 
 
-def low_genus_pairs(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
-    """All pairs whose curve has genus at most one."""
-    fx = fixtures if fixtures is not None else load_fixtures()
-    return sorted(_pairs(1, fx.allowed_d))
+def low_genus_pairs() -> list[tuple[int, int]]:
+    """All pairs whose curve has genus at most one.  Their D are all in
+    allowed_discriminants: X_0^D(N) covers X_0^D(1), so
+    genus(D, 1) <= genus(D, N) <= 1."""
+    return sorted(_pairs(1))
 
 
 def positive_rank_pairs(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
@@ -481,12 +498,13 @@ def positive_rank_pairs(fixtures: FixtureSet | None = None) -> list[tuple[int, i
 
 def airr2_report(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
     """Pairs whose curve has infinitely many quadratic points: genus at
-    most one, or hyperelliptic, or bielliptic onto a positive-rank
-    elliptic curve (from the level-one fixture for N = 1, from the
-    classification's rank column for N > 1).  The union must reproduce
-    the embedded reference list exactly."""
+    most one (from the genus formula), or hyperelliptic (the
+    HYPERELLIPTIC records), or bielliptic onto a positive-rank elliptic
+    curve (the AIRR2_L1 records for N = 1, the classification's rank
+    column for N > 1).  The union must reproduce the embedded reference
+    list exactly."""
     fx = fixtures if fixtures is not None else load_fixtures()
-    pairs = set(low_genus_pairs(fx))
+    pairs = set(low_genus_pairs())
     pairs.update(fx.hyperelliptic_pairs)
     pairs.update((d, 1) for d in fx.airr2_level_one)
     pairs.update(positive_rank_pairs(fx))

@@ -1,17 +1,16 @@
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
-                        hall_divisors, is_hall_divisor, is_squarefree,
-                        kronecker, omega, pell_minus_solvable,
-                        pell_pm2_solvable, prime_divisors, psi, psi_p,
+                        is_hall_divisor, is_squarefree, kronecker, omega,
+                        pell_minus_solvable, pell_pm2_solvable, psi, psi_p,
                         squarefree_part)
 from x0dn.errors import DomainError
 
-from _oracles import brute_hall_divisors, brute_kronecker_prime, brute_pell_pm2
+from _oracles import brute_kronecker_prime, brute_pell_pm2
 
 
 def test_factorize_small():
@@ -89,12 +88,6 @@ def test_kronecker_multiplicative_in_top(a, b, n):
        st.integers(min_value=1, max_value=100))
 def test_kronecker_multiplicative_in_bottom(a, m, n):
     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
-
-
-def test_hall_divisors_against_scan():
-    for n in (1, 2, 6, 12, 60, 126, 150, 214, 360):
-        assert list(hall_divisors(n)) == brute_hall_divisors(n)
-    assert hall_divisors(66) == (1, 2, 3, 6, 11, 22, 33, 66)
 
 
 def test_is_hall_divisor():

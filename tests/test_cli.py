@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from x0dn.cli import main
 from x0dn.embeddings import is_definite
 from x0dn.errors import IntegralityError
+
+# the benchmark's reference outputs of the paper's three runs; read only
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -153,6 +157,17 @@ def test_airr2_command(capsys):
     assert "6 17\n" in out
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("classify_bielliptic", ("classify", "--kind", "bielliptic")),
+    ("classify_trigonal", ("classify", "--kind", "trigonal")),
+    ("airr2", ("airr2",)),
+])
+def test_output_matches_golden(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
 def test_fixtures_flag(capsys, tmp_path):
     from x0dn.fixtures import fixture_text
 
@@ -164,6 +179,12 @@ def test_fixtures_flag(capsys, tmp_path):
     missing = tmp_path / "nope.txt"
     code, _, err = run(capsys, "airr2", "--fixtures", str(missing))
     assert code == 1
+    # the allowed discriminants are derived, so a quoted list is refused
+    stale = tmp_path / "stale.txt"
+    stale.write_text(fixture_text() + "ALLOWED_D,6,Voight09\n")
+    code, _, err = run(capsys, "airr2", "--fixtures", str(stale))
+    assert code == 1
+    assert "unknown record tag ALLOWED_D" in err
 
 
 def test_bad_subgroup_is_a_domain_error(capsys):

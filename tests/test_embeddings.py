@@ -1,11 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from x0dn.embeddings import (check_algebra, eichler_symbol, element_embeds,
-                             embedding_count, is_definite, local_nu,
-                             locally_embeds)
+from x0dn.embeddings import (eichler_symbol, element_embeds, embedding_count,
+                             is_definite, local_nu, locally_embeds)
 from x0dn.errors import DomainError
-from x0dn.genus import e_k
+from x0dn.genus import check_algebra, e_k
 from x0dn.quadorders import QuadOrder
 
 

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from x0dn.errors import FixtureError
@@ -11,6 +9,7 @@ from x0dn.fixtures import (
     load_fixtures,
     parse_fixtures,
 )
+from x0dn.pipeline import allowed_discriminants
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +18,6 @@ def fx() -> FixtureSet:
 
 
 def test_record_counts(fx):
-    assert len(fx.allowed_d) == 52
     assert len(fx.hyperelliptic_pairs) == 33
     assert len(fx.bielliptic_level_one) == 22
     assert len(fx.airr2_level_one) == 17
@@ -29,11 +27,20 @@ def test_record_counts(fx):
 
 
 def test_allowed_d_membership(fx):
-    assert fx.allowed_d[0] == 6
-    assert fx.allowed_d[-1] == 546
-    assert 26 in fx.allowed_d
-    assert 210 in fx.allowed_d
-    assert 30 not in fx.allowed_d  # quaternion disc, but no bielliptic level
+    allowed = allowed_discriminants(fx)
+    assert len(allowed) == 52
+    assert allowed[0] == 6
+    assert allowed[-1] == 546
+    assert 26 in allowed
+    assert 210 in allowed
+    assert 30 not in allowed  # definite algebra
+    assert 133 not in allowed  # genus 9 at level one, not bielliptic
+    # genus at most one, level-one hyperelliptic, level-one bielliptic:
+    # three disjoint classes of 9, 21 and 22
+    hyper = {d for d, n in fx.hyperelliptic_pairs if n == 1}
+    low = set(allowed) - hyper - set(fx.bielliptic_level_one)
+    assert low == {6, 10, 14, 15, 21, 22, 33, 34, 46}
+    assert len(hyper) + len(fx.bielliptic_level_one) == 52 - 9
 
 
 def test_airr2_subset_of_bielliptic(fx):
@@ -52,7 +59,7 @@ def test_hyperelliptic_split(fx):
         (14, 5), (15, 2), (22, 3), (22, 5), (39, 2),
     }
     # every hyperelliptic discriminant also appears in the allowed list
-    assert {d for d, _ in fx.hyperelliptic_pairs} <= set(fx.allowed_d)
+    assert {d for d, _ in fx.hyperelliptic_pairs} <= set(allowed_discriminants(fx))
 
 
 def test_overrides(fx):
@@ -89,10 +96,18 @@ def test_rank_rows_cover_exactly_non_no_rows(fx):
     "line",
     [
         "NOSUCHTAG,6,Voight09",
-        "ALLOWED_D,6",  # citation missing: body empty
-        "ALLOWED_D,12,Voight09",  # odd prime count
-        "ALLOWED_D,4,Voight09",  # not squarefree
-        "ALLOWED_D,six,Voight09",
+        "ALLOWED_D,6,Voight09",  # derived now, no longer a record
+        "BIELLIPTIC_L1,6",  # citation missing: body empty
+        "BIELLIPTIC_L1,12,Rotger02",  # not squarefree
+        "BIELLIPTIC_L1,4,Rotger02",  # not squarefree
+        "BIELLIPTIC_L1,six,Rotger02",
+        "BIELLIPTIC_L1,30,Rotger02",  # odd prime count: definite
+        "BIELLIPTIC_L1,-6,Rotger02",
+        "AIRR2_L1,4,Rotger02",
+        "HYPERELLIPTIC,30,1,Ogg83",
+        "AUT_OVERRIDE,4,5,KMV11",
+        "RATIONALITY,30,7,2,1,no,NR15",
+        "RANK,12,5,5,0,Ribet90",
         "HYPERELLIPTIC,6,1,2,Ogg83",
         "HYPERELLIPTIC,6,2,Ogg83",  # gcd > 1
         "RATIONALITY,6,5,4,1,no,NR15",  # 4 not a Hall divisor of 30
@@ -109,25 +124,31 @@ def test_malformed_lines_fail(line):
 
 
 def test_duplicate_lines_fail():
-    text = "ALLOWED_D,6,Voight09\nALLOWED_D,6,Again"
+    text = "BIELLIPTIC_L1,57,Rotger02\nBIELLIPTIC_L1,57,Again"
     with pytest.raises(FixtureError, match="duplicate"):
         parse_fixtures(text)
 
 
 def test_comments_and_blanks_skipped():
-    text = "# header\n\nALLOWED_D,6,Voight09\n"
+    text = "# header\n\nBIELLIPTIC_L1,57,Rotger02\n"
     fx = parse_fixtures(text)
-    assert fx.allowed_d == (6,)
+    assert fx.bielliptic_level_one == (57,)
+
+
+def test_bad_discriminant_names_its_line():
+    text = "# header\nBIELLIPTIC_L1,57,Rotger02\nBIELLIPTIC_L1,-6,Rotger02\n"
+    with pytest.raises(FixtureError, match="line 3: D must be squarefree > 1"):
+        parse_fixtures(text)
 
 
 def test_path_and_env_override(tmp_path, monkeypatch):
     small = tmp_path / "prior_work.txt"
-    small.write_text("ALLOWED_D,10,Voight09\n")
-    assert parse_fixtures(fixture_text(str(small))).allowed_d == (10,)
+    small.write_text("BIELLIPTIC_L1,65,Rotger02\n")
+    assert parse_fixtures(fixture_text(str(small))).bielliptic_level_one == (65,)
     # a directory gets the standard file name appended
-    assert parse_fixtures(fixture_text(str(tmp_path))).allowed_d == (10,)
+    assert parse_fixtures(fixture_text(str(tmp_path))).bielliptic_level_one == (65,)
     monkeypatch.setenv(ENV_VAR, str(small))
-    assert parse_fixtures(fixture_text()).allowed_d == (10,)
+    assert parse_fixtures(fixture_text()).bielliptic_level_one == (65,)
     monkeypatch.setenv(ENV_VAR, str(tmp_path / "absent.txt"))
     with pytest.raises(FixtureError, match="cannot read"):
         fixture_text()
@@ -135,9 +156,8 @@ def test_path_and_env_override(tmp_path, monkeypatch):
 
 def test_packaged_copy_loads_without_env(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
-    assert load_fixtures().allowed_d[0] == 6
+    assert load_fixtures().bielliptic_level_one[0] == 57
 
 
 def test_env_var_name():
     assert ENV_VAR == "X0DN_FIXTURES"
-    assert ENV_VAR not in os.environ or True

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from _oracles import fraction_genus
 from x0dn.errors import DomainError
-from x0dn.genus import check_pair, e_k, genus
+from x0dn.genus import check_algebra, check_pair, e_k, genus
 
 # Discriminant/level pairs of genus 0 and of genus 1 (complete lists).
 GENUS_ZERO = {(6, 1), (10, 1), (22, 1)}
@@ -62,6 +62,19 @@ def test_rejects_bad_pairs():
         genus(6, 21)   # shares the factor 3
     with pytest.raises(DomainError):
         e_k(6, 1, 2)
+
+
+def test_check_pair_index():
+    check_pair(6, 5, 15)
+    check_pair(10, 9, 9)
+    # DN = 90 = 2 * 9 * 5: 15 splits the prime power 9, 4 divides nothing
+    for m in (4, 15, 0, -6):
+        with pytest.raises(DomainError):
+            check_pair(10, 9, m)
+    # the definite half accepts D = 30, the pair check does not
+    check_algebra(30, 1)
+    with pytest.raises(DomainError):
+        check_pair(30, 1)
 
 
 @given(st.sampled_from(QUATERNION_DISCS), st.integers(min_value=1, max_value=400))

@@ -3,10 +3,11 @@ from math import gcd
 import pytest
 
 from x0dn.arith import is_squarefree, omega
-from x0dn.errors import DomainError, PipelineError
+from x0dn.errors import DomainError
 from x0dn.fixtures import load_fixtures
 from x0dn.genus import genus
-from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, UNKNOWN, airr2_report,
+from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, UNKNOWN, _pairs,
+                           airr2_report, allowed_discriminants,
                            automorphism_exception_pairs, automorphism_status,
                            bielliptic_candidates, bkx_degree_screen,
                            classify_bielliptic, classify_trigonal, cs_bound,
@@ -80,14 +81,47 @@ def test_genus_floor_bounds_genus(small_pairs):
 
 
 def test_enumerators_match_brute_force(small_pairs):
-    allowed = set(load_fixtures().allowed_d)
+    allowed = set(allowed_discriminants(load_fixtures()))
     assert trigonal_candidates() == sorted(
         p for p, g in small_pairs.items() if g <= 29)
     assert bielliptic_candidates() == sorted(
         p for p, g in small_pairs.items()
         if p[0] in allowed and p[1] > 1 and g <= 39)
     assert low_genus_pairs() == sorted(
-        p for p, g in small_pairs.items() if p[0] in allowed and g <= 1)
+        p for p, g in small_pairs.items() if g <= 1)
+    # genus(D, 1) <= genus(D, N): no low-genus pair needs the filter
+    assert {d for d, _ in low_genus_pairs()} <= allowed
+
+
+def test_level_one_bielliptic_records():
+    """Rotger's level-one list against the program's own screens, over
+    every D with genus(D, 1) at most the bielliptic cap.
+
+    Among the D of genus >= 2 whose level-one curve is not hyperelliptic,
+    the ones with a genus-one Atkin--Lehner quotient are exactly the
+    BIELLIPTIC_L1 records.  Every other one is closed by the fixed-point
+    screen, or by having no genus-one quotient while every automorphism
+    is Atkin--Lehner, except eight that only Rotger's argument (Rotger02)
+    closes."""
+    fx = load_fixtures()
+    discs = [d for d, n in _pairs(39) if n == 1]
+    assert len(discs) == 238
+    hyper = {d for d, n in fx.hyperelliptic_pairs if n == 1}
+    rest = [d for d in discs if genus(d, 1) >= 2 and d not in hyper]
+    with_quotient = [d for d in rest if genus1_al_quotients(d, 1)]
+    assert tuple(with_quotient) == fx.bielliptic_level_one
+    others = [d for d in rest if d not in with_quotient]
+    assert len(others) == 186
+    by_fixed_points = [d for d in others if fixed_point_screen(d, 1)]
+    assert len(by_fixed_points) == 164
+    unclosed = [d for d in others if d not in by_fixed_points]
+    by_automorphisms = [d for d in unclosed
+                        if automorphism_status(d, 1) == ALL_AL]
+    assert len(by_automorphisms) == 14
+    open_discs = {d: genus(d, 1) for d in unclosed
+                  if d not in by_automorphisms}
+    assert open_discs == {133: 9, 145: 9, 187: 13, 205: 13, 217: 15,
+                          301: 21, 445: 29, 505: 33}
 
 
 def test_candidate_counts():
