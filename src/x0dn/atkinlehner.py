@@ -112,10 +112,12 @@ def fixed_point_orders(m: int) -> tuple[QuadOrder, ...]:
     return (order_from_discriminant(-4 * m),)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def fixed_point_count(d: int, n: int, m: int) -> int:
     """Number of fixed points of w_m on X_0^D(N), for a nontrivial Hall
-    divisor m of DN."""
+    divisor m of DN.  The memo holds one pair, which has 2^omega(DN) - 1
+    <= 127 of them for omega(DN) <= 7: callers work through one pair at a
+    time, as for _index, so a stream of curves does not grow it."""
     if m == 1 or m not in _index(d, n)[0]:
         raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
     skip = prime_divisors(m)

@@ -195,8 +195,9 @@ def _build_parser() -> _Parser:
                        help="genus of the quotient by w_m or a subgroup")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--subgroup", help="comma-separated generators, overrides --m")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--m", type=int)
+    which.add_argument("--subgroup", help="comma-separated generators")
     p.set_defaults(func=_cmd_quotient_genus)
 
     p = sub.add_parser("class-number", help="class number of a quadratic order")

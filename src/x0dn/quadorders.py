@@ -1,8 +1,9 @@
 """Quadratic orders and their class numbers, both signatures, exact.
 
 Class numbers come from reduced binary quadratic forms: straight
-enumeration in the definite case, cycle counting under the reduction
-operator rho in the indefinite case.  No analytic formulas anywhere.
+enumeration in the definite case; in the indefinite case, the cycles of
+the reduction operator rho up to sign, each checked against the norm of
+the fundamental unit.  No analytic formulas anywhere.
 """
 
 from dataclasses import dataclass
@@ -92,60 +93,6 @@ def _imaginary_form_count(disc: int) -> int:
     return count
 
 
-def _rho(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
-    """One reduction step on an indefinite form.  The middle coefficient
-    of the successor is the r = -b mod 2|c| lying in (sqrt(disc) - 2|c|,
-    sqrt(disc)); for |c| > sqrt(disc) the window (-|c|, |c|] is used
-    instead."""
-    cc = abs(c)
-    s = isqrt(disc)
-    t = (-b) % (2 * cc)
-    if cc <= s:
-        r = s - ((s - t) % (2 * cc))
-    else:
-        r = t if t <= cc else t - 2 * cc
-    return c, r, (r * r - disc) // (4 * c)
-
-
-def _reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
-    """All primitive reduced forms of nonsquare discriminant disc > 0:
-    0 < b < sqrt(disc) and |sqrt(disc) - 2|a|| < b."""
-    s = isqrt(disc)
-    out = set()
-    for b in range(2 - disc % 2, s + 1, 2):
-        q = (disc - b * b) // 4     # = -ac > 0
-        for aa in range(1, (s + b) // 2 + 1):
-            # |sqrt(disc) - 2aa| < b, exactly: s - b < 2aa <= s + b
-            if 2 * aa <= s - b or q % aa != 0:
-                continue
-            c = q // aa
-            if gcd(gcd(aa, b), c) != 1:
-                continue
-            out.add((aa, b, -c))
-            out.add((-aa, b, c))
-    return out
-
-
-def _indefinite_cycle_count(disc: int) -> int:
-    """Number of rho-cycles on the reduced forms, i.e. the narrow class
-    number h+(disc)."""
-    reduced = _reduced_indefinite_forms(disc)
-    seen: set[tuple[int, int, int]] = set()
-    cycles = 0
-    for form in reduced:
-        if form in seen:
-            continue
-        cycles += 1
-        cur = form
-        while cur not in seen:
-            seen.add(cur)
-            cur = _rho(*cur, disc)
-            if cur not in reduced:
-                raise DomainError(
-                    f"rho left the reduced forms of {disc}: {form} -> {cur}")
-    return cycles
-
-
 @lru_cache(maxsize=None)
 def unit_norm(disc: int) -> int:
     """Norm of the fundamental unit of the real order of discriminant
@@ -164,19 +111,59 @@ def unit_norm(disc: int) -> int:
     return -1 if pell_minus_solvable(m) else 1
 
 
+def _real_class_number(disc: int) -> int:
+    """h(disc) for nonsquare disc > 0: the number of orbits of
+    f -> -rho(f) on the primitive reduced forms with a > 0.
+
+    A form (a, b, c) is reduced when 0 < b < sqrt(disc) and
+    |sqrt(disc) - 2|a|| < b; one with a > 0 is kept as (a, b), which fix
+    c = (b^2 - disc)/4a < 0.  rho flips the sign of a and commutes with
+    negation (a, b, c) -> (-a, b, -c), so -rho permutes the forms with
+    a > 0, and its orbits are the rho-cycles up to sign: the (wide)
+    classes.  A unit of norm -1 puts -f on the rho-cycle of f at half
+    its length, which is odd; so an orbit has odd length exactly when
+    unit_norm(disc) == -1, and every orbit is checked for that.
+    """
+    s = isqrt(disc)
+    forms = set()
+    for b in range(2 - disc % 2, s + 1, 2):
+        q = (disc - b * b) // 4     # = -ac > 0
+        # |sqrt(disc) - 2a| < b, exactly: s - b < 2a <= s + b
+        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+            if q % a == 0 and gcd(a, b, q // a) == 1:
+                forms.add((a, b))
+    odd = unit_norm(disc) == -1
+    h = 0
+    while forms:
+        start = a, b = forms.pop()
+        length = 1
+        while True:
+            # the form is (a, b, -c); -rho of it is (c, r, (r^2 - disc)/4c)
+            # with r = -b mod 2c in (sqrt(disc) - 2c, sqrt(disc)), a window
+            # that exists since reduction gives c < sqrt(disc)
+            c = (disc - b * b) // (4 * a)
+            a, b = c, s - (s + b) % (2 * c)
+            if (a, b) == start:
+                break
+            if (a, b) not in forms:
+                raise DomainError(f"the walk from {start} left the reduced "
+                                  f"forms of {disc} at {(a, b)}")
+            forms.remove((a, b))
+            length += 1
+        if (length % 2 == 1) != odd:
+            raise DomainError(f"orbit length {length} at {disc} contradicts "
+                              f"the unit norm {-1 if odd else 1}")
+        h += 1
+    return h
+
+
 @lru_cache(maxsize=None)
 def class_number(disc: int) -> int:
     """Form class number h(disc) of the quadratic order of discriminant
     disc.  Imaginary: count of primitive reduced positive forms.  Real:
-    number of rho-cycles (the narrow count h+), halved when the
-    fundamental unit has norm +1."""
+    number of rho-cycles of reduced forms up to sign."""
     if not is_discriminant(disc):
         raise DomainError(f"{disc} is not a quadratic discriminant")
     if disc < 0:
         return _imaginary_form_count(disc)
-    h_plus = _indefinite_cycle_count(disc)
-    if unit_norm(disc) == 1:
-        if h_plus % 2 != 0:
-            raise DomainError(f"narrow class number parity broken at {disc}")
-        return h_plus // 2
-    return h_plus
+    return _real_class_number(disc)

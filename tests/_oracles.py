@@ -160,6 +160,74 @@ def brute_real_class_number(disc: int) -> int:
     return cycles
 
 
+# The reduction-cycle algorithm that computed real class numbers before
+# the library walked only the forms with a > 0, kept as a reference: both
+# signs of every reduced form, the rho-cycles counted (the narrow class
+# number h+), and h+ halved when the fundamental unit has norm +1.
+
+def _rho(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
+    """One reduction step on an indefinite form.  The middle coefficient
+    of the successor is the r = -b mod 2|c| lying in (sqrt(disc) - 2|c|,
+    sqrt(disc)); for |c| > sqrt(disc) the window (-|c|, |c|] is used
+    instead."""
+    cc = abs(c)
+    s = isqrt(disc)
+    t = (-b) % (2 * cc)
+    if cc <= s:
+        r = s - ((s - t) % (2 * cc))
+    else:
+        r = t if t <= cc else t - 2 * cc
+    return c, r, (r * r - disc) // (4 * c)
+
+
+def _reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
+    """All primitive reduced forms of nonsquare discriminant disc > 0:
+    0 < b < sqrt(disc) and |sqrt(disc) - 2|a|| < b."""
+    s = isqrt(disc)
+    out = set()
+    for b in range(2 - disc % 2, s + 1, 2):
+        q = (disc - b * b) // 4     # = -ac > 0
+        for aa in range(1, (s + b) // 2 + 1):
+            # |sqrt(disc) - 2aa| < b, exactly: s - b < 2aa <= s + b
+            if 2 * aa <= s - b or q % aa != 0:
+                continue
+            c = q // aa
+            if gcd(gcd(aa, b), c) != 1:
+                continue
+            out.add((aa, b, -c))
+            out.add((-aa, b, c))
+    return out
+
+
+def narrow_cycle_count(disc: int) -> int:
+    """Number of rho-cycles on the reduced forms of both signs, i.e. the
+    narrow class number h+(disc)."""
+    reduced = _reduced_indefinite_forms(disc)
+    seen: set[tuple[int, int, int]] = set()
+    cycles = 0
+    for form in reduced:
+        if form in seen:
+            continue
+        cycles += 1
+        cur = form
+        while cur not in seen:
+            seen.add(cur)
+            cur = _rho(*cur, disc)
+            assert cur in reduced, (disc, form, cur)
+    return cycles
+
+
+def cycle_class_number(disc: int) -> int:
+    """h(disc) for nonsquare disc > 0: h+ when the fundamental unit has
+    norm -1, h+/2 when it has norm +1."""
+    from x0dn.quadorders import unit_norm
+    h_plus = narrow_cycle_count(disc)
+    if unit_norm(disc) == 1:
+        assert h_plus % 2 == 0, disc
+        return h_plus // 2
+    return h_plus
+
+
 def _prime_powers(n: int) -> list[tuple[int, int]]:
     """(p, e) with p^e || n, by trial division over every integer."""
     out = []

@@ -67,8 +67,18 @@ def test_fixed_points_and_quotient_genus(capsys):
                        "--m", "34")
     assert (code, out) == (0, "3\n")
     code, out, _ = run(capsys, "quotient-genus", "--d", "34", "--n", "7",
-                       "--m", "14", "--subgroup", "14,17")
+                       "--subgroup", "14,17")
     assert (code, out) == (0, "0\n")
+
+
+def test_quotient_genus_wants_m_or_subgroup(capsys):
+    # exactly one of the two: both, or neither, is a usage error
+    for extra in (("--m", "999", "--subgroup", "14,17"), ()):
+        with pytest.raises(SystemExit) as exc:
+            main(["quotient-genus", "--d", "34", "--n", "7", *extra])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and "--subgroup" in err
 
 
 def test_class_number_command(capsys):
@@ -190,7 +200,7 @@ def test_fixtures_flag(capsys, tmp_path):
 def test_bad_subgroup_is_a_domain_error(capsys):
     for text in ("2,x", ","):
         code, out, err = run(capsys, "quotient-genus", "--d", "34", "--n",
-                             "7", "--m", "14", "--subgroup", text)
+                             "7", "--subgroup", text)
         assert (code, out) == (1, "")
         assert err.startswith("error: --subgroup")
 
@@ -222,7 +232,7 @@ _DISC = st.sampled_from((3, 5, 6, 10, 14, 15, 21, 22, 35, 39)) | _INT
 _FLAGS = {
     "genus": {"--d": _DISC, "--n": _SMALL},
     "fixed-points": {"--d": _DISC, "--n": _SMALL, "--m": _SMALL},
-    "quotient-genus": {"--d": _DISC, "--n": _SMALL, "--m": _SMALL},
+    "quotient-genus": {"--d": _DISC, "--n": _SMALL},
     "class-number": {"--disc": _INT},
     "embed": {"--disc": _SMALL, "--d": _DISC, "--n": _SMALL},
     "local-points": {"--d": _DISC, "--n": _SMALL, "--m": _SMALL},
@@ -240,9 +250,12 @@ def test_cli_fuzz(data):
               for flag, strategy in _FLAGS[command].items()}
     argv = [command] + [f"{flag}={v}" for flag, v in values.items()]
     if command == "quotient-genus":
-        subgroup = data.draw(st.none() | st.text("0123456789,x-", max_size=12))
-        if subgroup is not None:
-            argv.append(f"--subgroup={subgroup}")
+        # --m or --subgroup, one of them: both, or neither, is a usage error
+        which = data.draw(st.sampled_from(("--m", "--subgroup")))
+        strategy = (_SMALL if which == "--m"
+                    else st.text("0123456789,x-", max_size=12))
+        value = data.draw(strategy, label=which)
+        argv.append(f"{which}={value}")
     if command == "embed":
         # the conductor stays small: it enters the discriminant squared
         conductor = data.draw(st.integers(min_value=-10, max_value=10))

@@ -184,3 +184,25 @@ def test_no_obstruction_on_rational_quotients():
     # the places these criteria see (one known defect aside, see ledger)
     for d, n, m in [(6, 23, 138), (15, 7, 105), (10, 3, 10), (14, 3, 42)]:
         assert not has_local_obstruction(d, n, m), (d, n, m)
+
+
+def test_harnack_bound():
+    # the real locus of a curve of genus g has at most g + 1 components;
+    # this crosses real class numbers (components) with imaginary ones
+    # (fixed points, through the quotient genus)
+    from math import gcd
+
+    from x0dn.arith import is_squarefree, omega
+    from x0dn.atkinlehner import group_elements, quotient_genus
+    quotients = 0
+    for d in range(6, 2001):
+        if not is_squarefree(d) or omega(d) % 2:
+            continue
+        for n in range(1, 2000 // d + 1):
+            if gcd(d, n) != 1:
+                continue
+            for m in group_elements(d, n)[1:]:
+                assert (real_component_count(d, n, m)
+                        <= quotient_genus(d, n, m) + 1), (d, n, m)
+                quotients += 1
+    assert quotients == 16259

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from x0dn.quadorders import (QuadOrder, class_number, is_discriminant,
                              is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
-from _oracles import brute_imaginary_class_number, brute_unit_norm
+from _oracles import (brute_imaginary_class_number, brute_unit_norm,
+                      cycle_class_number, narrow_cycle_count)
 
 
 def test_discriminant_predicates():
@@ -130,17 +133,69 @@ def test_unit_norm_known():
     assert unit_norm(316) == 1     # 80 + 9 sqrt(79)
 
 
+def test_real_class_numbers_vs_cycle_reference():
+    for disc in range(5, 5001):
+        if is_discriminant(disc):
+            assert class_number(disc) == cycle_class_number(disc), disc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=10 ** 4, max_value=10 ** 6)
+       .filter(is_discriminant))
+def test_large_real_class_numbers_vs_cycle_reference(disc):
+    assert class_number(disc) == cycle_class_number(disc)
+
+
+def _fundamental_unit(d0: int) -> tuple[int, int]:
+    """(x, y) with (x + y sqrt(d0))/2 the fundamental unit of Q(sqrt(d0)):
+    the least y > 0 for which x^2 - d0 y^2 = -4 or +4 has a solution,
+    -4 first since that unit is the smaller one."""
+    y = 1
+    while True:
+        for k in (-4, 4):
+            x = isqrt(d0 * y * y + k)
+            if x * x == d0 * y * y + k:
+                return x, y
+        y += 1
+
+
+def test_conductor_formula_real():
+    # h(d0 f^2) = h(d0) f prod_{p|f} (1 - (d0/p)/p) / [O_K^x : O^x], and
+    # the unit index is the least k with eps^k = (x_k + y_k sqrt(d0))/2
+    # in the order of conductor f, that is with f | y_k
+    from fractions import Fraction
+
+    from x0dn.arith import kronecker, prime_divisors
+    cases = 0
+    for d0 in range(5, 200):
+        if not is_fundamental_discriminant(d0):
+            continue
+        x, y = _fundamental_unit(d0)
+        for f in range(2, 9):
+            xk, yk, index = x, y, 1
+            while yk % f:
+                xk, yk = (xk * x + d0 * yk * y) // 2, (xk * y + yk * x) // 2
+                index += 1
+            val = Fraction(class_number(d0) * f, index)
+            for p in prime_divisors(f):
+                val *= Fraction(p - kronecker(d0, p), p)
+            assert val.denominator == 1, (d0, f)
+            assert class_number(d0 * f * f) == val.numerator, (d0, f)
+            cases += 1
+    assert cases == 420
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=2, max_value=900))
 def test_narrow_class_count_divisible_by_genus_number(disc):
-    # genus theory: the number of genera divides h+, and h+ = h * (1 or 2)
+    # genus theory: the number of genera divides h+; and h+ = h when the
+    # fundamental unit has norm -1, h+ = 2h when it has norm +1
     from x0dn.arith import omega
-    from x0dn.quadorders import _indefinite_cycle_count
     if disc % 4 not in (0, 1) or not is_discriminant(disc):
         return
-    h_plus = _indefinite_cycle_count(disc)
+    h_plus = narrow_cycle_count(disc)
     d0 = order_from_discriminant(disc).fundamental_discriminant
     if order_from_discriminant(disc).conductor == 1:
         mu = omega(abs(d0))
         assert h_plus % 2 ** (mu - 1) == 0
-    assert h_plus in (class_number(disc), 2 * class_number(disc))
+    assert h_plus == class_number(disc) * (1 if unit_norm(disc) == -1 else 2)
