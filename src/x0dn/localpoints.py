@@ -180,7 +180,6 @@ def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
     """All applicable local verdicts for X_0^D(N)/<w_m>: the real place
     first, then each p | D in order, p-adic criterion before the
     prime-level one."""
-    check_pair(d, n, m)
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
     verdicts = [

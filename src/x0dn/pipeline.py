@@ -28,7 +28,7 @@ from .atkinlehner import (
 )
 from .errors import DomainError, PipelineError
 from .fixtures import FixtureSet, load_fixtures
-from .genus import check_pair, e_k, genus
+from .genus import e_k, genus
 
 GENUS_CAP_BIELLIPTIC = 39
 GENUS_CAP_TRIGONAL = 29
@@ -167,10 +167,9 @@ def automorphism_status(d: int, n: int) -> str:
         only for a curve already assumed geometrically bielliptic, which
         is how every caller uses it.
     """
-    check_pair(d, n)
+    g = genus(d, n)
     if not is_squarefree(n):
         raise DomainError(f"automorphism criteria need squarefree N, got {n}")
-    g = genus(d, n)
     if g < 2:
         raise DomainError(f"automorphism criteria need genus >= 2, got {g}")
     if e_k(d, n, 3) == 0 and e_k(d, n, 4) == 0:
@@ -209,39 +208,11 @@ def fixed_point_screen(d: int, n: int) -> bool:
 
 def genus1_al_quotients(d: int, n: int) -> list[int]:
     """Hall divisors m > 1 of DN whose quotient curve has genus one."""
-    check_pair(d, n)
     return [
         m
         for m in group_elements(d, n)
         if m != 1 and quotient_genus(d, n, m) == 1
     ]
-
-
-def bkx_degree_screen(d: int, n: int) -> bool:
-    """True when a quotient by some subgroup H with genus >= 2 satisfies
-    2g - 2 > |H| (2 g_H + 2), which rules out geometric biellipticity
-    for curves of genus >= 6.
-
-    This is Castelnuovo--Severi for a bielliptic double cover X -> E
-    against X -> X/H.  A bielliptic involution inside H would make E
-    cover X/H and force g_H <= 1, so with g_H >= 2 the two covers are
-    independent and g <= 2*1 + |H| g_H + (|H| - 1), that is
-    2g - 2 <= |H| (2 g_H + 2).  By Riemann--Hurwitz,
-    |H| (2 g_H + 2) - (2g - 2) = 4|H| - sum of fix(h) over h != 1 in H,
-    so the condition is equivalent to sum fix > 4|H|.  For |H| = 2 that
-    asks for an involution with more than 8 fixed points, which the
-    fixed-point screen has already ruled out on every pair that reaches
-    this one."""
-    g = genus(d, n)
-    if g < 6:
-        return False
-    for sub in all_subgroups(d, n):
-        if len(sub) == 1:
-            continue
-        gy = subgroup_quotient_genus(d, n, sub)
-        if gy >= 2 and 2 * g - 2 > len(sub) * (2 * gy + 2):
-            return True
-    return False
 
 
 def cs_bound(d1: int, g1: int, d2: int, g2: int) -> int:
@@ -251,28 +222,88 @@ def cs_bound(d1: int, g1: int, d2: int, g2: int) -> int:
     return d1 * g1 + d2 * g2 + (d1 - 1) * (d2 - 1)
 
 
-def _exclude_34_7() -> None:
-    """The one squarefree survivor the degree screen misses.  The group
-    quotient by <w_14, w_17> has genus zero, so a bielliptic involution
-    would force the genus under cs_bound(4, 0, 2, 1); as the genus is 9,
-    any bielliptic involution would have to lie in that subgroup, and
-    none of its involutions has a genus-one quotient."""
-    g = genus(34, 7)
-    if g != 9:
-        raise PipelineError(f"(34,7) genus drifted to {g}")
-    if subgroup_quotient_genus(34, 7, (14, 17)) != 0:
-        raise PipelineError("(34,7): <w_14, w_17> quotient is no longer genus 0")
-    if g <= cs_bound(4, 0, 2, 1):
-        raise PipelineError("(34,7): Castelnuovo--Severi bound fails to bite")
-    for m in (14, 17, 238):
-        if quotient_genus(34, 7, m) == 1:
-            raise PipelineError(f"(34,7): w_{m} has a genus-one quotient after all")
+def _cs_subgroup_search(d: int, n: int, min_gh: int) -> bool:
+    """True when some nontrivial Atkin--Lehner subgroup H with quotient
+    genus g_H >= min_gh has genus(d, n) > cs_bound(|H|, g_H, 2, 1).
+
+    For a bielliptic involution s outside H, the covers X -> X/H and
+    X -> X/<s> are independent (H meets <s> trivially), so
+    Castelnuovo--Severi caps the genus at cs_bound(|H|, g_H, 2, 1), and
+    a subgroup found here proves that every bielliptic involution lies
+    in H."""
+    g = genus(d, n)
+    for sub in all_subgroups(d, n)[1:]:     # the trivial subgroup is first
+        gh = subgroup_quotient_genus(d, n, sub)
+        if gh >= min_gh and g > cs_bound(len(sub), gh, 2, 1):
+            return True
+    return False
 
 
-def _not_div_applies(d: int, n: int, g: int) -> bool:
-    """Parity corollary: for genus >= 6, a bielliptic involution must be
-    Atkin--Lehner unless g = 1 mod 2^(omega(DN) - 1)."""
-    return g >= 6 and g % 2 ** (omega(d * n) - 1) != 1
+def bkx_degree_screen(d: int, n: int) -> bool:
+    """True when a quotient by some subgroup H with genus g_H >= 2
+    satisfies 2g - 2 > |H| (2 g_H + 2), which rules out geometric
+    biellipticity for curves of genus >= 6.
+
+    This is Castelnuovo--Severi for a bielliptic double cover X -> E
+    against X -> X/H.  A bielliptic involution inside H would make E
+    cover X/H and force g_H <= 1, so with g_H >= 2 the two covers are
+    independent and g <= cs_bound(|H|, g_H, 2, 1) =
+    2*1 + |H| g_H + (|H| - 1), that is 2g - 2 <= |H| (2 g_H + 2).  By
+    Riemann--Hurwitz, |H| (2 g_H + 2) - (2g - 2) = 4|H| - sum of fix(h)
+    over h != 1 in H, so the condition is equivalent to sum fix > 4|H|.
+    For |H| = 2 that asks for an involution with more than 8 fixed
+    points, which the fixed-point screen has already ruled out on every
+    pair that reaches this one."""
+    return genus(d, n) >= 6 and _cs_subgroup_search(d, n, 2)
+
+
+def _settle(fx: FixtureSet, d: int, n: int, g: int, quots) -> tuple[str, str]:
+    """Status and reason for one candidate, by the first argument that
+    applies; quots are its genus-one Atkin--Lehner quotients."""
+    if g <= 1:
+        return STATUS_GENUS_LE_1, "low_genus"
+    if fixed_point_screen(d, n):
+        if quots:
+            raise PipelineError(
+                f"({d},{n}) fails the fixed-point screen yet w_m for m in "
+                f"{quots} have genus-one quotients")
+        return STATUS_NOT_BIELLIPTIC, "fixed_point_screen"
+    if (d, n) in MANUAL_PAIRS:
+        return STATUS_NEEDS_MANUAL, "automorphism_group_open"
+    if quots:
+        # the curve is bielliptic via w_m; justify that no other
+        # bielliptic involution exists
+        if is_squarefree(n) and automorphism_status(d, n) == ALL_AL:
+            return STATUS_BIELLIPTIC_AL, "automorphism_lemma"
+        if (d, n) in fx.automorphism_overrides:
+            return STATUS_BIELLIPTIC_AL, "automorphism_override"
+        if g >= 6:
+            # two distinct bielliptic involutions would force
+            # g <= cs_bound(2, 1, 2, 1) = 5
+            return STATUS_BIELLIPTIC_AL, "unique_bielliptic"
+        raise PipelineError(
+            f"({d},{n}) is bielliptic but no argument pins its "
+            "involutions to Atkin--Lehner type")
+    # no genus-one quotient: show that no bielliptic involution exists
+    if not is_squarefree(n):
+        # parity corollary: for genus >= 6 a bielliptic involution is
+        # Atkin--Lehner unless g = 1 mod 2^(omega(DN) - 1)
+        if g < 6 or g % 2 ** (omega(d * n) - 1) == 1:
+            raise PipelineError(
+                f"({d},{n}) has non-squarefree level and no closing argument")
+        return STATUS_NOT_BIELLIPTIC, "genus_parity"
+    if (d, n) in fx.hyperelliptic_pairs and g >= 4:
+        # hyperelliptic and bielliptic together force g <= 3
+        return STATUS_HYPERELLIPTIC, "hyperelliptic_cs"
+    if bkx_degree_screen(d, n):
+        return STATUS_NOT_BIELLIPTIC, "bkx_degree_screen"
+    if automorphism_status(d, n) == ALL_AL:
+        # every automorphism is Atkin--Lehner, and none is bielliptic
+        return STATUS_NOT_BIELLIPTIC, "automorphism_lemma"
+    if _cs_subgroup_search(d, n, 0):
+        # a bielliptic involution would lie in H: Atkin--Lehner, so excluded
+        return STATUS_NOT_BIELLIPTIC, "cs_argument"
+    raise PipelineError(f"no argument eliminates ({d},{n})")
 
 
 def _append_rows(rows, fx: FixtureSet, d: int, n: int, g: int, quots) -> None:
@@ -302,6 +333,15 @@ def classify_bielliptic(
     columns, sorted by (D, N, m).  The emitted triples are checked both
     ways against the fixture table: every computed triple must have a
     fixture row and every fixture row must be computed.
+
+    A survivor of the screens with no genus-one Atkin--Lehner quotient
+    is not bielliptic once every bielliptic involution s is shown to be
+    Atkin--Lehner, since s would then have a genus-one quotient.  The
+    last argument tried is Castelnuovo--Severi: s lies outside every
+    Atkin--Lehner subgroup H, so X -> X/H and X -> X/<s> are independent
+    and g <= cs_bound(|H|, g_H, 2, 1) whatever g_H is; one nontrivial H
+    breaking that bound closes the pair.  For (34, 7) the only such H is
+    <w_14, w_17>, with g_H = 0 and 9 > 5.
     """
     fx = fixtures if fixtures is not None else load_fixtures()
     verdicts = []
@@ -309,69 +349,9 @@ def classify_bielliptic(
     for d, n in bielliptic_candidates(fx):
         g = genus(d, n)
         quots = tuple(genus1_al_quotients(d, n))
-        if g <= 1:
-            verdicts.append(BiellipticVerdict(d, n, STATUS_GENUS_LE_1, quots, "low_genus"))
-            _append_rows(rows, fx, d, n, g, quots)
-            continue
-        if fixed_point_screen(d, n):
-            if quots:
-                raise PipelineError(
-                    f"({d},{n}) fails the fixed-point screen yet w_m for m in "
-                    f"{quots} have genus-one quotients")
-            verdicts.append(BiellipticVerdict(
-                d, n, STATUS_NOT_BIELLIPTIC, (), "fixed_point_screen"))
-            continue
-        if (d, n) in MANUAL_PAIRS:
-            verdicts.append(BiellipticVerdict(
-                d, n, STATUS_NEEDS_MANUAL, quots, "automorphism_group_open"))
-            _append_rows(rows, fx, d, n, g, quots)
-            continue
-        if quots:
-            # the curve is bielliptic via w_m; justify that no other
-            # bielliptic involution exists
-            if is_squarefree(n) and automorphism_status(d, n) == ALL_AL:
-                reason = "automorphism_lemma"
-            elif (d, n) in fx.automorphism_overrides:
-                reason = "automorphism_override"
-            elif g >= 6:
-                # two distinct bielliptic involutions would force
-                # g <= cs_bound(2, 1, 2, 1) = 5
-                reason = "unique_bielliptic"
-            elif not is_squarefree(n) and _not_div_applies(d, n, g):
-                reason = "genus_parity"
-            else:
-                raise PipelineError(
-                    f"({d},{n}) is bielliptic but no argument pins its "
-                    "involutions to Atkin--Lehner type")
-            verdicts.append(BiellipticVerdict(
-                d, n, STATUS_BIELLIPTIC_AL, quots, reason))
-            _append_rows(rows, fx, d, n, g, quots)
-            continue
-        # survivor with no genus-one quotient: show it is not bielliptic
-        if not is_squarefree(n):
-            if not _not_div_applies(d, n, g):
-                raise PipelineError(
-                    f"({d},{n}) has non-squarefree level and no closing argument")
-            verdicts.append(BiellipticVerdict(
-                d, n, STATUS_NOT_BIELLIPTIC, (), "genus_parity"))
-        elif (d, n) in fx.hyperelliptic_pairs and g >= 4:
-            # hyperelliptic and bielliptic together force g <= 3
-            verdicts.append(BiellipticVerdict(
-                d, n, STATUS_HYPERELLIPTIC, (), "hyperelliptic_cs"))
-        elif bkx_degree_screen(d, n):
-            verdicts.append(BiellipticVerdict(
-                d, n, STATUS_NOT_BIELLIPTIC, (), "bkx_degree_screen"))
-        elif automorphism_status(d, n) == ALL_AL:
-            # every automorphism is Atkin--Lehner, and no AL quotient has
-            # genus one, so no bielliptic involution can exist
-            verdicts.append(BiellipticVerdict(
-                d, n, STATUS_NOT_BIELLIPTIC, (), "automorphism_lemma"))
-        elif (d, n) == (34, 7):
-            _exclude_34_7()
-            verdicts.append(BiellipticVerdict(
-                d, n, STATUS_NOT_BIELLIPTIC, (), "cs_argument"))
-        else:
-            raise PipelineError(f"no argument eliminates ({d},{n})")
+        status, reason = _settle(fx, d, n, g, quots)
+        verdicts.append(BiellipticVerdict(d, n, status, quots, reason))
+        _append_rows(rows, fx, d, n, g, quots)
     emitted = {(r.d, r.n, r.m) for r in rows}
     missing = set(fx.rationality) - emitted
     if missing:

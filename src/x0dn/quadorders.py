@@ -93,7 +93,6 @@ def _imaginary_form_count(disc: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
 def unit_norm(disc: int) -> int:
     """Norm of the fundamental unit of the real order of discriminant
     disc: +1 or -1.

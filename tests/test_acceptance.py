@@ -182,12 +182,25 @@ def test_criterion_07a_bkx_thirteen_of_fourteen():
 def test_criterion_07b_34_7_resolution():
     """(34,7) survives the screen and is excluded by Castelnuovo-Severi:
     genus 9 > cs_bound(4,0,2,1) = 5 with a genus-0 order-4 quotient and
-    no genus-one Atkin-Lehner quotients."""
+    no genus-one Atkin-Lehner quotients.
+
+    With no genus-one Atkin-Lehner quotient, a bielliptic involution lies
+    outside every Atkin-Lehner subgroup H, so the genus is at most
+    cs_bound(|H|, g_H, 2, 1) for each H.  The general subgroup search
+    finds exactly one H breaking that bound: <w_14, w_17>."""
     assert not bkx_degree_screen(34, 7)
     assert genus(34, 7) == 9
     assert cs_bound(4, 0, 2, 1) == 5 < 9
     assert subgroup_quotient_genus(34, 7, (14, 17)) == 0
     assert genus1_al_quotients(34, 7) == []
+    witnesses = []
+    for sub in all_subgroups(34, 7):
+        if len(sub) == 1:
+            continue
+        gh = subgroup_quotient_genus(34, 7, tuple(sub))
+        if 9 > cs_bound(len(sub), gh, 2, 1):
+            witnesses.append((sorted(sub), gh))
+    assert witnesses == [([1, 14, 17, 238], 0)]
 
 
 def test_criterion_08a_trigonal_candidates():

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -220,6 +221,27 @@ def test_classify_statuses(bielliptic_run):
     assert [(14, 9), (22, 9), (33, 4)] == [p for p in nsf_not if p in
                                            {(14, 9), (22, 9), (33, 4)}]
     assert "hyperelliptic_fixture" not in by_status  # branch never taken here
+
+
+def test_classify_reason_counts(bielliptic_run):
+    """Every verdict's (status, reason), counted, so that reordering the
+    arguments of the sweep changes the pinned reasons; and every verdict
+    carries exactly its genus-one Atkin--Lehner quotients."""
+    verdicts, _ = bielliptic_run
+    assert Counter((v.status, v.reason) for v in verdicts) == {
+        ("bielliptic_AL", "automorphism_lemma"): 32,
+        ("bielliptic_AL", "automorphism_override"): 2,
+        ("bielliptic_AL", "unique_bielliptic"): 5,
+        ("genus_le_1", "low_genus"): 5,
+        ("needs_manual", "automorphism_group_open"): 2,
+        ("not_bielliptic", "automorphism_lemma"): 11,
+        ("not_bielliptic", "bkx_degree_screen"): 2,
+        ("not_bielliptic", "cs_argument"): 1,
+        ("not_bielliptic", "fixed_point_screen"): 294,
+        ("not_bielliptic", "genus_parity"): 3,
+    }
+    for v in verdicts:
+        assert v.bielliptic_m_list == tuple(genus1_al_quotients(v.d, v.n))
 
 
 def test_classify_bielliptic_pairs(bielliptic_run):
