@@ -1,9 +1,18 @@
 """Quadratic orders and their class numbers, both signatures, exact.
 
-Class numbers come from reduced binary quadratic forms: straight
-enumeration in the definite case; in the indefinite case, the cycles of
-the reduction operator rho up to sign, each checked against the norm of
-the fundamental unit.  No analytic formulas anywhere.
+Class numbers count reduced binary quadratic forms.  From |disc| =
+40,000 on (_SCAN_LIMIT, the measured crossover) the forms are
+enumerated by their first coefficient a, up to sqrt(|disc|/3)
+(definite) or isqrt(disc) (indefinite), with the middle coefficient b
+read off a root table: for every such a, the residues x mod 2a with
+x^2 = disc (mod 4a), built over a by the CRT from prime-power square
+roots (Tonelli-Shanks and Hensel lifting).  Below it, scans over b that
+cost O(|disc|) are faster and are used instead.  In the definite case h
+is the number of reduced forms.  In the indefinite case it is the
+number of orbits of f -> -rho(f) on the reduced forms with a > 0; every
+step of the walk must land on a reduced form, and every orbit's length
+parity is checked against the norm of the fundamental unit.  No
+analytic formulas anywhere.
 """
 
 from dataclasses import dataclass
@@ -77,7 +86,8 @@ def order_from_discriminant(disc: int) -> QuadOrder:
 
 def _imaginary_form_count(disc: int) -> int:
     """Primitive reduced forms (a,b,c) of discriminant disc < 0:
-    -a < b <= a <= c, with b >= 0 whenever a == c or b == a."""
+    -a < b <= a <= c, with b >= 0 whenever a == c or b == a.  A scan
+    over b and the divisors a of (b^2 - disc)/4: O(|disc|)."""
     count = 0
     b = disc % 2
     while 3 * b * b <= -disc:
@@ -90,6 +100,120 @@ def _imaginary_form_count(disc: int) -> int:
                     count += 1 if b == 0 or a == b or a == c else 2
             a += 1
         b += 2
+    return count
+
+
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo an odd prime p not dividing n, by
+    Tonelli-Shanks with the least non-residue z = 2, 3, ...; None when
+    n is a non-residue."""
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        # x^2 = n t, t of order 2^i < 2^s, c of order 2^s; the square of
+        # b = c^(2^(s-i-1)) has order 2^i too, so t b^2 has a lower one
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return x
+
+
+def _prime_power_roots(n: int, p: int, e: int) -> list[int]:
+    """The x mod p^e with x^2 = n (mod p^e), sorted, for a prime p and
+    e >= 1.  At an odd p not dividing n: Tonelli-Shanks, then Hensel
+    lifting of the root and its negative.  At p = 2 and at p | n: a
+    direct search, level by level, over the lifts r + t p^(k-1) of the
+    roots r mod p^(k-1), since every root mod p^k reduces to one of
+    them."""
+    if p > 2 and n % p:
+        x = _sqrt_mod_prime(n % p, p)
+        if x is None:
+            return []
+        m = p
+        for _ in range(1, e):
+            m *= p
+            x = (x - (x * x - n) * pow(2 * x, -1, m)) % m
+        return sorted((x, m - x))
+    roots, m = [n % p], p       # the one root mod p: 0, or n mod 2
+    for _ in range(1, e):
+        step, m = m, m * p
+        roots = [y for r in roots for y in range(r, m, step)
+                 if (y * y - n) % m == 0]
+    return sorted(roots)
+
+
+def _root_table(disc: int, amax: int) -> list[list[int]]:
+    """For every 0 <= a <= amax, the residues x mod 2a with
+    x^2 = disc (mod 4a); the entry at 0 is empty.  These are the middle
+    coefficients b mod 2a of the forms (a, b, c) of discriminant disc.
+
+    Built by a DP over a with its smallest prime factor p, p^e || a,
+    r = a / p^e: for odd p the entry is the CRT of the entry at r
+    (mod 2r) with the roots of disc mod p^e; for p = 2, r is odd and
+    the entry is the CRT of the entry at r reduced mod r with the
+    roots mod 2^(e+1) of disc mod 2^(e+2).  Prime-power roots are
+    computed once per p^e, so no a is factored on its own."""
+    spf = list(range(amax + 1))
+    for p in range(2, isqrt(amax) + 1):
+        if spf[p] == p:
+            for k in range(p * p, amax + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    table = [[], [disc % 2]][:amax + 1]
+    local = {}
+    for a in range(2, amax + 1):
+        p = spf[a]
+        # a root mod 4a reduces to one mod 4a/p, so an empty entry stays empty
+        if not table[a // p]:
+            table.append([])
+            continue
+        q, r, e = p, a // p, 1
+        while r % p == 0:
+            q, r, e = q * p, r // p, e + 1
+        rest = table[r]
+        roots = local.get(q)
+        if roots is None:
+            if p == 2:
+                roots = sorted({y % (2 * q)
+                                for y in _prime_power_roots(disc, 2, e + 2)})
+            else:
+                roots = _prime_power_roots(disc, p, e)
+            local[q] = roots
+        if not roots:
+            table.append([])
+            continue
+        if p == 2:
+            m1, m2, rest = r, 2 * q, [u % r for u in rest]
+        else:
+            m1, m2 = 2 * r, q
+        inv = pow(m1, -1, m2)
+        table.append([u + m1 * ((v - u) * inv % m2)
+                      for u in rest for v in roots])
+    return table
+
+
+def _imaginary_count_by_a(disc: int) -> int:
+    """The count of _imaginary_form_count, enumerated by a <=
+    sqrt(|disc|/3): b runs over the roots of disc mod 4a, taken in
+    (-a, a] (so b = -a never occurs), c = (b^2 - disc)/4a must be at
+    least a, and b >= 0 when c == a."""
+    count = 0
+    for a, roots in enumerate(_root_table(disc, isqrt(-disc // 3))):
+        for x in roots:
+            b = x if x <= a else x - 2 * a
+            c = (b * b - disc) // (4 * a)
+            if c >= a and (b >= 0 or c > a) and gcd(a, b, c) == 1:
+                count += 1
     return count
 
 
@@ -110,19 +234,12 @@ def unit_norm(disc: int) -> int:
     return -1 if pell_minus_solvable(m) else 1
 
 
-def _real_class_number(disc: int) -> int:
-    """h(disc) for nonsquare disc > 0: the number of orbits of
-    f -> -rho(f) on the primitive reduced forms with a > 0.
+def _real_forms_scan(disc: int) -> set[tuple[int, int]]:
+    """The primitive reduced forms (a, b, c) of nonsquare disc > 0 with
+    a > 0, as pairs (a, b), by a scan over b and the window of a: O(disc).
 
-    A form (a, b, c) is reduced when 0 < b < sqrt(disc) and
-    |sqrt(disc) - 2|a|| < b; one with a > 0 is kept as (a, b), which fix
-    c = (b^2 - disc)/4a < 0.  rho flips the sign of a and commutes with
-    negation (a, b, c) -> (-a, b, -c), so -rho permutes the forms with
-    a > 0, and its orbits are the rho-cycles up to sign: the (wide)
-    classes.  A unit of norm -1 puts -f on the rho-cycle of f at half
-    its length, which is odd; so an orbit has odd length exactly when
-    unit_norm(disc) == -1, and every orbit is checked for that.
-    """
+    A form is reduced when 0 < b < sqrt(disc) and |sqrt(disc) - 2a| < b;
+    (a, b) fixes c = (b^2 - disc)/4a < 0."""
     s = isqrt(disc)
     forms = set()
     for b in range(2 - disc % 2, s + 1, 2):
@@ -131,6 +248,39 @@ def _real_class_number(disc: int) -> int:
         for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
             if q % a == 0 and gcd(a, b, q // a) == 1:
                 forms.add((a, b))
+    return forms
+
+
+def _real_forms_by_a(disc: int) -> set[tuple[int, int]]:
+    """The forms of _real_forms_scan, enumerated by a <= sqrt(disc).
+    Reduction asks max(s - 2a + 1, 2a - s, 1) <= b <= s, s = isqrt(disc),
+    a window of at most 2a integers, so each root of disc mod 4a gives
+    at most one b."""
+    s = isqrt(disc)
+    forms = set()
+    for a, roots in enumerate(_root_table(disc, s)):
+        if not roots:
+            continue
+        lo = max(s - 2 * a + 1, 2 * a - s, 1)
+        for x in roots:
+            b = lo + (x - lo) % (2 * a)
+            if b <= s and gcd(a, b, (disc - b * b) // (4 * a)) == 1:
+                forms.add((a, b))
+    return forms
+
+
+def _real_orbit_count(disc: int, forms: set[tuple[int, int]]) -> int:
+    """h(disc) for nonsquare disc > 0 from its primitive reduced forms
+    with a > 0: the number of orbits of f -> -rho(f).  Empties forms.
+
+    rho flips the sign of a and commutes with negation
+    (a, b, c) -> (-a, b, -c), so -rho permutes the forms with a > 0, and
+    its orbits are the rho-cycles up to sign: the (wide) classes.  A
+    unit of norm -1 puts -f on the rho-cycle of f at half its length,
+    which is odd; so an orbit has odd length exactly when
+    unit_norm(disc) == -1, and every orbit is checked for that.
+    """
+    s = isqrt(disc)
     odd = unit_norm(disc) == -1
     h = 0
     while forms:
@@ -156,13 +306,30 @@ def _real_class_number(disc: int) -> int:
     return h
 
 
+# Below this |disc| the O(|disc|) scans find the reduced forms faster
+# than the enumeration by a, whose root table costs more than it saves:
+# both sides cost about 0.3 ms (definite) and 0.45 ms (indefinite) near
+# 3-4 * 10^4, on 2 vCPUs with Python 3.11; at 10^7 the enumeration by a
+# takes 4 and 7 ms against 67 and 190 ms.
+_SCAN_LIMIT = 40_000
+
+
 @lru_cache(maxsize=None)
 def class_number(disc: int) -> int:
     """Form class number h(disc) of the quadratic order of discriminant
-    disc.  Imaginary: count of primitive reduced positive forms.  Real:
-    number of rho-cycles of reduced forms up to sign."""
+    disc.  Imaginary: the count of primitive reduced positive forms.
+    Real: the number of rho-cycles of reduced forms up to sign, walked
+    over the forms with a > 0, every step and every cycle's parity
+    checked (_real_orbit_count).  The reduced forms come from the
+    enumeration by a over the root table of disc when |disc| >=
+    _SCAN_LIMIT = 40,000, the measured crossover, and from O(|disc|)
+    scans over b below it."""
     if not is_discriminant(disc):
         raise DomainError(f"{disc} is not a quadratic discriminant")
     if disc < 0:
-        return _imaginary_form_count(disc)
-    return _real_class_number(disc)
+        if -disc < _SCAN_LIMIT:
+            return _imaginary_form_count(disc)
+        return _imaginary_count_by_a(disc)
+    if disc < _SCAN_LIMIT:
+        return _real_orbit_count(disc, _real_forms_scan(disc))
+    return _real_orbit_count(disc, _real_forms_by_a(disc))

@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from x0dn.errors import DomainError
-from x0dn.quadorders import (QuadOrder, class_number, is_discriminant,
+from x0dn.quadorders import (_SCAN_LIMIT, QuadOrder, _imaginary_count_by_a,
+                             _imaginary_form_count, _prime_power_roots,
+                             _real_forms_by_a, _real_orbit_count,
+                             _root_table, class_number, is_discriminant,
                              is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
@@ -134,16 +137,81 @@ def test_unit_norm_known():
 
 
 def test_real_class_numbers_vs_cycle_reference():
-    for disc in range(5, 5001):
+    # below the size switch class_number scans; the enumeration by a is
+    # called directly so that both paths meet the reference everywhere
+    for disc in range(5, 10 ** 4):
+        if is_discriminant(disc):
+            want = cycle_class_number(disc)
+            assert class_number(disc) == want, disc
+            assert _real_orbit_count(disc, _real_forms_by_a(disc)) == want, disc
+
+
+def test_imaginary_enumeration_by_a_vs_scan():
+    for disc in range(-10 ** 4 + 1, 0):
+        if is_discriminant(disc):
+            assert _imaginary_count_by_a(disc) == _imaginary_form_count(disc), disc
+
+
+def test_class_numbers_across_the_size_switch():
+    for disc in range(_SCAN_LIMIT - 16, _SCAN_LIMIT + 17):
         if is_discriminant(disc):
             assert class_number(disc) == cycle_class_number(disc), disc
+        if is_discriminant(-disc):
+            want = brute_imaginary_class_number(-disc)
+            assert _imaginary_form_count(-disc) == want, -disc
+            assert class_number(-disc) == want, -disc
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=10 ** 4, max_value=10 ** 6)
+@given(st.integers(min_value=10 ** 3, max_value=10 ** 6)
        .filter(is_discriminant))
 def test_large_real_class_numbers_vs_cycle_reference(disc):
     assert class_number(disc) == cycle_class_number(disc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=-10 ** 6, max_value=-10 ** 3)
+       .filter(is_discriminant))
+def test_large_imaginary_class_numbers_vs_scan(disc):
+    assert class_number(disc) == _imaginary_form_count(disc)
+
+
+def _brute_roots(m: int) -> dict[int, list[int]]:
+    """n mod m -> the sorted x mod m with x^2 = n (mod m), by squaring
+    every residue."""
+    out = {n: [] for n in range(m)}
+    for x in range(m):
+        out[x * x % m].append(x)
+    return out
+
+
+def test_prime_power_roots_vs_brute():
+    odd_primes = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
+    for p in [2] + odd_primes:
+        e = 1
+        while p ** e <= (2 ** 11 if p == 2 else 2000):
+            m = p ** e
+            brute = _brute_roots(m)
+            # n over every residue: non-residues (empty), units and the
+            # multiples of p (the p | disc case); n - 3m and n + m stand in
+            # for a discriminant that is negative or not reduced mod p^e
+            for n, want in brute.items():
+                assert _prime_power_roots(n, p, e) == want, (n, p, e)
+                assert _prime_power_roots(n - 3 * m, p, e) == want, (n, p, e)
+                assert _prime_power_roots(n + m, p, e) == want, (n, p, e)
+            assert m == 2 or any(not want for want in brute.values()), (p, e)
+            e += 1
+
+
+def test_root_table_vs_brute():
+    for disc in range(-300, 301):
+        if disc % 4 not in (0, 1):
+            continue
+        table = _root_table(disc, 40)
+        assert len(table) == 41 and table[0] == []
+        for a in range(1, 41):
+            want = [x for x in range(2 * a) if (x * x - disc) % (4 * a) == 0]
+            assert sorted(table[a]) == want, (disc, a)
 
 
 def _fundamental_unit(d0: int) -> tuple[int, int]:
