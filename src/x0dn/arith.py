@@ -1,11 +1,11 @@
 """Elementary number theory: factorization, multiplicative functions,
-Kronecker symbols, Hall divisors.
+Kronecker symbols, continued fractions.
 
 Everything is exact integer arithmetic.
 """
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError
 
@@ -139,12 +139,6 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
-
-
-def is_hall_divisor(m: int, n: int) -> bool:
-    if m < 1 or n % m != 0:
-        return False
-    return gcd(m, n // m) == 1
 
 
 def continued_fraction_sqrt(m: int) -> tuple[int, tuple[int, ...]]:

@@ -5,41 +5,26 @@ The involutions w_m are indexed by the Hall divisors m of DN, and they
 form an elementary abelian 2-group of rank omega(DN), that is F_2^omega.
 Inside this module a Hall divisor is a bitmask over the prime-power
 factors q_0 < q_1 < ... of DN (bit i is set when q_i divides m), so the
-twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  A per-pair
-index, validated once and cached while the pair is in use, maps each Hall
-divisor to its mask and back.  Subgroups are spans of reduced echelon
-bases over F_2, each built once.  The public API stays in Hall divisors:
-elements are ints and subgroups are frozensets of Hall divisors
-containing 1.
+twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  The index
+of masks and Hall divisors belongs to `genus`, which validates the pair
+once and keeps the index while the pair is in use.  Subgroups are spans
+of reduced echelon bases over F_2, each built once.  The public API
+stays in Hall divisors: elements are ints and subgroups are frozensets
+of Hall divisors containing 1.
 
 Fixed points of w_m are CM points by one or two explicit imaginary
 quadratic orders; their number is a class number times local embedding
-factors away from m.  Quotient genera then come out of Riemann--Hurwitz,
-which must produce integers.
+factors away from m.  Quotient genera then come out of one
+Riemann--Hurwitz over a span of masks, which must produce integers.
 """
 
 from functools import lru_cache
 
-from .arith import factorize, prime_divisors
+from .arith import prime_divisors
 from .embeddings import embedding_count
 from .errors import DomainError, IntegralityError
-from .genus import check_pair, genus
+from .genus import _hall_index, check_pair, genus
 from .quadorders import QuadOrder, order_from_discriminant
-
-
-@lru_cache(maxsize=1)
-def _index(d: int, n: int) -> tuple[dict[int, int], tuple[int, ...]]:
-    """For a valid pair: the mask of each Hall divisor of DN, and the
-    Hall divisor of each mask (a tuple indexed by mask).
-
-    Callers work through one pair at a time, so only the last pair is
-    kept: a stream of curves then holds one index, not one per curve."""
-    check_pair(d, n)
-    divisor = [1]
-    for p, e in factorize(d * n):
-        q = p ** e
-        divisor += [m * q for m in divisor]
-    return {m: mask for mask, m in enumerate(divisor)}, tuple(divisor)
 
 
 @lru_cache(maxsize=None)
@@ -67,16 +52,14 @@ def _subgroup_spans(w: int) -> tuple[tuple[int, ...], ...]:
 def group_elements(d: int, n: int) -> tuple[int, ...]:
     """Hall divisors of DN, the index set of the involutions (1 is the
     identity), ascending."""
-    return tuple(sorted(_index(d, n)[1]))
+    return tuple(sorted(_hall_index(d, n)[1]))
 
 
-def subgroup_generated(gens, d: int, n: int) -> frozenset[int]:
-    """Subgroup of the Atkin--Lehner group generated by the given Hall
-    divisors, as a frozenset containing 1.
-
+def _span(gens, d: int, n: int) -> set[int]:
+    """The masks of the subgroup generated by the given Hall divisors.
     The span doubles for each generator outside it; a generator already
     in it costs one lookup, so passing a whole subgroup costs O(|H|)."""
-    mask_of, divisor = _index(d, n)
+    mask_of = _hall_index(d, n)[0]
     span = {0}
     for m in gens:
         b = mask_of.get(m)
@@ -84,13 +67,19 @@ def subgroup_generated(gens, d: int, n: int) -> frozenset[int]:
             raise DomainError(f"{m} is not a Hall divisor of {d * n}")
         if b not in span:
             span |= {x ^ b for x in span}
-    return frozenset(map(divisor.__getitem__, span))
+    return span
+
+
+def subgroup_generated(gens, d: int, n: int) -> frozenset[int]:
+    """Subgroup of the Atkin--Lehner group generated by the given Hall
+    divisors, as a frozenset containing 1."""
+    return frozenset(map(_hall_index(d, n)[1].__getitem__, _span(gens, d, n)))
 
 
 def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
     """Every subgroup of the Atkin--Lehner group, sorted by size and then
     by sorted elements, so the trivial one comes first."""
-    divisor = _index(d, n)[1]
+    divisor = _hall_index(d, n)[1]
     w = len(divisor).bit_length() - 1      # len(divisor) = 2^omega(DN)
     subs = [sorted(map(divisor.__getitem__, span))
             for span in _subgroup_spans(w)]
@@ -115,44 +104,41 @@ def fixed_point_orders(m: int) -> tuple[QuadOrder, ...]:
 @lru_cache(maxsize=128)
 def fixed_point_count(d: int, n: int, m: int) -> int:
     """Number of fixed points of w_m on X_0^D(N), for a nontrivial Hall
-    divisor m of DN.  The memo holds one pair, which has 2^omega(DN) - 1
-    <= 127 of them for omega(DN) <= 7: callers work through one pair at a
-    time, as for _index, so a stream of curves does not grow it."""
-    if m == 1 or m not in _index(d, n)[0]:
+    divisor m of DN.  The memo holds the 2^omega(DN) - 1 <= 127 of one
+    pair with omega(DN) <= 7: callers work through one pair at a time, so
+    a stream of curves does not grow it."""
+    if m == 1:
         raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
+    check_pair(d, n, m)
     skip = prime_divisors(m)
     return sum(embedding_count(order, d, n, skip=skip)
                for order in fixed_point_orders(m))
 
 
+def _riemann_hurwitz(d: int, n: int, span) -> int:
+    """Genus g_H of the quotient of X_0^D(N) by the subgroup H whose
+    masks are `span`: every w_m is an involution, so all ramification is
+    tame of order 2 and 2g - 2 = |H| (2 g_H - 2) + sum of #fixed(w_m)."""
+    divisor = _hall_index(d, n)[1]
+    total = sum(fixed_point_count(d, n, divisor[x]) for x in span if x)
+    num = 2 * genus(d, n) - 2 - total
+    out, rest = divmod(num, 2 * len(span))
+    if rest or out < -1:
+        raise IntegralityError(
+            f"quotient genus of ({d}, {n}) by {sorted(divisor[x] for x in span)}"
+            f": {num}/{2 * len(span)} + 1 is not a nonnegative integer")
+    return out + 1
+
+
 def quotient_genus(d: int, n: int, m: int) -> int:
     """Genus of X_0^D(N)/<w_m>: (2g + 2 - #fixed)/4."""
-    g = genus(d, n)
-    fix = fixed_point_count(d, n, m)
-    num = 2 * g + 2 - fix
-    if num % 4 != 0 or num < 0:
-        raise IntegralityError(
-            f"quotient genus of ({d}, {n}) by w_{m}: (2*{g}+2-{fix})/4 "
-            "is not a nonnegative integer")
-    return num // 4
+    mask = _hall_index(d, n)[0].get(m)
+    if not mask:
+        raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
+    return _riemann_hurwitz(d, n, (0, mask))
 
 
 def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     """Genus of the quotient of X_0^D(N) by the subgroup generated by
-    the given involutions, via Riemann--Hurwitz: every nontrivial
-    element is an involution, so all ramification is tame of order 2."""
-    sub = subgroup_generated(gens, d, n)
-    g = genus(d, n)
-    total = sum(fixed_point_count(d, n, m) for m in sub if m != 1)
-    num = 2 * g - 2 - total
-    den = 2 * len(sub)
-    if num % den != 0:
-        raise IntegralityError(
-            f"subgroup quotient genus of ({d}, {n}) by {sorted(sub)}: "
-            f"({num})/{den} + 1 is not an integer")
-    out = num // den + 1
-    if out < 0:
-        raise IntegralityError(
-            f"subgroup quotient genus of ({d}, {n}) by {sorted(sub)} "
-            f"came out negative ({out})")
-    return out
+    the given involutions."""
+    return _riemann_hurwitz(d, n, _span(gens, d, n))

@@ -14,14 +14,10 @@ embeds into at least one of them.
 
 from math import isqrt
 
-from .arith import divisors, kronecker, omega, prime_divisors, psi_p, valuation
+from .arith import divisors, kronecker, prime_divisors, psi_p, valuation
 from .errors import DomainError
-from .genus import check_algebra, check_pair
+from .genus import check_algebra, check_pair, is_definite
 from .quadorders import QuadOrder, class_number, order_from_discriminant
-
-
-def is_definite(d: int) -> bool:
-    return omega(d) % 2 == 1
 
 
 def eichler_symbol(order: QuadOrder, p: int) -> int:
@@ -85,8 +81,12 @@ def locally_embeds(order: QuadOrder, d: int, n: int,
                    skip: tuple[int, ...] = ()) -> bool:
     """Whether every local embedding number of R is positive, i.e.
     whether R optimally embeds into some Eichler order of level n in the
-    algebra of discriminant d (any class)."""
+    algebra of discriminant d (any class).  A real order never embeds in
+    a definite algebra: B tensor R is then Hamilton's quaternions, which
+    contain no R x R."""
     check_algebra(d, n)
+    if order.discriminant > 0 and is_definite(d):
+        return False
     return all(local_nu(order, p, d, n) > 0
                for p in prime_divisors(d * n) if p not in skip)
 
@@ -97,17 +97,13 @@ def element_embeds(radicand: int, d: int, n: int) -> bool:
 
     Such an element generates Z[sqrt(radicand)], so the question is
     whether any order containing Z[sqrt(radicand)] (conductor dividing
-    that of 4*radicand) embeds.  A real quadratic element never sits in
-    a definite algebra.
+    that of 4*radicand) embeds.
     """
     check_algebra(d, n)
     if radicand == 0:
         raise DomainError("element_embeds wants a nonzero radicand")
-    if radicand > 0:
-        if isqrt(radicand) ** 2 == radicand:
-            raise DomainError(f"radicand {radicand} is a perfect square")
-        if is_definite(d):
-            return False
+    if radicand > 0 and isqrt(radicand) ** 2 == radicand:
+        raise DomainError(f"radicand {radicand} is a perfect square")
     base = order_from_discriminant(4 * radicand)
     return any(
         locally_embeds(QuadOrder(base.fundamental_discriminant, f), d, n)

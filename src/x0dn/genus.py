@@ -1,5 +1,9 @@
-"""Genus of the curves attached to an Eichler order of level N in the
-indefinite rational quaternion algebra of discriminant D.
+"""Valid levels, and the genus of the curves attached to an Eichler order
+of level N in the indefinite rational quaternion algebra of discriminant
+D.  This module owns the level: the validity of (D, N), the parity that
+makes an algebra definite, and the index of the Atkin--Lehner
+involutions w_m by the Hall divisors m of DN.  A level already checked
+costs a lookup.
 
 All arithmetic is over the integers: 12(g - 1) is computed exactly and
 must be divisible by 12, or IntegralityError is raised.
@@ -8,11 +12,15 @@ must be divisible by 12, or IntegralityError is raised.
 from functools import lru_cache
 from math import gcd
 
-from .arith import (euler_phi, factorize, is_hall_divisor, is_squarefree,
-                    kronecker, omega, psi)
+from .arith import euler_phi, factorize, is_squarefree, kronecker, omega, psi
 from .errors import DomainError, IntegralityError
 
+# One curve visits its own level and the definite levels D/p that its
+# local criteria use: 1 + omega(D) of them, at most 7 below D = 9,699,690.
+_LEVELS = 8
 
+
+@lru_cache(maxsize=_LEVELS, typed=True)
 def check_algebra(d: int, n: int) -> None:
     """A quaternion discriminant d > 1 squarefree, definite or not, and
     a level n >= 1 prime to d."""
@@ -24,16 +32,35 @@ def check_algebra(d: int, n: int) -> None:
         raise DomainError(f"D = {d} and N = {n} are not coprime")
 
 
+def is_definite(d: int) -> bool:
+    """An odd number of prime factors: the algebra is totally definite."""
+    return omega(d) % 2 == 1
+
+
 def check_pair(d: int, n: int, m: int = 1) -> None:
     """A valid pair: D > 1 squarefree with an even number of prime
     factors (so the algebra is indefinite), N >= 1 prime to D; and m a
     Hall divisor of DN, the index of an Atkin--Lehner involution."""
     check_algebra(d, n)
-    if omega(d) % 2 != 0:
+    if is_definite(d):
         raise DomainError(
             f"D = {d} has an odd number of prime factors (definite algebra)")
-    if m != 1 and not is_hall_divisor(m, d * n):
+    if m != 1 and m not in _hall_index(d, n)[0]:
         raise DomainError(f"m = {m} is not a Hall divisor of DN = {d * n}")
+
+
+@lru_cache(maxsize=1, typed=True)
+def _hall_index(d: int, n: int) -> tuple[dict[int, int], tuple[int, ...]]:
+    """For a valid pair: the mask of each Hall divisor m of DN (bit i is
+    set when the i-th prime power of DN divides m), and the Hall divisor
+    of each mask.  Callers work through one pair at a time, so only the
+    last pair is kept: a stream of curves holds one index, not one each."""
+    check_pair(d, n)
+    divisor = [1]
+    for p, e in factorize(d * n):
+        q = p ** e
+        divisor += [m * q for m in divisor]
+    return {m: mask for mask, m in enumerate(divisor)}, tuple(divisor)
 
 
 def e_k(d: int, n: int, k: int) -> int:
@@ -45,11 +72,6 @@ def e_k(d: int, n: int, k: int) -> int:
     if k not in (3, 4):
         raise DomainError(f"e_k wants k in (3, 4), got {k}")
     check_pair(d, n)
-    return _elliptic_count(d, n, k)
-
-
-def _elliptic_count(d: int, n: int, k: int) -> int:
-    """The product of e_k for a pair and a k already checked."""
     out = 1
     for p, _ in factorize(d):
         out *= 1 - kronecker(-k, p)
@@ -65,9 +87,8 @@ def _elliptic_count(d: int, n: int, k: int) -> int:
 def genus(d: int, n: int) -> int:
     """g = 1 + phi(D) psi(N) / 12 - e_4/4 - e_3/3, computed as
     12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3."""
-    check_pair(d, n)
-    t = (euler_phi(d) * psi(n) - 3 * _elliptic_count(d, n, 4)
-         - 4 * _elliptic_count(d, n, 3))
+    e4 = e_k(d, n, 4)          # validates the pair
+    t = euler_phi(d) * psi(n) - 3 * e4 - 4 * e_k(d, n, 3)
     if t % 12 != 0:
         raise IntegralityError(f"genus({d}, {n}) = 1 + {t}/12 is not an integer")
     g = t // 12 + 1

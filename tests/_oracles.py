@@ -37,24 +37,6 @@ def brute_imaginary_class_number(disc: int) -> int:
     return count
 
 
-def brute_unit_norm(disc: int, bound: int = 200000):
-    """Norm of the fundamental unit of the real order of discriminant
-    disc, by scanning x^2 - disc*y^2 = -4 then +4 for y = 1, 2, ...
-    At the first y admitting a solution the -4 one is the smaller unit,
-    so it wins.  Returns None when the scan bound is exhausted."""
-    assert disc > 0 and disc % 4 in (0, 1)
-    for y in range(1, bound + 1):
-        t = disc * y * y - 4
-        x = isqrt(t)
-        if x * x == t:
-            return -1
-        t = disc * y * y + 4
-        x = isqrt(t)
-        if x * x == t:
-            return 1
-    return None
-
-
 def brute_pell_pm2(m: int) -> bool:
     """Is +-2 a value of x^2 - m y^2?  A y-scan cannot decide this
     (m = 151 has minimal solution y = 3383, and worse exists), so use
@@ -89,6 +71,23 @@ def brute_pell_pm2(m: int) -> bool:
 
 def brute_hall_divisors(n: int) -> list[int]:
     return [m for m in range(1, n + 1) if n % m == 0 and gcd(m, n // m) == 1]
+
+
+def valid_algebra(d: int, n: int) -> bool:
+    """A quaternion discriminant d > 1 with no square factor, definite
+    or not, and a level n >= 1 prime to it."""
+    return (d >= 2 and all(d % (k * k) for k in range(2, isqrt(d) + 1))
+            and n >= 1 and gcd(d, n) == 1)
+
+
+def valid_pair(d: int, n: int) -> bool:
+    """valid_algebra with an even number of primes in d: indefinite."""
+    return valid_algebra(d, n) and len(_prime_powers(d)) % 2 == 0
+
+
+def valid_index(d: int, n: int, m: int) -> bool:
+    """valid_pair with m the index of an Atkin--Lehner involution."""
+    return valid_pair(d, n) and m in brute_hall_divisors(d * n)
 
 
 def _brute_reduced_indefinite(disc: int) -> set[tuple[int, int, int]]:
@@ -197,6 +196,27 @@ def _reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
             out.add((aa, b, -c))
             out.add((-aa, b, c))
     return out
+
+
+def cycle_unit_norm(disc: int) -> int:
+    """Norm of the fundamental unit of the real order of nonsquare
+    discriminant disc > 4, exactly: -1 when the rho-cycle of the
+    principal reduced form (1, b, c) reaches a form with a = -1, else
+    +1.  The principal form takes the value -1, i.e. (2x + by)^2 -
+    disc y^2 = -4 has a solution, exactly when a unit of norm -1
+    exists; and a reduced cycle represents exactly its leading
+    coefficients among the integers below sqrt(disc)/2 in absolute
+    value (Lagrange)."""
+    assert disc > 4 and disc % 4 in (0, 1) and isqrt(disc) ** 2 != disc
+    s = isqrt(disc)
+    b = s if (s - disc) % 2 == 0 else s - 1
+    start = cur = (1, b, (b * b - disc) // 4)
+    while True:
+        cur = _rho(*cur, disc)
+        if cur[0] == -1:
+            return -1
+        if cur == start:
+            return 1
 
 
 def narrow_cycle_count(disc: int) -> int:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
-                        is_hall_divisor, is_squarefree, kronecker, omega,
+                        is_squarefree, kronecker, omega,
                         pell_minus_solvable, pell_pm2_solvable, psi, psi_p,
                         squarefree_part)
 from x0dn.errors import DomainError
@@ -88,13 +88,6 @@ def test_kronecker_multiplicative_in_top(a, b, n):
        st.integers(min_value=1, max_value=100))
 def test_kronecker_multiplicative_in_bottom(a, m, n):
     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
-
-
-def test_is_hall_divisor():
-    assert is_hall_divisor(9, 18)
-    assert not is_hall_divisor(3, 18)
-    assert not is_hall_divisor(4, 18)
-    assert is_hall_divisor(1, 7) and is_hall_divisor(7, 7)
 
 
 def test_continued_fraction_sqrt():

@@ -3,12 +3,13 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from x0dn import atkinlehner
 from x0dn.arith import omega
 from x0dn.atkinlehner import (all_subgroups, fixed_point_count,
                               fixed_point_orders, group_elements,
                               quotient_genus, subgroup_generated,
                               subgroup_quotient_genus)
-from x0dn.errors import DomainError
+from x0dn.errors import DomainError, IntegralityError
 from x0dn.genus import genus
 from x0dn.quadorders import class_number
 
@@ -144,11 +145,31 @@ def test_34_7_subgroup_quotient():
 
 
 def test_single_involution_consistency():
-    # rank-two subgroups generated by one element agree with the direct
-    # quotient genus formula
+    # the quotient by one involution, through either function, is the
+    # Riemann--Hurwitz value (2g + 2 - #fixed)/4 worked out here
     for d, n in [(6, 23), (14, 3), (34, 7), (26, 1), (39, 4)]:
         for m in group_elements(d, n)[1:]:
-            assert subgroup_quotient_genus(d, n, (m,)) == quotient_genus(d, n, m)
+            num = 2 * genus(d, n) + 2 - fixed_point_count(d, n, m)
+            assert num >= 0 and num % 4 == 0, (d, n, m)
+            assert quotient_genus(d, n, m) == num // 4, (d, n, m)
+            assert subgroup_quotient_genus(d, n, (m,)) == num // 4, (d, n, m)
+
+
+@pytest.mark.parametrize("fix, gens", [
+    (7, (26,)),      # 2g + 2 - 7 = -1: not divisible by 4
+    (10, (26,)),     # 2g + 2 - 10 = -4: divisible, genus -1
+    (2, (2, 13)),    # 2g - 2 - 6 = -4: not divisible by 8
+    (6, (2, 13)),    # 2g - 2 - 18 = -16: divisible, genus -1
+])
+def test_riemann_hurwitz_rejects(monkeypatch, fix, gens):
+    # g(26, 1) = 2 and the true counts are 2, 2, 6 (test_26_level_one):
+    # a wrong count trips one of the two integrality checks
+    monkeypatch.setattr(atkinlehner, "fixed_point_count", lambda d, n, m: fix)
+    with pytest.raises(IntegralityError):
+        if len(gens) == 1:
+            quotient_genus(26, 1, gens[0])
+        else:
+            subgroup_quotient_genus(26, 1, gens)
 
 
 def test_rejects_bad_divisors():

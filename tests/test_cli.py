@@ -98,6 +98,13 @@ def test_embed_command(capsys):
     code, _, err = run(capsys, "embed", "--disc", "-4", "--d", "6",
                        "--n", "1", "--definite")
     assert code == 1
+    # the real place forbids a real order: B tensor R is Hamilton's
+    # quaternions and holds no R x R, although the local number at D is
+    # positive
+    for disc, d in (("5", "3"), ("8", "2"), ("12", "5")):
+        code, out, _ = run(capsys, "embed", "--disc", disc, "--d", d,
+                           "--n", "1", "--definite")
+        assert (code, out) == (0, "does not embed\n"), (disc, d)
 
 
 def test_local_points_command(capsys):
@@ -243,8 +250,8 @@ _FLAGS = {
 @given(st.data())
 def test_cli_fuzz(data):
     """Drawn integers never produce a traceback: every run ends in exit 0,
-    1 or 2, and an embedding count is never printed for a definite
-    algebra."""
+    1 or 2, an embedding count is never printed for a definite algebra,
+    and a real order never embeds in one."""
     command = data.draw(st.sampled_from(sorted(_FLAGS)))
     values = {flag: data.draw(strategy, label=flag)
               for flag, strategy in _FLAGS[command].items()}
@@ -273,3 +280,5 @@ def test_cli_fuzz(data):
     assert code in (0, 1, 2), (argv, err.getvalue())
     if command == "embed" and not definite and code == 0:
         assert not is_definite(values["--d"]), argv
+    if command == "embed" and definite and code == 0 and values["--disc"] > 0:
+        assert out.getvalue() == "does not embed\n", argv

@@ -1,0 +1,59 @@
+"""The boundary of every public entry point that takes a level: a call
+raises DomainError exactly when an independent predicate of the
+definitions (`_oracles.valid_algebra`, `valid_pair`, `valid_index`)
+calls its input invalid, and a valid input raises nothing."""
+
+from _oracles import valid_algebra, valid_index, valid_pair
+from x0dn.atkinlehner import (fixed_point_count, group_elements,
+                              quotient_genus)
+from x0dn.embeddings import element_embeds, embedding_count, locally_embeds
+from x0dn.errors import DomainError
+from x0dn.genus import check_pair, e_k, genus
+from x0dn.localpoints import local_obstructions, real_component_count
+from x0dn.quadorders import QuadOrder
+
+D_RANGE = range(-3, 50)
+N_RANGE = range(-2, 14)
+M_VALUES = (-6, 0, 1, 2, 3, 4, 5, 6, 7, 10, 14, 15, 30)
+ORDERS = (QuadOrder(-4), QuadOrder(-3), QuadOrder(-20), QuadOrder(5))
+RADICANDS = (-3, -1, 0, 2, 4)
+
+
+def _raises(call, *args) -> bool:
+    try:
+        call(*args)
+    except DomainError:
+        return True
+    return False
+
+
+def _grid():
+    """(function, arguments, valid) for every point of the grid."""
+    for d in D_RANGE:
+        for n in N_RANGE:
+            algebra, pair = valid_algebra(d, n), valid_pair(d, n)
+            yield genus, (d, n), pair
+            yield group_elements, (d, n), pair
+            for k in (2, 3, 4):
+                yield e_k, (d, n, k), pair and k != 2
+            for order in ORDERS:
+                yield embedding_count, (order, d, n), pair
+                yield locally_embeds, (order, d, n), algebra
+            for r in RADICANDS:
+                yield element_embeds, (r, d, n), algebra and r not in (0, 4)
+            for m in M_VALUES:
+                index = valid_index(d, n, m)
+                yield check_pair, (d, n, m), index
+                yield real_component_count, (d, n, m), index
+                for call in (fixed_point_count, quotient_genus,
+                             local_obstructions):
+                    yield call, (d, n, m), index and m != 1
+
+
+def test_boundary_grid():
+    calls = 0
+    for call, args, valid in _grid():
+        assert _raises(call, *args) != valid, (call.__name__, args)
+        calls += 1
+    assert calls == 53 * 16 * (2 + 3 + 2 * len(ORDERS) + len(RADICANDS)
+                               + 5 * len(M_VALUES))

@@ -67,11 +67,25 @@ def test_element_containment():
     assert not element_embeds(-23, 3, 23)
     assert element_embeds(2, 6, 1)           # real element, indefinite algebra
     assert not element_embeds(2, 3, 1)       # real element, definite algebra
+    assert not element_embeds(5, 3, 1)
     # the containment goes through a non-maximal order when needed:
     # sqrt(-25) = 5i generates the conductor 5 order of Q(i)
     assert element_embeds(-25, 6, 1) == (
         locally_embeds(QuadOrder(-4, 5), 6, 1)
         or locally_embeds(QuadOrder(-4), 6, 1))
+
+
+def test_real_orders_never_embed_in_definite_algebras():
+    # B tensor R is Hamilton's quaternions, which hold no R x R: the real
+    # place forbids these although the local number at the prime D is
+    # positive
+    for disc, d in ((5, 3), (8, 2), (12, 5), (5, 2), (5, 7), (8, 3)):
+        order = QuadOrder(disc)
+        assert local_nu(order, d, d, 1) > 0, (disc, d)
+        assert not locally_embeds(order, d, 1), (disc, d)
+        assert not locally_embeds(order, d, 1, skip=(d,)), (disc, d)
+    assert locally_embeds(QuadOrder(5), 6, 1)    # indefinite: R x R fits
+    assert locally_embeds(QuadOrder(-3), 5, 1)   # imaginary orders still do
 
 
 def test_rejects_bad_input():

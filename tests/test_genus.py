@@ -62,15 +62,25 @@ def test_rejects_bad_pairs():
         genus(6, 21)   # shares the factor 3
     with pytest.raises(DomainError):
         e_k(6, 1, 2)
+    # the memo of valid levels is keyed by type: a float never passes on
+    # the strength of the int level
+    check_algebra(6, 1)
+    with pytest.raises(TypeError):
+        check_algebra(6.0, 1)
 
 
 def test_check_pair_index():
     check_pair(6, 5, 15)
-    check_pair(10, 9, 9)
-    # DN = 90 = 2 * 9 * 5: 15 splits the prime power 9, 4 divides nothing
-    for m in (4, 15, 0, -6):
+    # DN = 90 = 2 * 9 * 5: the Hall divisors are the products of 2, 9 and
+    # 5, with 1 and DN among them; 3 and 15 split the prime power 9, and 4
+    # divides nothing
+    for m in (1, 2, 9, 5, 18, 10, 45, 90):
+        check_pair(10, 9, m)
+    for m in (3, 4, 15, 30, 0, -6, -9, 180):
         with pytest.raises(DomainError):
             check_pair(10, 9, m)
+    check_pair(14, 1, 7)
+    check_pair(14, 1, 14)
     # the definite half accepts D = 30, the pair check does not
     check_algebra(30, 1)
     with pytest.raises(DomainError):

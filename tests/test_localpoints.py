@@ -206,3 +206,44 @@ def test_harnack_bound():
                         <= quotient_genus(d, n, m) + 1), (d, n, m)
                 quotients += 1
     assert quotients == 16259
+
+
+def _empty_places(d, n, m):
+    return frozenset(v.place for v in local_obstructions(d, n, m)
+                     if v.status == EMPTY)
+
+
+def test_hilbert_parity_of_genus_zero_quotients():
+    # a genus-0 quotient X/w_m is a conic over Q, so by Hilbert
+    # reciprocity it has no local points at an even number of places.  At
+    # N = 1 every place of bad reduction is decided (real and p | D) and
+    # all 45 conics come out even.  At N > 1 the primes p | N are never
+    # decided, and exactly two conics come out odd; these pins show a fix
+    # or a regression at either end, and say nothing of which is wrong.
+    from x0dn.atkinlehner import group_elements, quotient_genus
+    from x0dn.pipeline import GENUS_CAP_BIELLIPTIC, _pairs
+    conics, odd = {1: 0, "N > 1": 0}, {}
+    for d, n in _pairs(GENUS_CAP_BIELLIPTIC):
+        for m in group_elements(d, n)[1:]:
+            if quotient_genus(d, n, m) != 0:
+                continue
+            conics[1 if n == 1 else "N > 1"] += 1
+            places = _empty_places(d, n, m)
+            if len(places) % 2:
+                odd[d, n, m] = places
+    assert conics == {1: 45, "N > 1": 39}
+    assert odd == {(15, 2, 15): {"5"}, (39, 2, 39): {"13"}}
+
+
+def test_obstructed_rational_rows():
+    # three RATIONALITY rows say the quotient has a rational point, and
+    # local_obstructions finds a place without points on each; no other
+    # "yes" row is obstructed
+    from x0dn.fixtures import load_fixtures
+    empty = {k: _empty_places(*k)
+             for k, entry in load_fixtures().rationality.items()
+             if entry.rational_points == "yes"}
+    assert {k: v for k, v in empty.items() if v} == {
+        (6, 7, 7): {"real", "2", "3"},
+        (21, 2, 21): {"7"},
+        (22, 7, 77): {"2", "11"}}

@@ -12,8 +12,8 @@ from x0dn.quadorders import (_SCAN_LIMIT, QuadOrder, _imaginary_count_by_a,
                              is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
-from _oracles import (brute_imaginary_class_number, brute_unit_norm,
-                      cycle_class_number, narrow_cycle_count)
+from _oracles import (brute_imaginary_class_number, cycle_class_number,
+                      cycle_unit_norm, narrow_cycle_count)
 
 
 def test_discriminant_predicates():
@@ -119,12 +119,13 @@ def test_real_class_numbers_anchored():
         assert class_number(disc) == h, disc
 
 
-def test_unit_norms_vs_brute():
+def test_unit_norms_vs_principal_cycle():
+    checked = 0
     for disc in range(2, 600):
         if disc % 4 in (0, 1) and is_discriminant(disc):
-            want = brute_unit_norm(disc)
-            if want is not None:
-                assert unit_norm(disc) == want, disc
+            assert unit_norm(disc) == cycle_unit_norm(disc), disc
+            checked += 1
+    assert checked == 275
 
 
 def test_unit_norm_known():
