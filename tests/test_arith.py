@@ -9,8 +9,10 @@ from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
                         pell_minus_solvable, pell_pm2_solvable, psi, psi_p,
                         squarefree_part)
 from x0dn.errors import DomainError
+from x0dn.genus import check_pair
 
-from _oracles import brute_kronecker_prime, brute_pell_pm2
+from _oracles import (brute_hall_divisors, brute_kronecker_prime,
+                      brute_pell_pm2)
 
 
 def test_factorize_small():
@@ -88,6 +90,29 @@ def test_kronecker_multiplicative_in_top(a, b, n):
        st.integers(min_value=1, max_value=100))
 def test_kronecker_multiplicative_in_bottom(a, m, n):
     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+def _is_hall_divisor(d: int, n: int, m: int) -> bool:
+    try:
+        check_pair(d, n, m)
+    except DomainError:
+        return False
+    return True
+
+
+def test_is_hall_divisor():
+    # m is a Hall divisor of DN when m | DN and gcd(m, DN / m) = 1; the
+    # predicate is check_pair's m test.  DN = 90 = 2 * 9 * 5: 9 is one,
+    # 3 splits the prime power 9, 4 divides nothing
+    assert _is_hall_divisor(10, 9, 9)
+    assert not _is_hall_divisor(10, 9, 3)
+    assert not _is_hall_divisor(10, 9, 4)
+    # 1 and DN itself always are
+    assert _is_hall_divisor(14, 1, 1) and _is_hall_divisor(14, 1, 14)
+    for d, n in ((6, 1), (6, 25), (10, 27), (15, 4), (22, 9)):
+        dn = d * n
+        assert ([m for m in range(1, dn + 1) if _is_hall_divisor(d, n, m)]
+                == brute_hall_divisors(dn)), (d, n)
 
 
 def test_continued_fraction_sqrt():
