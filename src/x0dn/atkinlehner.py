@@ -15,10 +15,11 @@ of Hall divisors containing 1.
 Fixed points of w_m are CM points by one or two explicit imaginary
 quadratic orders; their number is a class number times local embedding
 factors away from m.  Quotient genera then come out of one
-Riemann--Hurwitz over a span of masks, which must produce integers.
+Riemann--Hurwitz over the elements of a subgroup, which must give integers.
 """
 
 from functools import lru_cache
+from itertools import repeat
 
 from .arith import prime_divisors
 from .embeddings import embedding_count
@@ -101,44 +102,40 @@ def fixed_point_orders(m: int) -> tuple[QuadOrder, ...]:
     return (order_from_discriminant(-4 * m),)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def fixed_point_count(d: int, n: int, m: int) -> int:
     """Number of fixed points of w_m on X_0^D(N), for a nontrivial Hall
     divisor m of DN.  The memo holds the 2^omega(DN) - 1 <= 127 of one
     pair with omega(DN) <= 7: callers work through one pair at a time, so
     a stream of curves does not grow it."""
+    check_pair(d, n, m)
     if m == 1:
         raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
-    check_pair(d, n, m)
     skip = prime_divisors(m)
     return sum(embedding_count(order, d, n, skip=skip)
                for order in fixed_point_orders(m))
 
 
-def _riemann_hurwitz(d: int, n: int, span) -> int:
-    """Genus g_H of the quotient of X_0^D(N) by the subgroup H whose
-    masks are `span`: every w_m is an involution, so all ramification is
-    tame of order 2 and 2g - 2 = |H| (2 g_H - 2) + sum of #fixed(w_m)."""
-    divisor = _hall_index(d, n)[1]
-    total = sum(fixed_point_count(d, n, divisor[x]) for x in span if x)
-    num = 2 * genus(d, n) - 2 - total
-    out, rest = divmod(num, 2 * len(span))
+def _riemann_hurwitz(d: int, n: int, ms) -> int:
+    """Genus g_H of the quotient of X_0^D(N) by the subgroup H of 1 and
+    the Hall divisors ms: every w_m is an involution, so all ramification
+    is tame of order 2 and 2g - 2 = |H| (2 g_H - 2) + sum of #fixed(w_m)."""
+    num = 2 * genus(d, n) - 2 - sum(map(fixed_point_count, repeat(d), repeat(n), ms))
+    out, rest = divmod(num, 2 * len(ms) + 2)
     if rest or out < -1:
         raise IntegralityError(
-            f"quotient genus of ({d}, {n}) by {sorted(divisor[x] for x in span)}"
-            f": {num}/{2 * len(span)} + 1 is not a nonnegative integer")
+            f"quotient genus of ({d}, {n}) by {[1, *sorted(ms)]}"
+            f": {num}/{2 * len(ms) + 2} + 1 is not a nonnegative integer")
     return out + 1
 
 
 def quotient_genus(d: int, n: int, m: int) -> int:
     """Genus of X_0^D(N)/<w_m>: (2g + 2 - #fixed)/4."""
-    mask = _hall_index(d, n)[0].get(m)
-    if not mask:
-        raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
-    return _riemann_hurwitz(d, n, (0, mask))
+    return _riemann_hurwitz(d, n, (m,))
 
 
 def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     """Genus of the quotient of X_0^D(N) by the subgroup generated by
     the given involutions."""
-    return _riemann_hurwitz(d, n, _span(gens, d, n))
+    divisor = _hall_index(d, n)[1]
+    return _riemann_hurwitz(d, n, [divisor[x] for x in _span(gens, d, n) if x])

@@ -10,10 +10,10 @@ import sys
 from .arith import is_prime, is_squarefree
 from .atkinlehner import (fixed_point_count, quotient_genus,
                           subgroup_quotient_genus)
-from .embeddings import embedding_count, is_definite, locally_embeds
+from .embeddings import embedding_count, locally_embeds
 from .errors import DomainError, FixtureError, IntegralityError, PipelineError
 from .fixtures import load_fixtures
-from .genus import genus
+from .genus import genus, is_definite
 from .localpoints import local_obstructions
 from .pipeline import (airr2_report, bielliptic_candidates, classify_bielliptic,
                        classify_trigonal, trigonal_candidates)
@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        # argparse reads `--d=--` as an empty list, not as a value
+        for name, value in vars(ns).items():
+            if value == [] or isinstance(value, list) and [] in value:
+                self.error(f"argument --{name.replace('_', '-')}: expected a value")
+        return ns
 
 
 def _csv_cell(value) -> str:

@@ -23,7 +23,9 @@ _LEVELS = 8
 @lru_cache(maxsize=_LEVELS, typed=True)
 def check_algebra(d: int, n: int) -> None:
     """A quaternion discriminant d > 1 squarefree, definite or not, and
-    a level n >= 1 prime to d."""
+    a level n >= 1 prime to d, both of type int (a bool is not)."""
+    if type(d) is not int or type(n) is not int:
+        raise DomainError(f"D and N must be integers, got {d!r} and {n!r}")
     if d < 2 or not is_squarefree(d):
         raise DomainError(f"D must be squarefree > 1, got {d}")
     if n < 1:
@@ -45,8 +47,8 @@ def check_pair(d: int, n: int, m: int = 1) -> None:
     if is_definite(d):
         raise DomainError(
             f"D = {d} has an odd number of prime factors (definite algebra)")
-    if m != 1 and m not in _hall_index(d, n)[0]:
-        raise DomainError(f"m = {m} is not a Hall divisor of DN = {d * n}")
+    if type(m) is not int or m != 1 and m not in _hall_index(d, n)[0]:
+        raise DomainError(f"m = {m!r} is not a Hall divisor of DN = {d * n}")
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -83,7 +85,7 @@ def e_k(d: int, n: int, k: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def genus(d: int, n: int) -> int:
     """g = 1 + phi(D) psi(N) / 12 - e_4/4 - e_3/3, computed as
     12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3."""

@@ -28,7 +28,7 @@ from .atkinlehner import (
 )
 from .errors import DomainError, PipelineError
 from .fixtures import FixtureSet, load_fixtures
-from .genus import e_k, genus
+from .genus import e_k, genus, is_definite
 
 GENUS_CAP_BIELLIPTIC = 39
 GENUS_CAP_TRIGONAL = 29
@@ -37,15 +37,9 @@ ALL_AL = "all_AL"
 UNKNOWN = "unknown"
 
 STATUS_GENUS_LE_1 = "genus_le_1"
-STATUS_HYPERELLIPTIC = "hyperelliptic_fixture"
 STATUS_BIELLIPTIC_AL = "bielliptic_AL"
 STATUS_NOT_BIELLIPTIC = "not_bielliptic"
 STATUS_NEEDS_MANUAL = "needs_manual"
-
-# pairs whose automorphism group is not fully determined: each curve has
-# a bielliptic involution of Atkin--Lehner type, but a non-Atkin--Lehner
-# bielliptic involution has not been ruled out
-MANUAL_PAIRS = ((6, 25), (10, 9))
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def _pairs(gmax: int, discs=None):
     cutoff = dn_cutoff(gmax)
     if discs is None:
         discs = (d for d in range(2, cutoff + 1)
-                 if is_squarefree(d) and omega(d) % 2 == 0)
+                 if is_squarefree(d) and not is_definite(d))
     for d in discs:
         if genus_floor(d) > gmax:
             continue
@@ -259,7 +253,11 @@ def bkx_degree_screen(d: int, n: int) -> bool:
 
 def _settle(fx: FixtureSet, d: int, n: int, g: int, quots) -> tuple[str, str]:
     """Status and reason for one candidate, by the first argument that
-    applies; quots are its genus-one Atkin--Lehner quotients."""
+    applies; quots are its genus-one Atkin--Lehner quotients.  With one,
+    the curve is bielliptic, and needs_manual if no lemma makes every
+    bielliptic involution Atkin--Lehner.  No rung tests hyperellipticity:
+    each HYPERELLIPTIC record of genus >= 4 has a w_m with 2g + 2 > 8
+    fixed points, so the fixed-point screen closes it."""
     if g <= 1:
         return STATUS_GENUS_LE_1, "low_genus"
     if fixed_point_screen(d, n):
@@ -268,8 +266,6 @@ def _settle(fx: FixtureSet, d: int, n: int, g: int, quots) -> tuple[str, str]:
                 f"({d},{n}) fails the fixed-point screen yet w_m for m in "
                 f"{quots} have genus-one quotients")
         return STATUS_NOT_BIELLIPTIC, "fixed_point_screen"
-    if (d, n) in MANUAL_PAIRS:
-        return STATUS_NEEDS_MANUAL, "automorphism_group_open"
     if quots:
         # the curve is bielliptic via w_m; justify that no other
         # bielliptic involution exists
@@ -281,9 +277,9 @@ def _settle(fx: FixtureSet, d: int, n: int, g: int, quots) -> tuple[str, str]:
             # two distinct bielliptic involutions would force
             # g <= cs_bound(2, 1, 2, 1) = 5
             return STATUS_BIELLIPTIC_AL, "unique_bielliptic"
-        raise PipelineError(
-            f"({d},{n}) is bielliptic but no argument pins its "
-            "involutions to Atkin--Lehner type")
+        # bielliptic via w_m, but a non-Atkin--Lehner bielliptic
+        # involution has not been ruled out
+        return STATUS_NEEDS_MANUAL, "automorphism_group_open"
     # no genus-one quotient: show that no bielliptic involution exists
     if not is_squarefree(n):
         # parity corollary: for genus >= 6 a bielliptic involution is
@@ -292,9 +288,6 @@ def _settle(fx: FixtureSet, d: int, n: int, g: int, quots) -> tuple[str, str]:
             raise PipelineError(
                 f"({d},{n}) has non-squarefree level and no closing argument")
         return STATUS_NOT_BIELLIPTIC, "genus_parity"
-    if (d, n) in fx.hyperelliptic_pairs and g >= 4:
-        # hyperelliptic and bielliptic together force g <= 3
-        return STATUS_HYPERELLIPTIC, "hyperelliptic_cs"
     if bkx_degree_screen(d, n):
         return STATUS_NOT_BIELLIPTIC, "bkx_degree_screen"
     if automorphism_status(d, n) == ALL_AL:
@@ -342,6 +335,9 @@ def classify_bielliptic(
     and g <= cs_bound(|H|, g_H, 2, 1) whatever g_H is; one nontrivial H
     breaking that bound closes the pair.  For (34, 7) the only such H is
     <w_14, w_17>, with g_H = 0 and 9 > 5.
+
+    (6, 25) and (10, 9) stay needs_manual: non-squarefree level, genus 5
+    and no override leave a non-Atkin--Lehner bielliptic involution open.
     """
     fx = fixtures if fixtures is not None else load_fixtures()
     verdicts = []

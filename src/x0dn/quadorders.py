@@ -62,10 +62,6 @@ class QuadOrder:
     def discriminant(self) -> int:
         return self.fundamental_discriminant * self.conductor ** 2
 
-    @property
-    def is_imaginary(self) -> bool:
-        return self.fundamental_discriminant < 0
-
     def __repr__(self):
         if self.conductor == 1:
             return f"QuadOrder({self.fundamental_discriminant})"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from x0dn.cli import main
-from x0dn.embeddings import is_definite
 from x0dn.errors import IntegralityError
+from x0dn.genus import is_definite
 
 # the benchmark's reference outputs of the paper's three runs; read only
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "golden"
@@ -210,6 +210,18 @@ def test_bad_subgroup_is_a_domain_error(capsys):
                              "7", "--subgroup", text)
         assert (code, out) == (1, "")
         assert err.startswith("error: --subgroup")
+
+
+def test_double_dash_value_is_a_usage_error(capsys):
+    # argparse reads `--flag=--` as an empty list, not as a value
+    for argv in (["genus", "--d=--", "--n=1"],
+                 ["quotient-genus", "--d=6", "--n=5", "--m=--"],
+                 ["quotient-genus", "--d=3", "--n=0", "--subgroup=--"],
+                 ["embed", "--disc=-4", "--d=6", "--n=1", "--exclude-p=--"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "expected a value" in capsys.readouterr().err, argv
 
 
 def test_unwritable_out_is_a_domain_error(capsys, tmp_path):

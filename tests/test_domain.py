@@ -3,12 +3,14 @@ raises DomainError exactly when an independent predicate of the
 definitions (`_oracles.valid_algebra`, `valid_pair`, `valid_index`)
 calls its input invalid, and a valid input raises nothing."""
 
+import pytest
+
 from _oracles import valid_algebra, valid_index, valid_pair
 from x0dn.atkinlehner import (fixed_point_count, group_elements,
                               quotient_genus)
 from x0dn.embeddings import element_embeds, embedding_count, locally_embeds
 from x0dn.errors import DomainError
-from x0dn.genus import check_pair, e_k, genus
+from x0dn.genus import _hall_index, check_algebra, check_pair, e_k, genus
 from x0dn.localpoints import local_obstructions, real_component_count
 from x0dn.quadorders import QuadOrder
 
@@ -57,3 +59,27 @@ def test_boundary_grid():
         calls += 1
     assert calls == 53 * 16 * (2 + 3 + 2 * len(ORDERS) + len(RADICANDS)
                                + 5 * len(M_VALUES))
+
+
+# (function, int arguments, the same values with a float or a bool)
+TYPED = [
+    (genus, (6, 5), (6.0, 5)),
+    (genus, (6, 1), (6, True)),
+    (fixed_point_count, (6, 5, 2), (6.0, 5, 2)),
+    (check_pair, (6, 5, 6), (6, 5, 6.0)),
+    (quotient_genus, (6, 5, 6), (6, 5, 6.0)),
+]
+
+
+@pytest.mark.parametrize("call, good, bad", TYPED,
+                         ids=[f"{c.__name__}{b}" for c, _, b in TYPED])
+def test_memos_are_typed(call, good, bad):
+    """A float or bool D, N or m is a DomainError, before and after the
+    int call is memoized: no memo answers it from the int entry."""
+    for memo in (genus, fixed_point_count, check_algebra, _hall_index):
+        memo.cache_clear()
+    with pytest.raises(DomainError):
+        call(*bad)
+    call(*good)
+    with pytest.raises(DomainError):
+        call(*bad)

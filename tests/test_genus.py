@@ -63,9 +63,9 @@ def test_rejects_bad_pairs():
     with pytest.raises(DomainError):
         e_k(6, 1, 2)
     # the memo of valid levels is keyed by type: a float never passes on
-    # the strength of the int level
+    # the strength of the int level, and is rejected as a domain error
     check_algebra(6, 1)
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError):
         check_algebra(6.0, 1)
 
 

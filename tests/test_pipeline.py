@@ -4,11 +4,12 @@ from math import gcd
 import pytest
 
 from x0dn.arith import is_squarefree, omega
+from x0dn.atkinlehner import fixed_point_count, group_elements
 from x0dn.errors import DomainError
 from x0dn.fixtures import load_fixtures
 from x0dn.genus import genus
-from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, UNKNOWN, _pairs,
-                           airr2_report, allowed_discriminants,
+from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, GENUS_CAP_BIELLIPTIC, UNKNOWN,
+                           _pairs, airr2_report, allowed_discriminants,
                            automorphism_exception_pairs, automorphism_status,
                            bielliptic_candidates, bkx_degree_screen,
                            classify_bielliptic, classify_trigonal, cs_bound,
@@ -220,7 +221,33 @@ def test_classify_statuses(bielliptic_run):
     nsf_not = sorted(p for p in by_status["not_bielliptic"] if not is_squarefree(p[1]))
     assert [(14, 9), (22, 9), (33, 4)] == [p for p in nsf_not if p in
                                            {(14, 9), (22, 9), (33, 4)}]
-    assert "hyperelliptic_fixture" not in by_status  # branch never taken here
+
+
+def test_hyperelliptic_involutions(bielliptic_run):
+    """A w_m with 2g + 2 fixed points is a hyperelliptic involution.  Up
+    to the bielliptic cap such a w_m exists exactly for the HYPERELLIPTIC
+    records and ten more pairs, whose quotient conics have no rational
+    point (ROADMAP direction 1).  So every record has an Atkin--Lehner
+    hyperelliptic involution, and for a record of genus >= 4 its
+    2g + 2 > 8 fixed points are not 2g - 2: the fixed-point screen
+    closes every such candidate before any other argument."""
+    with_hyp_w = sorted(
+        (d, n) for d, n in _pairs(GENUS_CAP_BIELLIPTIC)
+        if genus(d, n) >= 2
+        and 2 * genus(d, n) + 2 in (fixed_point_count(d, n, m)
+                                    for m in group_elements(d, n)[1:]))
+    records = load_fixtures().hyperelliptic_pairs
+    assert len(records) == 33
+    assert with_hyp_w == sorted(records | {
+        (6, 17), (10, 13), (10, 19), (14, 3), (15, 4), (21, 2), (26, 3),
+        (57, 1), (82, 1), (93, 1)})
+    verdicts, _ = bielliptic_run
+    closed = sorted((v.d, v.n) for v in verdicts
+                    if (v.d, v.n) in records and genus(v.d, v.n) >= 4)
+    assert closed == [(6, 29), (6, 31), (6, 37), (10, 11), (10, 23),
+                      (22, 5), (39, 2)]
+    assert {v.reason for v in verdicts if (v.d, v.n) in closed} == {
+        "fixed_point_screen"}
 
 
 def test_classify_reason_counts(bielliptic_run):
