@@ -10,9 +10,12 @@ from math import isqrt
 from .errors import DomainError
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as a tuple of (p, e), p ascending."""
+    """Prime factorization of n >= 1 of type int (a bool is not) as a
+    tuple of (p, e), p ascending."""
+    if type(n) is not int:
+        raise DomainError(f"factorize wants an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"factorize wants n >= 1, got {n}")
     out = []
@@ -141,23 +144,27 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def continued_fraction_sqrt(m: int) -> tuple[int, tuple[int, ...]]:
-    """Continued fraction of sqrt(m) for nonsquare m > 1: (a0, period).
-
-    Standard PQa recurrence; the period always ends with 2*a0.
-    """
+def _pqa(m: int):
+    """The PQa recurrence for sqrt(m), m > 1 nonsquare: yields (a_k, Q_k)
+    for k = 1 up to the period length, where Q_k = 1 again.  The
+    convergent p_(k-1)/q_(k-1) has p^2 - m q^2 = (-1)^k Q_k."""
     a0 = isqrt(m)
     if a0 * a0 == m:
         raise DomainError(f"{m} is a perfect square")
-    period = []
     P, Q, a = 0, 1, a0
     while True:
         P = a * Q - P
         Q = (m - P * P) // Q
         a = (a0 + P) // Q
-        period.append(a)
+        yield a, Q
         if Q == 1:
-            return a0, tuple(period)
+            return
+
+
+def continued_fraction_sqrt(m: int) -> tuple[int, tuple[int, ...]]:
+    """Continued fraction of sqrt(m) for nonsquare m > 1: (a0, period).
+    The period always ends with 2*a0."""
+    return isqrt(m), tuple(a for a, _ in _pqa(m))
 
 
 def pell_minus_solvable(m: int) -> bool:
@@ -173,9 +180,9 @@ def pell_minus_solvable(m: int) -> bool:
 def pell_pm2_solvable(m: int) -> bool:
     """Whether x^2 - m y^2 = +-2 has an integer solution, m > 0 nonsquare.
 
-    Any solution with m > 4 satisfies |x^2 - m y^2| = 2 < sqrt(m), so x/y
-    is a convergent of sqrt(m); scanning two full periods of convergents
-    is exhaustive.
+    For m >= 5 a solution is primitive (g^2 | 2) with |x^2 - m y^2| = 2
+    < sqrt(m), so x/y is a convergent of sqrt(m) and 2 = Q_k for some k
+    in one period of the PQa recurrence.
     """
     if m <= 0 or isqrt(m) ** 2 == m:
         raise DomainError(f"pell_pm2_solvable wants positive nonsquare m, got {m}")
@@ -183,15 +190,4 @@ def pell_pm2_solvable(m: int) -> bool:
         # sqrt(m) too small for the convergent argument; m in {2, 3} and
         # both work: 2^2 - 2*1^2 = 2, 1^2 - 3*1^2 = -2.
         return True
-    a0, period = continued_fraction_sqrt(m)
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    if h * h - m * k * k in (2, -2):
-        return True
-    terms = list(period) * 2
-    for a in terms:
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        if h * h - m * k * k in (2, -2):
-            return True
-    return False
+    return any(Q == 2 for _, Q in _pqa(m))

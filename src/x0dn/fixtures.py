@@ -4,9 +4,9 @@ Everything the pipeline cannot derive at desk scale lives in one
 line-oriented text file: hyperelliptic pairs, Rotger's level-one
 bielliptic and positive-rank discriminants, rationality and rank columns,
 and the two automorphism overrides.  Each record is one comma-separated
-line whose first field is a tag and whose last field is a citation; every
-discriminant, pair and triple must pass `genus.check_pair`, and malformed
-lines are fatal.
+line: a tag, the fields that FIELDS names for it, and a citation.  Every
+key must pass `genus.check_pair`, every RANK triple needs a RATIONALITY
+record of verdict yes or unknown, and a malformed line is fatal.
 """
 
 import os
@@ -19,15 +19,17 @@ from .genus import check_pair
 ENV_VAR = "X0DN_FIXTURES"
 DATA_NAME = "prior_work.txt"
 
-_TAGS = (
-    "HYPERELLIPTIC",
-    "BIELLIPTIC_L1",
-    "AIRR2_L1",
-    "AUT_OVERRIDE",
-    "RATIONALITY",
-    "RANK",
-)
-
+# The record grammar: the fields of each tag between tag and citation.
+# D, N and m form the key, unique per tag and valid for check_pair (m = 1
+# is refused); a genus or rank is >= 0 and a verdict one of _VERDICTS.
+FIELDS = {
+    "HYPERELLIPTIC": ("D", "N"),
+    "BIELLIPTIC_L1": ("D",),
+    "AIRR2_L1": ("D",),
+    "AUT_OVERRIDE": ("D", "N"),
+    "RATIONALITY": ("D", "N", "m", "genus", "verdict"),
+    "RANK": ("D", "N", "m", "rank"),
+}
 _VERDICTS = ("yes", "no", "unknown")
 
 
@@ -52,92 +54,63 @@ def _fail(lineno: int, line: str, why: str) -> FixtureError:
     return FixtureError(f"fixture line {lineno}: {why}: {line!r}")
 
 
-def _ints(fields, lineno, line):
+def _record(lineno: int, line: str) -> tuple[str, tuple, tuple]:
+    """One record line read by FIELDS: (tag, key, (*values, citation))."""
+    fields = [f.strip() for f in line.split(",")]
+    tag, body, citation = fields[0], fields[1:-1], fields[-1]
+    names = FIELDS.get(tag)
+    if names is None:
+        raise _fail(lineno, line, f"unknown record tag {tag}")
+    if not citation:
+        raise _fail(lineno, line, "empty citation")
+    if len(body) != len(names):
+        raise _fail(lineno, line, f"{tag} wants {','.join(names)}")
     try:
-        return [int(f) for f in fields]
+        values = {name: f if name == "verdict" else int(f)
+                  for name, f in zip(names, body)}
     except ValueError:
         raise _fail(lineno, line, "non-integer field") from None
-
-
-def _check(lineno, line, d, n=1, m=1):
+    key = tuple(values.pop(name) for name in ("D", "N", "m") if name in values)
+    d, n, m = (*key, 1, 1)[:3]  # a level-one key has N = 1, a pair m = 1
     try:
         check_pair(d, n, m)
     except DomainError as exc:
         raise _fail(lineno, line, str(exc)) from None
-
-
-def _check_triple(lineno, line, d, n, m):
-    _check(lineno, line, d, n, m)
-    if m == 1:
+    if len(key) == 3 and m == 1:
         raise _fail(lineno, line, "m = 1 is the trivial involution")
+    for name, value in values.items():
+        if name == "verdict" and value not in _VERDICTS:
+            raise _fail(lineno, line, f"verdict must be one of {_VERDICTS}")
+        if name != "verdict" and value < 0:
+            raise _fail(lineno, line, f"negative {name}")
+    return tag, key, (*values.values(), citation)
 
 
 def parse_fixtures(text: str) -> FixtureSet:
-    hyper = {}
-    biell = {}
-    airr2 = {}
-    overrides = {}
-    rationality = {}
-    ranks = {}
+    records = {tag: {} for tag in FIELDS}  # tag -> key -> (*values, citation)
+    where = {}  # (tag, key) -> (lineno, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(",")]
-        tag, citation = fields[0], fields[-1]
-        body = fields[1:-1]
-        if tag not in _TAGS:
-            raise _fail(lineno, line, f"unknown record tag {tag}")
-        if not citation:
-            raise _fail(lineno, line, "empty citation")
-        if tag in ("BIELLIPTIC_L1", "AIRR2_L1"):
-            if len(body) != 1:
-                raise _fail(lineno, line, f"{tag} wants one integer")
-            (d,) = _ints(body, lineno, line)
-            _check(lineno, line, d)
-            target = biell if tag == "BIELLIPTIC_L1" else airr2
-            if d in target:
-                raise _fail(lineno, line, "duplicate discriminant")
-            target[d] = citation
-        elif tag in ("HYPERELLIPTIC", "AUT_OVERRIDE"):
-            if len(body) != 2:
-                raise _fail(lineno, line, f"{tag} wants two integers")
-            d, n = _ints(body, lineno, line)
-            _check(lineno, line, d, n)
-            target = hyper if tag == "HYPERELLIPTIC" else overrides
-            if (d, n) in target:
-                raise _fail(lineno, line, "duplicate pair")
-            target[(d, n)] = citation
-        elif tag == "RATIONALITY":
-            if len(body) != 5:
-                raise _fail(lineno, line, "RATIONALITY wants D,N,m,genus,verdict")
-            d, n, m, g = _ints(body[:4], lineno, line)
-            verdict = body[4]
-            _check_triple(lineno, line, d, n, m)
-            if verdict not in _VERDICTS:
-                raise _fail(lineno, line, f"verdict must be one of {_VERDICTS}")
-            if g < 0:
-                raise _fail(lineno, line, "negative genus")
-            if (d, n, m) in rationality:
-                raise _fail(lineno, line, "duplicate triple")
-            rationality[(d, n, m)] = RationalityEntry(g, verdict, citation)
-        elif tag == "RANK":
-            if len(body) != 4:
-                raise _fail(lineno, line, "RANK wants D,N,m,rank")
-            d, n, m, r = _ints(body, lineno, line)
-            _check_triple(lineno, line, d, n, m)
-            if r < 0:
-                raise _fail(lineno, line, "negative rank")
-            if (d, n, m) in ranks:
-                raise _fail(lineno, line, "duplicate triple")
-            ranks[(d, n, m)] = r
+        tag, key, value = _record(lineno, line)
+        if (tag, key) in where:
+            raise _fail(lineno, line, f"duplicate {tag} key")
+        where[tag, key] = lineno, line
+        records[tag][key] = value
+    rationality = {key: RationalityEntry(*value)
+                   for key, value in records["RATIONALITY"].items()}
+    for key in records["RANK"]:
+        if key not in rationality or rationality[key].rational_points == "no":
+            raise _fail(*where["RANK", key],
+                        "no RATIONALITY record of verdict yes or unknown")
     return FixtureSet(
-        hyperelliptic_pairs=frozenset(hyper),
-        bielliptic_level_one=tuple(sorted(biell)),
-        airr2_level_one=tuple(sorted(airr2)),
-        automorphism_overrides=frozenset(overrides),
+        hyperelliptic_pairs=frozenset(records["HYPERELLIPTIC"]),
+        bielliptic_level_one=tuple(sorted(d for d, in records["BIELLIPTIC_L1"])),
+        airr2_level_one=tuple(sorted(d for d, in records["AIRR2_L1"])),
+        automorphism_overrides=frozenset(records["AUT_OVERRIDE"]),
         rationality=rationality,
-        ranks=ranks,
+        ranks={key: rank for key, (rank, _) in records["RANK"].items()},
     )
 
 

@@ -27,7 +27,7 @@ from .atkinlehner import (
     subgroup_quotient_genus,
 )
 from .errors import DomainError, PipelineError
-from .fixtures import FixtureSet, load_fixtures
+from .fixtures import FixtureSet
 from .genus import e_k, genus, is_definite
 
 GENUS_CAP_BIELLIPTIC = 39
@@ -137,13 +137,12 @@ def allowed_discriminants(fixtures: FixtureSet) -> tuple[int, ...]:
         | set(fixtures.bielliptic_level_one)))
 
 
-def bielliptic_candidates(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
+def bielliptic_candidates(fixtures: FixtureSet) -> list[tuple[int, int]]:
     """Pairs (D, N) that could carry a bielliptic curve: D in
     allowed_discriminants, N > 1 prime to D, and genus at most the
     Abramovich cap."""
-    fx = fixtures if fixtures is not None else load_fixtures()
     return sorted((d, n) for d, n in
-                  _pairs(GENUS_CAP_BIELLIPTIC, allowed_discriminants(fx))
+                  _pairs(GENUS_CAP_BIELLIPTIC, allowed_discriminants(fixtures))
                   if n > 1)
 
 
@@ -317,8 +316,7 @@ def _append_rows(rows, fx: FixtureSet, d: int, n: int, g: int, quots) -> None:
 
 
 def classify_bielliptic(
-    fixtures: FixtureSet | None = None,
-) -> tuple[list[BiellipticVerdict], list[TableRow]]:
+        fixtures: FixtureSet) -> tuple[list[BiellipticVerdict], list[TableRow]]:
     """Run the whole bielliptic sweep.
 
     Returns one verdict per candidate pair, sorted by (D, N), and the
@@ -339,29 +337,27 @@ def classify_bielliptic(
     (6, 25) and (10, 9) stay needs_manual: non-squarefree level, genus 5
     and no override leave a non-Atkin--Lehner bielliptic involution open.
     """
-    fx = fixtures if fixtures is not None else load_fixtures()
     verdicts = []
     rows = []
-    for d, n in bielliptic_candidates(fx):
+    for d, n in bielliptic_candidates(fixtures):
         g = genus(d, n)
         quots = tuple(genus1_al_quotients(d, n))
-        status, reason = _settle(fx, d, n, g, quots)
+        status, reason = _settle(fixtures, d, n, g, quots)
         verdicts.append(BiellipticVerdict(d, n, status, quots, reason))
-        _append_rows(rows, fx, d, n, g, quots)
+        _append_rows(rows, fixtures, d, n, g, quots)
     emitted = {(r.d, r.n, r.m) for r in rows}
-    missing = set(fx.rationality) - emitted
+    missing = set(fixtures.rationality) - emitted
     if missing:
         raise PipelineError(
             f"fixture rationality rows never produced: {sorted(missing)}")
     return verdicts, sorted(rows, key=lambda r: (r.d, r.n, r.m))
 
 
-def automorphism_exception_pairs(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
+def automorphism_exception_pairs(fixtures: FixtureSet) -> list[tuple[int, int]]:
     """Squarefree-level candidates of genus >= 2 where none of the
     automorphism criteria applies, before any fixture override."""
-    fx = fixtures if fixtures is not None else load_fixtures()
     out = []
-    for d, n in bielliptic_candidates(fx):
+    for d, n in bielliptic_candidates(fixtures):
         if not is_squarefree(n) or genus(d, n) < 2:
             continue
         if automorphism_status(d, n) == UNKNOWN:
@@ -411,7 +407,7 @@ def trigonal_exclusion_genera() -> tuple[int, int]:
     )
 
 
-def classify_trigonal(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
+def classify_trigonal(fixtures: FixtureSet) -> list[tuple[int, int]]:
     """The geometrically trigonal curves.
 
     Genus-2 survivors always carry a degree-3 pencil; genus-4 survivors
@@ -423,13 +419,12 @@ def classify_trigonal(fixtures: FixtureSet | None = None) -> list[tuple[int, int
     Castelnuovo--Severi route to close the case here, so the exclusion
     is carried, not re-derived.
     """
-    fx = fixtures if fixtures is not None else load_fixtures()
     final = []
     for d, n in schweizer_survivors():
         g = genus(d, n)
         if g == 2:
             final.append((d, n))
-        elif g == 4 and (d, n) not in fx.hyperelliptic_pairs:
+        elif g == 4 and (d, n) not in fixtures.hyperelliptic_pairs:
             final.append((d, n))
         elif (d, n) == (214, 1):
             genera = trigonal_exclusion_genera()
@@ -464,26 +459,24 @@ def low_genus_pairs() -> list[tuple[int, int]]:
     return sorted(_pairs(1))
 
 
-def positive_rank_pairs(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
+def positive_rank_pairs(fixtures: FixtureSet) -> list[tuple[int, int]]:
     """Pairs with level N > 1 whose curve maps onto a positive-rank
     elliptic curve by a degree-two Atkin--Lehner quotient."""
-    fx = fixtures if fixtures is not None else load_fixtures()
-    _, rows = classify_bielliptic(fx)
+    _, rows = classify_bielliptic(fixtures)
     return sorted({(r.d, r.n) for r in rows if r.rank is not None and r.rank > 0})
 
 
-def airr2_report(fixtures: FixtureSet | None = None) -> list[tuple[int, int]]:
+def airr2_report(fixtures: FixtureSet) -> list[tuple[int, int]]:
     """Pairs whose curve has infinitely many quadratic points: genus at
     most one (from the genus formula), or hyperelliptic (the
     HYPERELLIPTIC records), or bielliptic onto a positive-rank elliptic
     curve (the AIRR2_L1 records for N = 1, the classification's rank
     column for N > 1).  The union must reproduce the embedded reference
     list exactly."""
-    fx = fixtures if fixtures is not None else load_fixtures()
     pairs = set(low_genus_pairs())
-    pairs.update(fx.hyperelliptic_pairs)
-    pairs.update((d, 1) for d in fx.airr2_level_one)
-    pairs.update(positive_rank_pairs(fx))
+    pairs.update(fixtures.hyperelliptic_pairs)
+    pairs.update((d, 1) for d in fixtures.airr2_level_one)
+    pairs.update(positive_rank_pairs(fixtures))
     out = sorted(pairs)
     if out != sorted(AIRR2_PAIRS):
         extra = pairs - set(AIRR2_PAIRS)

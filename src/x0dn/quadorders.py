@@ -310,7 +310,7 @@ def _real_orbit_count(disc: int, forms: set[tuple[int, int]]) -> int:
 _SCAN_LIMIT = 40_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def class_number(disc: int) -> int:
     """Form class number h(disc) of the quadratic order of discriminant
     disc.  Imaginary: the count of primitive reduced positive forms.
@@ -319,7 +319,9 @@ def class_number(disc: int) -> int:
     checked (_real_orbit_count).  The reduced forms come from the
     enumeration by a over the root table of disc when |disc| >=
     _SCAN_LIMIT = 40,000, the measured crossover, and from O(|disc|)
-    scans over b below it."""
+    scans over b below it.  disc must be of type int (a bool is not)."""
+    if type(disc) is not int:
+        raise DomainError(f"class_number wants an integer, got {disc!r}")
     if not is_discriminant(disc):
         raise DomainError(f"{disc} is not a quadratic discriminant")
     if disc < 0:

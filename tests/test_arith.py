@@ -136,7 +136,7 @@ def test_pell_pm2_against_cycles():
     # the oracle decides via the principal reduced cycle of disc 4m, so
     # the comparison is two-sided (a y-scan could not certify False:
     # the smallest solution for m = 151 is already y = 3383)
-    for m in range(2, 400):
+    for m in range(2, 1600):
         if isqrt(m) ** 2 == m:
             continue
         assert pell_pm2_solvable(m) == brute_pell_pm2(m), m

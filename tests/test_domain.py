@@ -6,13 +6,14 @@ calls its input invalid, and a valid input raises nothing."""
 import pytest
 
 from _oracles import valid_algebra, valid_index, valid_pair
+from x0dn.arith import factorize
 from x0dn.atkinlehner import (fixed_point_count, group_elements,
                               quotient_genus)
 from x0dn.embeddings import element_embeds, embedding_count, locally_embeds
 from x0dn.errors import DomainError
 from x0dn.genus import _hall_index, check_algebra, check_pair, e_k, genus
 from x0dn.localpoints import local_obstructions, real_component_count
-from x0dn.quadorders import QuadOrder
+from x0dn.quadorders import QuadOrder, class_number
 
 D_RANGE = range(-3, 50)
 N_RANGE = range(-2, 14)
@@ -68,15 +69,20 @@ TYPED = [
     (fixed_point_count, (6, 5, 2), (6.0, 5, 2)),
     (check_pair, (6, 5, 6), (6, 5, 6.0)),
     (quotient_genus, (6, 5, 6), (6, 5, 6.0)),
+    (class_number, (-23,), (-23.0,)),
+    (factorize, (15,), (15.0,)),
+    (factorize, (7,), (7.5,)),
+    (factorize, (1,), (True,)),
 ]
 
 
 @pytest.mark.parametrize("call, good, bad", TYPED,
                          ids=[f"{c.__name__}{b}" for c, _, b in TYPED])
 def test_memos_are_typed(call, good, bad):
-    """A float or bool D, N or m is a DomainError, before and after the
+    """A float or bool argument is a DomainError, before and after the
     int call is memoized: no memo answers it from the int entry."""
-    for memo in (genus, fixed_point_count, check_algebra, _hall_index):
+    for memo in (genus, fixed_point_count, check_algebra, _hall_index,
+                 class_number, factorize):
         memo.cache_clear()
     with pytest.raises(DomainError):
         call(*bad)

@@ -3,6 +3,7 @@ import pytest
 from x0dn.errors import FixtureError
 from x0dn.fixtures import (
     ENV_VAR,
+    FIELDS,
     FixtureSet,
     RationalityEntry,
     fixture_text,
@@ -116,11 +117,35 @@ def test_rank_rows_cover_exactly_non_no_rows(fx):
         "RATIONALITY,6,5,3,-1,no,NR15",
         "RANK,6,5,15,-2,Ribet90",
         "RANK,6,5,15,Ribet90",
+        "RANK",  # bare tag
+        "BIELLIPTIC_L1,6,1,Rotger02",  # one field too many
+        "AUT_OVERRIDE,21,5,1,KMV11",
+        "RANK,6,5,15,,Ribet90",  # empty middle field
+        # a rank must name a rationality row of verdict yes or unknown,
+        # wherever that row stands in the file
+        "RATIONALITY,6,17,102,3,yes,PS23\nRANK,6,17,34,1,Ribet90",
+        "RANK,6,17,102,1,Ribet90\nRATIONALITY,6,17,102,3,no,PS23",
     ],
 )
 def test_malformed_lines_fail(line):
     with pytest.raises(FixtureError):
         parse_fixtures(line)
+
+
+def test_rank_after_its_rationality_row():
+    text = "RANK,6,17,102,1,Ribet90\nRATIONALITY,6,17,102,3,yes,PS23"
+    assert parse_fixtures(text).ranks == {(6, 17, 102): 1}
+    with pytest.raises(FixtureError, match="line 1: no RATIONALITY"):
+        parse_fixtures("RANK,6,17,102,1,Ribet90")
+
+
+def test_grammar_tags_are_the_bundled_tags():
+    """Every tag of the field table occurs in the bundled file: the
+    grammar carries no dead entry."""
+    lines = [line.strip() for line in fixture_text().splitlines()]
+    tags = {line.split(",")[0] for line in lines
+            if line and not line.startswith("#")}
+    assert tags == set(FIELDS)
 
 
 def test_duplicate_lines_fail():

@@ -43,8 +43,13 @@ EXCEPTION_25 = [(10, 19), (10, 31), (10, 43), (10, 67), (10, 79), (10, 103),
 
 
 @pytest.fixture(scope="module")
-def bielliptic_run():
-    return classify_bielliptic()
+def fixtures():
+    return load_fixtures()
+
+
+@pytest.fixture(scope="module")
+def bielliptic_run(fixtures):
+    return classify_bielliptic(fixtures)
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +87,11 @@ def test_genus_floor_bounds_genus(small_pairs):
         assert genus_floor(d) <= max(g, 1)
 
 
-def test_enumerators_match_brute_force(small_pairs):
-    allowed = set(allowed_discriminants(load_fixtures()))
+def test_enumerators_match_brute_force(small_pairs, fixtures):
+    allowed = set(allowed_discriminants(fixtures))
     assert trigonal_candidates() == sorted(
         p for p, g in small_pairs.items() if g <= 29)
-    assert bielliptic_candidates() == sorted(
+    assert bielliptic_candidates(fixtures) == sorted(
         p for p, g in small_pairs.items()
         if p[0] in allowed and p[1] > 1 and g <= 39)
     assert low_genus_pairs() == sorted(
@@ -126,8 +131,8 @@ def test_level_one_bielliptic_records():
                           301: 21, 445: 29, 505: 33}
 
 
-def test_candidate_counts():
-    cands = bielliptic_candidates()
+def test_candidate_counts(fixtures):
+    cands = bielliptic_candidates(fixtures)
     assert len(cands) == 357
     sf = [c for c in cands if is_squarefree(c[1])]
     assert len(sf) == 301
@@ -136,8 +141,8 @@ def test_candidate_counts():
     assert max(genus(d, n) for d, n in cands) <= 39
 
 
-def test_fixed_point_screen_counts():
-    cands = bielliptic_candidates()
+def test_fixed_point_screen_counts(fixtures):
+    cands = bielliptic_candidates(fixtures)
     sf_gone = [c for c in cands
                if is_squarefree(c[1]) and genus(*c) >= 2 and fixed_point_screen(*c)]
     nsf_gone = [c for c in cands
@@ -148,8 +153,8 @@ def test_fixed_point_screen_counts():
         fixed_point_screen(6, 5)  # genus 1, screen inapplicable
 
 
-def test_nonsquarefree_survivors_named():
-    cands = bielliptic_candidates()
+def test_nonsquarefree_survivors_named(fixtures):
+    cands = bielliptic_candidates(fixtures)
     nsf_left = sorted(c for c in cands
                       if not is_squarefree(c[1]) and genus(*c) >= 2
                       and not fixed_point_screen(*c))
@@ -157,8 +162,8 @@ def test_nonsquarefree_survivors_named():
                         (33, 4), (39, 4)]
 
 
-def test_squarefree_survivor_split():
-    cands = bielliptic_candidates()
+def test_squarefree_survivor_split(fixtures):
+    cands = bielliptic_candidates(fixtures)
     left = [c for c in cands
             if is_squarefree(c[1]) and genus(*c) >= 2 and not fixed_point_screen(*c)]
     assert len(left) == 55 - 5  # five genus<=1 candidates are outside the screen
@@ -184,8 +189,8 @@ def test_automorphism_status_examples():
         automorphism_status(6, 5)  # genus 1
 
 
-def test_exception_pairs():
-    pairs = automorphism_exception_pairs()
+def test_exception_pairs(fixtures):
+    pairs = automorphism_exception_pairs(fixtures)
     assert pairs == EXCEPTION_25
     assert set(genus(d, n) for d, n in pairs) <= {5, 9, 13, 17, 21, 25, 29, 33, 37}
 
@@ -327,9 +332,9 @@ def test_schweizer_survivors():
                                      (118, 1), (214, 1)]
 
 
-def test_classify_trigonal():
-    assert classify_trigonal() == [(26, 1), (38, 1), (58, 1), (106, 1),
-                                   (118, 1)]
+def test_classify_trigonal(fixtures):
+    assert classify_trigonal(fixtures) == [(26, 1), (38, 1), (58, 1),
+                                           (106, 1), (118, 1)]
 
 
 def test_trigonal_exclusion_genera():
@@ -345,14 +350,14 @@ def test_low_genus_pairs():
     assert all(genus(d, n) <= 1 for d, n in pairs)
 
 
-def test_positive_rank_pairs():
-    assert positive_rank_pairs() == [(6, 17), (6, 23), (6, 41), (6, 71),
-                                     (10, 13), (10, 17), (10, 29), (22, 7),
-                                     (22, 17)]
+def test_positive_rank_pairs(fixtures):
+    assert positive_rank_pairs(fixtures) == [(6, 17), (6, 23), (6, 41),
+                                             (6, 71), (10, 13), (10, 17),
+                                             (10, 29), (22, 7), (22, 17)]
 
 
-def test_airr2_report():
-    rep = airr2_report()
+def test_airr2_report(fixtures):
+    rep = airr2_report(fixtures)
     assert len(rep) == 73
     assert rep == sorted(AIRR2_PAIRS)
     assert (6, 25) not in rep
