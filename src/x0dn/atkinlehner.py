@@ -71,12 +71,6 @@ def _span(gens, d: int, n: int) -> set[int]:
     return span
 
 
-def subgroup_generated(gens, d: int, n: int) -> frozenset[int]:
-    """Subgroup of the Atkin--Lehner group generated by the given Hall
-    divisors, as a frozenset containing 1."""
-    return frozenset(map(_hall_index(d, n)[1].__getitem__, _span(gens, d, n)))
-
-
 def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
     """Every subgroup of the Atkin--Lehner group, sorted by size and then
     by sorted elements, so the trivial one comes first."""

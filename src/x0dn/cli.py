@@ -13,11 +13,11 @@ from .atkinlehner import (fixed_point_count, quotient_genus,
 from .embeddings import embedding_count, locally_embeds
 from .errors import DomainError, FixtureError, IntegralityError, PipelineError
 from .fixtures import load_fixtures
-from .genus import genus, is_definite
+from .genus import check_algebra, genus, is_definite
 from .localpoints import local_obstructions
 from .pipeline import (airr2_report, bielliptic_candidates, classify_bielliptic,
                        classify_trigonal, trigonal_candidates)
-from .quadorders import QuadOrder, class_number, order_from_discriminant
+from .quadorders import class_number, order_from_discriminant
 
 BIELLIPTIC_HEADER = ("D", "N", "m", "genus", "quotient_genus",
                      "rational_points", "rank", "reason")
@@ -110,16 +110,10 @@ def _cmd_fixed_points(args) -> int:
 
 
 def _cmd_quotient_genus(args) -> int:
-    if args.subgroup is not None:
-        try:
-            gens = tuple(int(piece) for piece in args.subgroup.split(","))
-        except ValueError:
-            raise DomainError(
-                f"--subgroup wants comma-separated integers, got {args.subgroup!r}"
-            ) from None
-        print(subgroup_quotient_genus(args.d, args.n, gens))
+    if len(args.m) == 1:
+        print(quotient_genus(args.d, args.n, args.m[0]))
     else:
-        print(quotient_genus(args.d, args.n, args.m))
+        print(subgroup_quotient_genus(args.d, args.n, args.m))
     return 0
 
 
@@ -129,18 +123,13 @@ def _cmd_class_number(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    base = order_from_discriminant(args.disc)
-    order = QuadOrder(base.fundamental_discriminant,
-                      base.conductor * args.conductor)
+    order = order_from_discriminant(args.disc)
     skip = tuple(args.exclude_p or ())
     for p in skip:
         if not is_prime(p):
             raise DomainError(f"--exclude-p wants a prime, got {p}")
-    if args.definite:
-        if not is_definite(args.d):
-            raise DomainError(
-                f"--definite given but {args.d} has an even number of "
-                "prime factors")
+    check_algebra(args.d, args.n)
+    if is_definite(args.d):
         print("embeds" if locally_embeds(order, args.d, args.n, skip=skip)
               else "does not embed")
     else:
@@ -200,25 +189,24 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fixed_points)
 
     p = sub.add_parser("quotient-genus",
-                       help="genus of the quotient by w_m or a subgroup")
+                       help="genus of the quotient by the subgroup the "
+                            "w_m generate")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--m", type=int)
-    which.add_argument("--subgroup", help="comma-separated generators")
+    p.add_argument("--m", type=int, action="append", required=True,
+                   help="generator w_m of the subgroup (repeatable)")
     p.set_defaults(func=_cmd_quotient_genus)
 
     p = sub.add_parser("class-number", help="class number of a quadratic order")
     p.add_argument("--disc", type=int, required=True)
     p.set_defaults(func=_cmd_class_number)
 
-    p = sub.add_parser("embed", help="optimal embedding count of an order")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--conductor", type=int, default=1)
+    p = sub.add_parser("embed", help="optimal embedding count of an order, "
+                                     "or embeddability for a definite d")
+    p.add_argument("--disc", type=int, required=True,
+                   help="discriminant of the order")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--definite", action="store_true",
-                   help="definite algebra: report local embeddability only")
     p.add_argument("--exclude-p", type=int, action="append",
                    help="drop the local factor at this prime (repeatable)")
     p.set_defaults(func=_cmd_embed)

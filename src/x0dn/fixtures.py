@@ -5,8 +5,9 @@ line-oriented text file: hyperelliptic pairs, Rotger's level-one
 bielliptic and positive-rank discriminants, rationality and rank columns,
 and the two automorphism overrides.  Each record is one comma-separated
 line: a tag, the fields that FIELDS names for it, and a citation.  Every
-key must pass `genus.check_pair`, every RANK triple needs a RATIONALITY
-record of verdict yes or unknown, and a malformed line is fatal.
+key must pass `genus.check_pair`, the RANK triples are exactly the
+RATIONALITY triples of verdict yes or unknown, and a malformed line is
+fatal.
 """
 
 import os
@@ -104,6 +105,10 @@ def parse_fixtures(text: str) -> FixtureSet:
         if key not in rationality or rationality[key].rational_points == "no":
             raise _fail(*where["RANK", key],
                         "no RATIONALITY record of verdict yes or unknown")
+    for key, entry in rationality.items():
+        if entry.rational_points != "no" and key not in records["RANK"]:
+            raise _fail(*where["RATIONALITY", key],
+                        f"verdict {entry.rational_points} but no RANK record")
     return FixtureSet(
         hyperelliptic_pairs=frozenset(records["HYPERELLIPTIC"]),
         bielliptic_level_one=tuple(sorted(d for d, in records["BIELLIPTIC_L1"])),

@@ -195,7 +195,3 @@ def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
         if clark != NOT_APPLICABLE:
             verdicts.append(LocalVerdict(str(p), clark, SOURCE_PRIME_LEVEL))
     return tuple(verdicts)
-
-
-def has_local_obstruction(d: int, n: int, m: int) -> bool:
-    return any(v.status == EMPTY for v in local_obstructions(d, n, m))

@@ -20,12 +20,12 @@ import pytest
 from _oracles import (brute_imaginary_class_number, brute_pell_pm2,
                       brute_real_class_number)
 from x0dn.arith import is_squarefree, omega, pell_pm2_solvable
-from x0dn.atkinlehner import (all_subgroups, fixed_point_count,
+from x0dn.atkinlehner import (_span, all_subgroups, fixed_point_count,
                               group_elements, quotient_genus,
-                              subgroup_quotient_genus, subgroup_generated)
+                              subgroup_quotient_genus)
 from x0dn.fixtures import load_fixtures
-from x0dn.genus import genus
-from x0dn.localpoints import has_local_obstruction
+from x0dn.genus import _hall_index, genus
+from x0dn.localpoints import EMPTY, local_obstructions
 from x0dn.pipeline import (ALL_AL, airr2_report,
                            automorphism_exception_pairs, automorphism_status,
                            bielliptic_candidates, bkx_degree_screen,
@@ -304,7 +304,8 @@ def test_criterion_10d_subgroup_vs_single(fixtures):
             if m == 1:
                 continue
             assert subgroup_quotient_genus(d, n, (m,)) == quotient_genus(d, n, m)
-            assert subgroup_generated((m,), d, n) == {1, m}
+            divisor = _hall_index(d, n)[1]
+            assert {divisor[x] for x in _span((m,), d, n)} == {1, m}
 
 
 def test_criterion_11_local_obstructions(bielliptic_run):
@@ -317,6 +318,7 @@ def test_criterion_11_local_obstructions(bielliptic_run):
             continue
         if not any(tag in r.reason for tag in ("Ogg85", "Ogg83", "Clark03")):
             continue
-        assert has_local_obstruction(r.d, r.n, r.m), (r.d, r.n, r.m)
+        assert any(v.status == EMPTY
+                   for v in local_obstructions(r.d, r.n, r.m)), (r.d, r.n, r.m)
         checked += 1
     assert checked >= 20

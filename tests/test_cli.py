@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from x0dn.cli import main
-from x0dn.errors import IntegralityError
+from x0dn.embeddings import embedding_count
+from x0dn.errors import DomainError, IntegralityError
 from x0dn.genus import is_definite
+from x0dn.quadorders import QuadOrder
 
+ROOT = Path(__file__).resolve().parents[1]
 # the benchmark's reference outputs of the paper's three runs; read only
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "golden"
+GOLDEN = ROOT / "perfbench" / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -66,19 +69,25 @@ def test_fixed_points_and_quotient_genus(capsys):
     code, out, _ = run(capsys, "quotient-genus", "--d", "34", "--n", "7",
                        "--m", "34")
     assert (code, out) == (0, "3\n")
+    # several --m name the generators of a subgroup
     code, out, _ = run(capsys, "quotient-genus", "--d", "34", "--n", "7",
-                       "--subgroup", "14,17")
+                       "--m", "14", "--m", "17")
     assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, "quotient-genus", "--d", "34", "--n", "7",
+                       "--m", "34", "--m", "34")
+    assert (code, out) == (0, "3\n")
 
 
 def test_quotient_genus_wants_m_or_subgroup(capsys):
-    # exactly one of the two: both, or neither, is a usage error
-    for extra in (("--m", "999", "--subgroup", "14,17"), ()):
+    # one w_m or the generators of a subgroup, all as --m: no --m at all
+    # is a usage error, and so is the old --subgroup spelling
+    for extra, flag in (((), "--m"),
+                        (("--m", "14", "--subgroup", "14,17"), "--subgroup")):
         with pytest.raises(SystemExit) as exc:
             main(["quotient-genus", "--d", "34", "--n", "7", *extra])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert "usage" in err and "--subgroup" in err
+        assert "usage" in err and flag in err
 
 
 def test_class_number_command(capsys):
@@ -91,19 +100,24 @@ def test_embed_command(capsys):
     code, out, _ = run(capsys, "embed", "--disc", "-107", "--d", "214",
                        "--n", "1", "--exclude-p", "107")
     assert (code, out) == (0, "6\n")
+    # --disc is the discriminant of the order, conductor included: -12 is
+    # the order of conductor 2 in Q(sqrt(-3))
+    code, out, _ = run(capsys, "embed", "--disc", "-12", "--d", "6",
+                       "--n", "5")
+    assert (code, out) == (0, "0\n")
+    # a definite d (odd number of primes) asks whether the order embeds
     code, out, _ = run(capsys, "embed", "--disc", "-4", "--d", "2",
-                       "--n", "1", "--definite")
-    assert code == 0
-    assert out in ("embeds\n", "does not embed\n")
-    code, _, err = run(capsys, "embed", "--disc", "-4", "--d", "6",
-                       "--n", "1", "--definite")
-    assert code == 1
+                       "--n", "1")
+    assert (code, out) == (0, "embeds\n")
+    code, out, _ = run(capsys, "embed", "--disc", "-27", "--d", "3",
+                       "--n", "2")
+    assert (code, out) == (0, "does not embed\n")
     # the real place forbids a real order: B tensor R is Hamilton's
     # quaternions and holds no R x R, although the local number at D is
     # positive
     for disc, d in (("5", "3"), ("8", "2"), ("12", "5")):
         code, out, _ = run(capsys, "embed", "--disc", disc, "--d", d,
-                           "--n", "1", "--definite")
+                           "--n", "1")
         assert (code, out) == (0, "does not embed\n"), (disc, d)
 
 
@@ -185,6 +199,36 @@ def test_output_matches_golden(capsys, name, argv):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def _readme_examples():
+    """(argv, shown output) of each `$ x0dn ...` example in the README's
+    "Command line" section with no pipe and no elided output."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for line in section.splitlines():
+        if not line.startswith("    "):
+            examples.append(None)  # prose ends an example's output
+        elif line.startswith("    $ "):
+            examples.append([line[6:], ""])
+        elif examples and examples[-1] is not None:
+            examples[-1][1] += line[4:] + "\n"
+    return [(cmd.split()[1:], shown) for cmd, shown in filter(None, examples)
+            if cmd.startswith("x0dn ") and "|" not in cmd
+            and "..." not in shown]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES,
+                         ids=["_".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples(capsys, tmp_path, monkeypatch, argv, shown):
+    # a flag the program no longer takes cannot linger in the docs
+    monkeypatch.chdir(tmp_path)  # for the examples that write --out
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (0, shown), err
+
+
 def test_fixtures_flag(capsys, tmp_path):
     from x0dn.fixtures import fixture_text
 
@@ -205,18 +249,27 @@ def test_fixtures_flag(capsys, tmp_path):
 
 
 def test_bad_subgroup_is_a_domain_error(capsys):
-    for text in ("2,x", ","):
-        code, out, err = run(capsys, "quotient-genus", "--d", "34", "--n",
-                             "7", "--subgroup", text)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: --subgroup")
+    # a generator that is not a Hall divisor of DN = 238
+    for gens in (("14", "5"), ("0", "17"), ("14", "-14")):
+        argv = ["quotient-genus", "--d", "34", "--n", "7"]
+        for m in gens:
+            argv += ["--m", m]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), gens
+        assert err.startswith("error: ") and "Hall divisor" in err, gens
+    # a generator that is not an integer never reaches the library
+    with pytest.raises(SystemExit) as exc:
+        main(["quotient-genus", "--d", "34", "--n", "7", "--m", "14",
+              "--m", "x"])
+    assert exc.value.code == 1
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_double_dash_value_is_a_usage_error(capsys):
     # argparse reads `--flag=--` as an empty list, not as a value
     for argv in (["genus", "--d=--", "--n=1"],
                  ["quotient-genus", "--d=6", "--n=5", "--m=--"],
-                 ["quotient-genus", "--d=3", "--n=0", "--subgroup=--"],
+                 ["quotient-genus", "--d=3", "--n=0", "--m=5", "--m=--"],
                  ["embed", "--disc=-4", "--d=6", "--n=1", "--exclude-p=--"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -233,11 +286,13 @@ def test_unwritable_out_is_a_domain_error(capsys, tmp_path):
 
 
 def test_embed_rejects_definite_and_composite_exclusions(capsys):
-    # no real quadratic order embeds in a definite algebra
-    code, out, err = run(capsys, "embed", "--disc", "5", "--d", "3",
-                         "--n", "1")
-    assert (code, out) == (1, "")
-    assert "definite" in err
+    # a definite algebra gets no count, only whether the order embeds:
+    # no real quadratic order does
+    code, out, _ = run(capsys, "embed", "--disc", "5", "--d", "3",
+                       "--n", "1")
+    assert (code, out) == (0, "does not embed\n")
+    with pytest.raises(DomainError, match="definite"):
+        embedding_count(QuadOrder(5), 3, 1)
     code, out, err = run(capsys, "embed", "--disc", "-107", "--d", "214",
                          "--n", "1", "--exclude-p", "4")
     assert (code, out) == (1, "")
@@ -248,12 +303,15 @@ _INT = st.integers(min_value=-10 ** 4, max_value=10 ** 4)
 # small values as well, so that valid pairs and Hall divisors come up
 _SMALL = st.integers(min_value=-2, max_value=60) | _INT
 _DISC = st.sampled_from((3, 5, 6, 10, 14, 15, 21, 22, 35, 39)) | _INT
+# the discriminant of an order: conductors up to 10 enter it squared
+_ORDER_DISC = st.builds(lambda disc, f: disc * f * f, _SMALL,
+                        st.integers(min_value=1, max_value=10))
 _FLAGS = {
     "genus": {"--d": _DISC, "--n": _SMALL},
     "fixed-points": {"--d": _DISC, "--n": _SMALL, "--m": _SMALL},
     "quotient-genus": {"--d": _DISC, "--n": _SMALL},
     "class-number": {"--disc": _INT},
-    "embed": {"--disc": _SMALL, "--d": _DISC, "--n": _SMALL},
+    "embed": {"--disc": _ORDER_DISC, "--d": _DISC, "--n": _SMALL},
     "local-points": {"--d": _DISC, "--n": _SMALL, "--m": _SMALL},
 }
 
@@ -269,20 +327,11 @@ def test_cli_fuzz(data):
               for flag, strategy in _FLAGS[command].items()}
     argv = [command] + [f"{flag}={v}" for flag, v in values.items()]
     if command == "quotient-genus":
-        # --m or --subgroup, one of them: both, or neither, is a usage error
-        which = data.draw(st.sampled_from(("--m", "--subgroup")))
-        strategy = (_SMALL if which == "--m"
-                    else st.text("0123456789,x-", max_size=12))
-        value = data.draw(strategy, label=which)
-        argv.append(f"{which}={value}")
+        # one --m or several: the generators of a subgroup
+        gens = data.draw(st.lists(_SMALL, min_size=1, max_size=3), label="--m")
+        argv += [f"--m={m}" for m in gens]
     if command == "embed":
-        # the conductor stays small: it enters the discriminant squared
-        conductor = data.draw(st.integers(min_value=-10, max_value=10))
-        argv.append(f"--conductor={conductor}")
         argv += [f"--exclude-p={p}" for p in data.draw(st.lists(_INT, max_size=2))]
-        definite = data.draw(st.booleans())
-        if definite:
-            argv.append("--definite")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -290,7 +339,7 @@ def test_cli_fuzz(data):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
-    if command == "embed" and not definite and code == 0:
-        assert not is_definite(values["--d"]), argv
-    if command == "embed" and definite and code == 0 and values["--disc"] > 0:
-        assert out.getvalue() == "does not embed\n", argv
+    if command == "embed" and code == 0 and is_definite(values["--d"]):
+        assert out.getvalue() in ("embeds\n", "does not embed\n"), argv
+        if values["--disc"] > 0:
+            assert out.getvalue() == "does not embed\n", argv

@@ -1,5 +1,6 @@
 import pytest
 
+from x0dn.cli import main
 from x0dn.errors import FixtureError
 from x0dn.fixtures import (
     ENV_VAR,
@@ -137,6 +138,27 @@ def test_rank_after_its_rationality_row():
     assert parse_fixtures(text).ranks == {(6, 17, 102): 1}
     with pytest.raises(FixtureError, match="line 1: no RATIONALITY"):
         parse_fixtures("RANK,6,17,102,1,Ribet90")
+
+
+@pytest.mark.parametrize("rank", ["RANK,6,7,7,0,Ribet90",
+                                  "RANK,6,17,102,1,Ribet90"])
+def test_missing_rank_names_its_rationality_line(rank, tmp_path, capsys):
+    # a RATIONALITY record of verdict yes or unknown needs its RANK: the
+    # table would print rank unknown for it
+    text = fixture_text()
+    assert rank + "\n" in text
+    cut = text.replace(rank + "\n", "")
+    key = ",".join(rank.split(",")[1:4])
+    lineno = next(i for i, line in enumerate(cut.splitlines(), start=1)
+                  if line.startswith(f"RATIONALITY,{key},"))
+    with pytest.raises(FixtureError,
+                       match=f"line {lineno}: verdict yes but no RANK"):
+        parse_fixtures(cut)
+    copy = tmp_path / "prior_work.txt"
+    copy.write_text(cut)
+    assert main(["classify", "--kind", "bielliptic", "--fixtures", str(copy)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and f"line {lineno}" in out.err
 
 
 def test_grammar_tags_are_the_bundled_tags():
