@@ -14,18 +14,19 @@ of Hall divisors containing 1.
 
 Fixed points of w_m are CM points by one or two explicit imaginary
 quadratic orders; their number is a class number times local embedding
-factors away from m.  Quotient genera then come out of one
+factors away from m.  The counts of every w_m of a pair are built at
+once, from the factorization of DN, into one table kept for the last
+pair.  Quotient genera then come out of one
 Riemann--Hurwitz over the elements of a subgroup, which must give integers.
 """
 
 from functools import lru_cache
 from itertools import repeat
 
-from .arith import prime_divisors
-from .embeddings import embedding_count
+from .embeddings import local_nu
 from .errors import DomainError, IntegralityError
 from .genus import _hall_index, check_pair, genus
-from .quadorders import QuadOrder, order_from_discriminant
+from .quadorders import QuadOrder, class_number, order_from_discriminant
 
 
 @lru_cache(maxsize=None)
@@ -96,18 +97,56 @@ def fixed_point_orders(m: int) -> tuple[QuadOrder, ...]:
     return (order_from_discriminant(-4 * m),)
 
 
+@lru_cache(maxsize=1, typed=True)
+def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
+    """The number of fixed points of every w_m of a valid pair, indexed
+    by the mask of m (0 at the identity's mask).
+
+    With m = s t^2, s squarefree, read off the factorization of DN, the
+    orders of fixed_point_orders are those of discriminant -4 and -8 for
+    m = 2; -s t^2 and -s (2t)^2 for m = 3 mod 4; otherwise -4m, whose
+    field discriminant is -s with conductor 2t when s = 3 mod 4 and -4s
+    with conductor t when not.  Each order counts h(R) times its local
+    embedding numbers at the primes of DN prime to m.  Callers work
+    through one pair at a time, so only the last pair is kept."""
+    divisor, factors = _hall_index(d, n)[1:]
+    table = [0]
+    for b in range(1, len(divisor)):
+        m, s, t, away = divisor[b], 1, 1, []
+        for i, (p, e) in enumerate(factors):
+            if b >> i & 1:
+                s, t = s * p ** (e % 2), t * p ** (e // 2)
+            else:
+                away.append(p)
+        if m == 2:
+            orders = ((-4, 1), (-8, 1))
+        elif m % 4 == 3:
+            orders = ((-s, t), (-s, 2 * t))
+        elif s % 4 == 3:
+            orders = ((-s, 2 * t),)
+        else:
+            orders = ((-4 * s, t),)
+        count = 0
+        for d0, f in orders:
+            order, h = QuadOrder(d0, f), class_number(d0 * f * f)
+            for p in away:
+                h *= local_nu(order, p, d, n)
+            count += h
+        table.append(count)
+    return tuple(table)
+
+
 @lru_cache(maxsize=128, typed=True)
 def fixed_point_count(d: int, n: int, m: int) -> int:
     """Number of fixed points of w_m on X_0^D(N), for a nontrivial Hall
-    divisor m of DN.  The memo holds the 2^omega(DN) - 1 <= 127 of one
-    pair with omega(DN) <= 7: callers work through one pair at a time, so
-    a stream of curves does not grow it."""
+    divisor m of DN: a lookup in the pair's _fixed_point_table.  The
+    memo holds the 2^omega(DN) - 1 <= 127 of one pair with
+    omega(DN) <= 7: callers work through one pair at a time, so a stream
+    of curves does not grow it."""
     check_pair(d, n, m)
     if m == 1:
         raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
-    skip = prime_divisors(m)
-    return sum(embedding_count(order, d, n, skip=skip)
-               for order in fixed_point_orders(m))
+    return _fixed_point_table(d, n)[_hall_index(d, n)[0][m]]
 
 
 def _riemann_hurwitz(d: int, n: int, ms) -> int:

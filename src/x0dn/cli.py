@@ -8,8 +8,7 @@ import json
 import sys
 
 from .arith import is_prime, is_squarefree
-from .atkinlehner import (fixed_point_count, quotient_genus,
-                          subgroup_quotient_genus)
+from .atkinlehner import fixed_point_count, subgroup_quotient_genus
 from .embeddings import embedding_count, locally_embeds
 from .errors import DomainError, FixtureError, IntegralityError, PipelineError
 from .fixtures import load_fixtures
@@ -110,10 +109,7 @@ def _cmd_fixed_points(args) -> int:
 
 
 def _cmd_quotient_genus(args) -> int:
-    if len(args.m) == 1:
-        print(quotient_genus(args.d, args.n, args.m[0]))
-    else:
-        print(subgroup_quotient_genus(args.d, args.n, args.m))
+    print(subgroup_quotient_genus(args.d, args.n, args.m))
     return 0
 
 

@@ -11,7 +11,7 @@ fatal.
 """
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .errors import DomainError, FixtureError
@@ -34,21 +34,16 @@ FIELDS = {
 _VERDICTS = ("yes", "no", "unknown")
 
 
-@dataclass(frozen=True)
-class RationalityEntry:
-    genus: int
-    rational_points: str  # "yes" / "no" / "unknown"
-    citation: str
+# rational_points: "yes" / "no" / "unknown"
+RationalityEntry = namedtuple("RationalityEntry",
+                              "genus rational_points citation")
 
-
-@dataclass(frozen=True)
-class FixtureSet:
-    hyperelliptic_pairs: frozenset
-    bielliptic_level_one: tuple[int, ...]
-    airr2_level_one: tuple[int, ...]
-    automorphism_overrides: frozenset
-    rationality: dict  # (d, n, m) -> RationalityEntry
-    ranks: dict  # (d, n, m) -> int
+# hyperelliptic_pairs and automorphism_overrides: frozensets of (d, n);
+# bielliptic_level_one and airr2_level_one: ascending tuples of d;
+# rationality: (d, n, m) -> RationalityEntry; ranks: (d, n, m) -> int
+FixtureSet = namedtuple("FixtureSet", (
+    "hyperelliptic_pairs", "bielliptic_level_one", "airr2_level_one",
+    "automorphism_overrides", "rationality", "ranks"))
 
 
 def _fail(lineno: int, line: str, why: str) -> FixtureError:

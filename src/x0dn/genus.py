@@ -6,13 +6,16 @@ involutions w_m by the Hall divisors m of DN.  A level already checked
 costs a lookup.
 
 All arithmetic is over the integers: 12(g - 1) is computed exactly and
-must be divisible by 12, or IntegralityError is raised.
+must be divisible by 12, or IntegralityError is raised.  The local
+factors of the elliptic point counts e_4 and e_3 (the rules for (-4/p)
+and (-3/p) at p | D, p || N and p^2 | N) live in _elliptic_factor, which
+e_k and the pipeline's enumeration sieve share.
 """
 
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, factorize, is_squarefree, kronecker, omega, psi
+from .arith import euler_phi, factorize, is_squarefree, omega, psi
 from .errors import DomainError, IntegralityError
 
 # One curve visits its own level and the definite levels D/p that its
@@ -52,36 +55,50 @@ def check_pair(d: int, n: int, m: int = 1) -> None:
 
 
 @lru_cache(maxsize=1, typed=True)
-def _hall_index(d: int, n: int) -> tuple[dict[int, int], tuple[int, ...]]:
+def _hall_index(d: int, n: int) -> tuple[dict[int, int], tuple[int, ...],
+                                         tuple[tuple[int, int], ...]]:
     """For a valid pair: the mask of each Hall divisor m of DN (bit i is
-    set when the i-th prime power of DN divides m), and the Hall divisor
-    of each mask.  Callers work through one pair at a time, so only the
-    last pair is kept: a stream of curves holds one index, not one each."""
+    set when the i-th prime power of DN divides m), the Hall divisor of
+    each mask, and the factorization of DN whose i-th prime power is bit
+    i.  Callers work through one pair at a time, so only the last pair is
+    kept: a stream of curves holds one index, not one each."""
     check_pair(d, n)
+    factors = factorize(d * n)
     divisor = [1]
-    for p, e in factorize(d * n):
+    for p, e in factors:
         q = p ** e
         divisor += [m * q for m in divisor]
-    return {m: mask for mask, m in enumerate(divisor)}, tuple(divisor)
+    return {m: mask for mask, m in enumerate(divisor)}, tuple(divisor), factors
+
+
+def _elliptic_factor(k: int, p: int, e: int) -> int:
+    """The local factor of e_k at a prime p: 1 - (-k/p) for p | D (pass
+    e = 0), 1 + (-k/p) for p || N (e = 1), and for p^e || N with e >= 2,
+    2 or 0 according to whether (-k/p) = 1.  (-4/p) is 0 at p = 2, else
+    1 or -1 as p = 1 or 3 mod 4; (-3/p) is 0 at p = 3, else 1 or -1 as
+    p = 1 or 2 mod 3."""
+    if k == 4:
+        s = 0 if p == 2 else 1 if p % 4 == 1 else -1
+    else:
+        s = 0 if p == 3 else 1 if p % 3 == 1 else -1
+    if e == 0:
+        return 1 - s
+    if e == 1:
+        return 1 + s
+    return 2 if s == 1 else 0
 
 
 def e_k(d: int, n: int, k: int) -> int:
-    """Number of elliptic points of order 2 (k = 4) or 3 (k = 3).
-
-    Product over p | D of (1 - (-k/p)), over p || N of (1 + (-k/p)), and
-    over p^2 | N of 2 or 0 according to whether (-k/p) = 1.
-    """
+    """Number of elliptic points of order 2 (k = 4) or 3 (k = 3): the
+    product of _elliptic_factor over the primes of D and of N."""
     if k not in (3, 4):
         raise DomainError(f"e_k wants k in (3, 4), got {k}")
     check_pair(d, n)
     out = 1
     for p, _ in factorize(d):
-        out *= 1 - kronecker(-k, p)
+        out *= _elliptic_factor(k, p, 0)
     for p, e in factorize(n):
-        if e == 1:
-            out *= 1 + kronecker(-k, p)
-        else:
-            out *= 2 if kronecker(-k, p) == 1 else 0
+        out *= _elliptic_factor(k, p, e)
     return out
 
 

@@ -16,7 +16,7 @@ The sources overlap and are reported separately; `local_obstructions`
 collects every applicable verdict.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .arith import (
@@ -40,11 +40,9 @@ SOURCE_PADIC = "ogg85"
 SOURCE_PRIME_LEVEL = "clark03"
 
 
-@dataclass(frozen=True)
-class LocalVerdict:
-    place: str  # "real" or a prime written in decimal
-    status: str  # EMPTY / NONEMPTY
-    source: str  # which criterion produced it
+# place: "real" or a prime written in decimal; status: EMPTY / NONEMPTY;
+# source: which criterion produced it
+LocalVerdict = namedtuple("LocalVerdict", "place status source")
 
 
 def real_component_count(d: int, n: int, m: int) -> int:

@@ -10,12 +10,14 @@ whose curve has infinitely many quadratic points.
 
 Everything is exact integer arithmetic, including where the
 enumerations stop: one pair generator runs up to a certified bound on
-DN, proved from an integer lower bound for the genus.
+DN, proved from an integer lower bound for the genus.  It reads each
+pair's 12(g - 1) from one smallest-prime-factor sieve of local data up
+to that bound, and the genus formula confirms every pair it yields.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import (euler_phi, is_prime, is_squarefree, kronecker, omega,
                     prime_divisors, valuation)
@@ -26,9 +28,9 @@ from .atkinlehner import (
     quotient_genus,
     subgroup_quotient_genus,
 )
-from .errors import DomainError, PipelineError
+from .errors import DomainError, IntegralityError, PipelineError
 from .fixtures import FixtureSet
-from .genus import e_k, genus, is_definite
+from .genus import _elliptic_factor, e_k, genus
 
 GENUS_CAP_BIELLIPTIC = 39
 GENUS_CAP_TRIGONAL = 29
@@ -42,25 +44,13 @@ STATUS_NOT_BIELLIPTIC = "not_bielliptic"
 STATUS_NEEDS_MANUAL = "needs_manual"
 
 
-@dataclass(frozen=True)
-class BiellipticVerdict:
-    d: int
-    n: int
-    status: str
-    bielliptic_m_list: tuple[int, ...]
-    reason: str
+BiellipticVerdict = namedtuple("BiellipticVerdict",
+                               "d n status bielliptic_m_list reason")
 
-
-@dataclass(frozen=True)
-class TableRow:
-    d: int
-    n: int
-    m: int
-    genus: int
-    quotient_genus: int
-    rational_points: str  # "yes" / "no" / "unknown"
-    rank: int | None
-    reason: str  # citation tag from the fixture file
+# rational_points: "yes" / "no" / "unknown"; rank: an int or None;
+# reason: the citation tag from the fixture file
+TableRow = namedtuple("TableRow", "d n m genus quotient_genus "
+                                  "rational_points rank reason")
 
 
 def genus_floor(dn: int) -> int:
@@ -106,20 +96,85 @@ def dn_cutoff(gmax: int) -> int:
         cutoff = (budget + 7 * 2 ** w) * prod // phi
 
 
+def _sieve(limit: int) -> tuple[list, ...]:
+    """Local data of every 0 < x <= limit, from one smallest-prime-factor
+    sieve, as seven lists indexed by x: phi(x), psi(x), the Moebius
+    mu(x) (1 exactly when x is squarefree with an even number of primes),
+    then the products of genus._elliptic_factor over the primes of x for
+    k = 4 and k = 3 with x as a discriminant, and for k = 4 and k = 3
+    with x as a level.  With x = p^e r, p the smallest prime of x and r
+    prime to p, every value at x is its value at p^e times its value at
+    r, so no x is factored on its own."""
+    spf = list(range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for k in range(p * p, limit + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    phi, psi, mu = [0, 1], [0, 1], [0, 1]
+    e4d, e3d, e4n, e3n = [0, 1], [0, 1], [0, 1], [0, 1]
+    for x in range(2, limit + 1):
+        p = spf[x]
+        q, r, e = p, x // p, 1
+        while r % p == 0:
+            q, r, e = q * p, r // p, e + 1
+        if r == 1:
+            phi.append(q // p * (p - 1))
+            psi.append(q // p * (p + 1))
+            mu.append(-1 if e == 1 else 0)
+            e4d.append(_elliptic_factor(4, p, 0))
+            e3d.append(_elliptic_factor(3, p, 0))
+            e4n.append(_elliptic_factor(4, p, e))
+            e3n.append(_elliptic_factor(3, p, e))
+        else:
+            phi.append(phi[q] * phi[r])
+            psi.append(psi[q] * psi[r])
+            mu.append(mu[q] * mu[r])
+            e4d.append(e4d[q] * e4d[r])
+            e3d.append(e3d[q] * e3d[r])
+            e4n.append(e4n[q] * e4n[r])
+            e3n.append(e3n[q] * e3n[r])
+    return phi, psi, mu, e4d, e3d, e4n, e3n
+
+
+def _pair_values(tables, discs):
+    """(D, N, 12(g - 1)) for every D in discs and every N prime to D with
+    DN within the tables of _sieve, read as
+    phi(D) psi(N) - 3 e_4 - 4 e_3 with e_k the product of its local
+    factors at D and at N.  A D beyond the tables carries no pair."""
+    phi, psi, _, e4d, e3d, e4n, e3n = tables
+    limit = len(phi) - 1
+    for d in discs:
+        if d > limit:
+            continue
+        f, a4, a3 = phi[d], 3 * e4d[d], 4 * e3d[d]
+        for n in range(1, limit // d + 1):
+            if gcd(d, n) == 1:
+                yield d, n, f * psi[n] - a4 * e4n[n] - a3 * e3n[n]
+
+
 def _pairs(gmax: int, discs=None):
     """Every pair (D, N) of genus at most gmax with D in discs (default:
     every quaternion discriminant).  No pair is missed: DN is at most
-    dn_cutoff(gmax), and a D with genus_floor(D) > gmax carries none."""
+    dn_cutoff(gmax), and a D with genus_floor(D) > gmax carries none.
+
+    The genus of every pair under the cutoff is read from one _sieve
+    over 1..dn_cutoff(gmax); a value of 12(g - 1) off 12 raises
+    IntegralityError, and genus(D, N) confirms every pair yielded."""
     cutoff = dn_cutoff(gmax)
+    tables = _sieve(cutoff)
     if discs is None:
-        discs = (d for d in range(2, cutoff + 1)
-                 if is_squarefree(d) and not is_definite(d))
-    for d in discs:
-        if genus_floor(d) > gmax:
-            continue
-        for n in range(1, cutoff // d + 1):
-            if gcd(d, n) == 1 and genus(d, n) <= gmax:
-                yield d, n
+        discs = (d for d in range(2, cutoff + 1) if tables[2][d] == 1)
+    discs = [d for d in discs if genus_floor(d) <= gmax]
+    for d, n, t in _pair_values(tables, discs):
+        g, rest = divmod(t + 12, 12)
+        if rest:
+            raise IntegralityError(f"genus({d}, {n}) = 1 + {t}/12 is not an integer")
+        if g <= gmax:
+            if genus(d, n) != g:
+                raise PipelineError(f"the sieve reads genus {g} for ({d}, {n}),"
+                                    f" the formula {genus(d, n)}")
+            yield d, n
 
 
 def allowed_discriminants(fixtures: FixtureSet) -> tuple[int, ...]:

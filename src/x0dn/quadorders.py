@@ -15,7 +15,7 @@ parity is checked against the norm of the fundamental unit.  No
 analytic formulas anywhere.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -45,18 +45,17 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class QuadOrder:
+class QuadOrder(namedtuple("QuadOrder", "fundamental_discriminant conductor")):
     """The order of conductor f in the quadratic field of discriminant d0."""
-    fundamental_discriminant: int
-    conductor: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_fundamental_discriminant(self.fundamental_discriminant):
+    def __new__(cls, fundamental_discriminant: int, conductor: int = 1):
+        if not is_fundamental_discriminant(fundamental_discriminant):
             raise DomainError(
-                f"{self.fundamental_discriminant} is not a fundamental discriminant")
-        if self.conductor < 1:
-            raise DomainError(f"conductor must be >= 1, got {self.conductor}")
+                f"{fundamental_discriminant} is not a fundamental discriminant")
+        if conductor < 1:
+            raise DomainError(f"conductor must be >= 1, got {conductor}")
+        return super().__new__(cls, fundamental_discriminant, conductor)
 
     @property
     def discriminant(self) -> int:

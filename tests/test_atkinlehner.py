@@ -4,12 +4,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from x0dn import atkinlehner
-from x0dn.arith import omega
+from x0dn.arith import omega, prime_divisors, squarefree_part
 from x0dn.atkinlehner import (_span, all_subgroups, fixed_point_count,
                               fixed_point_orders, group_elements,
                               quotient_genus, subgroup_quotient_genus)
+from x0dn.embeddings import embedding_count
 from x0dn.errors import DomainError, IntegralityError
+from x0dn.fixtures import load_fixtures
 from x0dn.genus import _hall_index, genus
+from x0dn.pipeline import bielliptic_candidates, trigonal_candidates
 from x0dn.quadorders import class_number
 
 from _oracles import bfs_subgroups
@@ -116,6 +119,40 @@ def test_fixed_point_counts_misc():
     assert quotient_genus(6, 5, 15) == 1
     assert fixed_point_count(6, 23, 46) == 8
     assert quotient_genus(6, 23, 46) == 1
+
+
+def _per_m_count(d, n, m):
+    """Fixed points of w_m summed order by order, as an embedding count
+    away from the primes of m."""
+    skip = prime_divisors(m)
+    return sum(embedding_count(order, d, n, skip=skip)
+               for order in fixed_point_orders(m))
+
+
+# levels with p^2 | N, with m = 3 mod 4 carrying a square part (27, 63,
+# 75, 147, 243), and (210, 2431) with omega(DN) = 7
+TABLE_GRID = [(d, n) for d in (6, 10, 14, 15, 21, 22, 35, 39, 55)
+              for n in (4, 8, 9, 16, 25, 27, 49, 243, 196, 225)
+              if gcd(d, n) == 1] + [(210, 2431), (6, 1225), (2002, 15)]
+
+
+def test_fixed_point_table_matches_per_m_formula():
+    pairs = set(bielliptic_candidates(load_fixtures()))
+    pairs |= set(trigonal_candidates()) | set(TABLE_GRID)
+    seen = set()
+    for d, n in sorted(pairs):
+        for m in group_elements(d, n)[1:]:
+            assert fixed_point_count(d, n, m) == _per_m_count(d, n, m), (d, n, m)
+            s = squarefree_part(m)
+            seen.add(("m = 2" if m == 2 else
+                      "3 mod 4, square part" if m % 4 == 3 and s != m else
+                      "3 mod 4" if m % 4 == 3 else
+                      "s = 3 mod 4" if s % 4 == 3 else "other"))
+        if any(n % (p * p) == 0 for p in prime_divisors(n)):
+            seen.add("p^2 | N")
+        seen.add(f"omega {omega(d * n)}")
+    assert {"m = 2", "3 mod 4, square part", "3 mod 4", "s = 3 mod 4",
+            "other", "p^2 | N", "omega 7"} <= seen
 
 
 def test_214_level_one():

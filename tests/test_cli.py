@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,6 +23,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cold_import_skips_dataclasses():
+    # the records are named tuples: a cold start imports neither
+    # dataclasses nor inspect (-S keeps site-packages out of the count)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import x0dn.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_genus_command(capsys):
@@ -52,10 +64,10 @@ def test_unknown_subcommand(capsys):
 def test_integrality_exit_code(capsys, monkeypatch):
     import x0dn.cli as cli_mod
 
-    def boom(d, n, m):
+    def boom(d, n, gens):
         raise IntegralityError("forced")
 
-    monkeypatch.setattr(cli_mod, "quotient_genus", boom)
+    monkeypatch.setattr(cli_mod, "subgroup_quotient_genus", boom)
     code, _, err = run(capsys, "quotient-genus", "--d", "6", "--n", "5",
                        "--m", "3")
     assert code == 2
@@ -76,6 +88,11 @@ def test_fixed_points_and_quotient_genus(capsys):
     code, out, _ = run(capsys, "quotient-genus", "--d", "34", "--n", "7",
                        "--m", "34", "--m", "34")
     assert (code, out) == (0, "3\n")
+    # the trivial subgroup's quotient is X itself, by either spelling
+    for ones in (["--m", "1"], ["--m", "1", "--m", "1"]):
+        code, out, _ = run(capsys, "quotient-genus", "--d", "34", "--n", "7",
+                           *ones)
+        assert (code, out) == (0, "9\n"), ones
 
 
 def test_quotient_genus_wants_m_or_subgroup(capsys):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import fraction_genus
+from x0dn.arith import is_prime, kronecker
 from x0dn.errors import DomainError
-from x0dn.genus import check_algebra, check_pair, e_k, genus
+from x0dn.genus import _elliptic_factor, check_algebra, check_pair, e_k, genus
 
 # Discriminant/level pairs of genus 0 and of genus 1 (complete lists).
 GENUS_ZERO = {(6, 1), (10, 1), (22, 1)}
@@ -50,6 +51,16 @@ def test_elliptic_point_counts():
     # p^2 || N doubles or kills: 5 splits in Q(i), is inert in Q(sqrt(-3))
     assert e_k(6, 25, 4) == e_k(6, 1, 4) * 2
     assert e_k(6, 25, 3) == 0
+
+
+def test_elliptic_factor_against_kronecker():
+    # the residue rules for (-4/p) and (-3/p) agree with the Kronecker
+    # symbol at every prime below 3,000, at D and at N to every exponent
+    for p in filter(is_prime, range(3000)):
+        for k in (3, 4):
+            s = kronecker(-k, p)
+            assert [_elliptic_factor(k, p, e) for e in range(4)] == [
+                1 - s, 1 + s, 2 * (s == 1), 2 * (s == 1)], (k, p)
 
 
 def test_rejects_bad_pairs():

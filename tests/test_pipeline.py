@@ -3,13 +3,14 @@ from math import gcd
 
 import pytest
 
-from x0dn.arith import is_squarefree, omega
+from x0dn.arith import euler_phi, is_squarefree, omega, psi
 from x0dn.atkinlehner import fixed_point_count, group_elements
 from x0dn.errors import DomainError
 from x0dn.fixtures import load_fixtures
 from x0dn.genus import genus
 from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, GENUS_CAP_BIELLIPTIC, UNKNOWN,
-                           _pairs, airr2_report, allowed_discriminants,
+                           _pair_values, _pairs, _sieve, airr2_report,
+                           allowed_discriminants,
                            automorphism_exception_pairs, automorphism_status,
                            bielliptic_candidates, bkx_degree_screen,
                            classify_bielliptic, classify_trigonal, cs_bound,
@@ -88,6 +89,17 @@ def test_genus_floor_bounds_genus(small_pairs):
 
 
 def test_enumerators_match_brute_force(small_pairs, fixtures):
+    # the sieve's 12(g - 1) is the genus formula's on every pair with DN
+    # up to four times the largest cutoff, far above every cap
+    limit = 4 * dn_cutoff(39)
+    tables = _sieve(limit)
+    phi, psi_of, mu = tables[:3]
+    assert all((phi[x], psi_of[x], mu[x]) == (euler_phi(x), psi(x),
+                                              is_squarefree(x) * (-1) ** omega(x))
+               for x in range(1, limit + 1))
+    discs = sorted({d for d, _ in small_pairs})
+    values = {(d, n): t for d, n, t in _pair_values(tables, discs)}
+    assert values == {p: 12 * (g - 1) for p, g in small_pairs.items()}
     allowed = set(allowed_discriminants(fixtures))
     assert trigonal_candidates() == sorted(
         p for p, g in small_pairs.items() if g <= 29)
