@@ -94,15 +94,29 @@ def is_prime(n: int) -> bool:
 
 
 def valuation(n: int, p: int) -> int:
-    """ord_p(n) for n != 0."""
+    """ord_p(n) for n != 0 and p >= 2."""
     if n == 0:
         raise DomainError("valuation(0, p)")
+    if p < 2:
+        raise DomainError(f"valuation wants p >= 2, got {p}")
     n = abs(n)
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """The smallest prime factor of every 2 <= x <= limit, as a list
+    indexed by x (0 and 1 map to themselves), from one sieve."""
+    spf = list(range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for k in range(p * p, limit + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    return spf
 
 
 def divisors(n: int) -> tuple[int, ...]:

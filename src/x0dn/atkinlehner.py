@@ -6,9 +6,9 @@ form an elementary abelian 2-group of rank omega(DN), that is F_2^omega.
 Inside this module a Hall divisor is a bitmask over the prime-power
 factors q_0 < q_1 < ... of DN (bit i is set when q_i divides m), so the
 twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  The index
-of masks and Hall divisors belongs to `genus`, which validates the pair
-once and keeps the index while the pair is in use.  Subgroups are spans
-of reduced echelon bases over F_2, each built once.  The public API
+of masks and Hall divisors belongs to `genus`, whose index is the one
+validator of a pair and is kept while the pair is in use.  Subgroups are
+spans of reduced echelon bases over F_2, each built once.  The public API
 stays in Hall divisors: elements are ints and subgroups are frozensets
 of Hall divisors containing 1.
 
@@ -16,17 +16,17 @@ Fixed points of w_m are CM points by one or two explicit imaginary
 quadratic orders; their number is a class number times local embedding
 factors away from m.  The counts of every w_m of a pair are built at
 once, from the factorization of DN, into one table kept for the last
-pair.  Quotient genera then come out of one
-Riemann--Hurwitz over the elements of a subgroup, which must give integers.
+pair, which is the only copy of the rule that names the orders.
+Quotient genera then come out of one Riemann--Hurwitz that sums the
+table over the masks of a subgroup, and must give integers.
 """
 
 from functools import lru_cache
-from itertools import repeat
 
 from .embeddings import local_nu
 from .errors import DomainError, IntegralityError
 from .genus import _hall_index, check_pair, genus
-from .quadorders import QuadOrder, class_number, order_from_discriminant
+from .quadorders import QuadOrder, class_number
 
 
 @lru_cache(maxsize=None)
@@ -83,32 +83,23 @@ def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, subs))
 
 
-def fixed_point_orders(m: int) -> tuple[QuadOrder, ...]:
-    """The imaginary quadratic orders whose CM points are the fixed
-    points of w_m: both orders of Q(i) and Q(sqrt(-2)) for m = 2, the
-    orders of discriminant -m and -4m for m = 3 mod 4, and only
-    Z[sqrt(-m)] otherwise."""
-    if m < 2:
-        raise DomainError(f"fixed_point_orders wants m >= 2, got {m}")
-    if m == 2:
-        return (QuadOrder(-4), QuadOrder(-8))
-    if m % 4 == 3:
-        return (order_from_discriminant(-m), order_from_discriminant(-4 * m))
-    return (order_from_discriminant(-4 * m),)
-
-
 @lru_cache(maxsize=1, typed=True)
 def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     """The number of fixed points of every w_m of a valid pair, indexed
     by the mask of m (0 at the identity's mask).
 
-    With m = s t^2, s squarefree, read off the factorization of DN, the
-    orders of fixed_point_orders are those of discriminant -4 and -8 for
-    m = 2; -s t^2 and -s (2t)^2 for m = 3 mod 4; otherwise -4m, whose
-    field discriminant is -s with conductor 2t when s = 3 mod 4 and -4s
-    with conductor t when not.  Each order counts h(R) times its local
-    embedding numbers at the primes of DN prime to m.  Callers work
-    through one pair at a time, so only the last pair is kept."""
+    The fixed points of w_m are CM points by imaginary quadratic orders:
+    both orders of Q(i) and Q(sqrt(-2)) for m = 2, the orders of
+    discriminant -m and -4m for m = 3 mod 4, and only Z[sqrt(-m)]
+    otherwise.  With m = s t^2, s squarefree, read off the factorization
+    of DN, these are the orders of discriminant -4 and -8 for m = 2;
+    -s t^2 and -s (2t)^2 for m = 3 mod 4; otherwise -4m, whose field
+    discriminant is -s with conductor 2t when s = 3 mod 4 and -4s with
+    conductor t when not.  These field discriminants are fundamental by
+    construction, so the orders are built unchecked.  Each order counts
+    h(R) times its local embedding numbers at the primes of DN prime to
+    m.  Callers work through one pair at a time, so only the last pair is
+    kept."""
     divisor, factors = _hall_index(d, n)[1:]
     table = [0]
     for b in range(1, len(divisor)):
@@ -128,12 +119,20 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
             orders = ((-4 * s, t),)
         count = 0
         for d0, f in orders:
-            order, h = QuadOrder(d0, f), class_number(d0 * f * f)
+            order, h = QuadOrder._make((d0, f)), class_number(d0 * f * f)
             for p in away:
                 h *= local_nu(order, p, d, n)
             count += h
         table.append(count)
     return tuple(table)
+
+
+def _involution(d: int, n: int, m: int) -> int:
+    """The mask of m, checked to be a nontrivial Hall divisor of DN."""
+    check_pair(d, n, m)
+    if m == 1:
+        raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
+    return _hall_index(d, n)[0][m]
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -143,32 +142,32 @@ def fixed_point_count(d: int, n: int, m: int) -> int:
     memo holds the 2^omega(DN) - 1 <= 127 of one pair with
     omega(DN) <= 7: callers work through one pair at a time, so a stream
     of curves does not grow it."""
-    check_pair(d, n, m)
-    if m == 1:
-        raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
-    return _fixed_point_table(d, n)[_hall_index(d, n)[0][m]]
+    return _fixed_point_table(d, n)[_involution(d, n, m)]
 
 
-def _riemann_hurwitz(d: int, n: int, ms) -> int:
-    """Genus g_H of the quotient of X_0^D(N) by the subgroup H of 1 and
-    the Hall divisors ms: every w_m is an involution, so all ramification
-    is tame of order 2 and 2g - 2 = |H| (2 g_H - 2) + sum of #fixed(w_m)."""
-    num = 2 * genus(d, n) - 2 - sum(map(fixed_point_count, repeat(d), repeat(n), ms))
-    out, rest = divmod(num, 2 * len(ms) + 2)
+def _riemann_hurwitz(d: int, n: int, span) -> int:
+    """Genus g_H of the quotient of X_0^D(N) by the subgroup H whose
+    masks are span (0 included): every w_m is an involution, so all
+    ramification is tame of order 2 and
+    2g - 2 = |H| (2 g_H - 2) + sum of #fixed(w_m) over the table."""
+    table = _fixed_point_table(d, n)
+    num = 2 * genus(d, n) - 2 - sum(map(table.__getitem__, span))
+    out, rest = divmod(num, 2 * len(span))
     if rest or out < -1:
+        divisor = _hall_index(d, n)[1]
+        subgroup = sorted(divisor[x] for x in span)
         raise IntegralityError(
-            f"quotient genus of ({d}, {n}) by {[1, *sorted(ms)]}"
-            f": {num}/{2 * len(ms) + 2} + 1 is not a nonnegative integer")
+            f"quotient genus of ({d}, {n}) by {subgroup}"
+            f": {num}/{2 * len(span)} + 1 is not a nonnegative integer")
     return out + 1
 
 
 def quotient_genus(d: int, n: int, m: int) -> int:
     """Genus of X_0^D(N)/<w_m>: (2g + 2 - #fixed)/4."""
-    return _riemann_hurwitz(d, n, (m,))
+    return _riemann_hurwitz(d, n, (0, _involution(d, n, m)))
 
 
 def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     """Genus of the quotient of X_0^D(N) by the subgroup generated by
     the given involutions."""
-    divisor = _hall_index(d, n)[1]
-    return _riemann_hurwitz(d, n, [divisor[x] for x in _span(gens, d, n) if x])
+    return _riemann_hurwitz(d, n, _span(gens, d, n))

@@ -18,6 +18,7 @@ from .pipeline import (airr2_report, bielliptic_candidates, classify_bielliptic,
                        classify_trigonal, trigonal_candidates)
 from .quadorders import class_number, order_from_discriminant
 
+# pipeline.TableRow's fields in order, so a table row is its own cells
 BIELLIPTIC_HEADER = ("D", "N", "m", "genus", "quotient_genus",
                      "rational_points", "rank", "reason")
 TRIGONAL_HEADER = ("D", "N", "genus")
@@ -43,12 +44,6 @@ def _csv_cell(value) -> str:
     if value is None:
         return "unknown"
     return str(value)
-
-
-def _bielliptic_cells(rows):
-    for r in rows:
-        yield (r.d, r.n, r.m, r.genus, r.quotient_genus, r.rational_points,
-               r.rank, r.reason)
 
 
 def _trigonal_cells(pairs):
@@ -155,7 +150,7 @@ def _cmd_classify(args) -> int:
     fx = load_fixtures(args.fixtures)
     if args.kind == "bielliptic":
         _, rows = classify_bielliptic(fx)
-        text = _EMITTERS[args.format](BIELLIPTIC_HEADER, _bielliptic_cells(rows))
+        text = _EMITTERS[args.format](BIELLIPTIC_HEADER, rows)
     else:
         pairs = classify_trigonal(fx)
         text = _EMITTERS[args.format](TRIGONAL_HEADER, _trigonal_cells(pairs))

@@ -104,7 +104,6 @@ def element_embeds(radicand: int, d: int, n: int) -> bool:
         raise DomainError("element_embeds wants a nonzero radicand")
     if radicand > 0 and isqrt(radicand) ** 2 == radicand:
         raise DomainError(f"radicand {radicand} is a perfect square")
-    base = order_from_discriminant(4 * radicand)
-    return any(
-        locally_embeds(QuadOrder(base.fundamental_discriminant, f), d, n)
-        for f in divisors(base.conductor))
+    d0, conductor = order_from_discriminant(4 * radicand)
+    return any(locally_embeds(QuadOrder._make((d0, f)), d, n)
+               for f in divisors(conductor))

@@ -17,7 +17,6 @@ from importlib import resources
 from .errors import DomainError, FixtureError
 from .genus import check_pair
 
-ENV_VAR = "X0DN_FIXTURES"
 DATA_NAME = "prior_work.txt"
 
 # The record grammar: the fields of each tag between tag and citation.
@@ -115,22 +114,17 @@ def parse_fixtures(text: str) -> FixtureSet:
 
 
 def fixture_text(path: str | None = None) -> str:
-    """Resolve and read the fixture file.
-
-    Resolution order: explicit path argument (a file, or a directory
-    containing prior_work.txt), then the X0DN_FIXTURES environment
-    variable interpreted the same way, then the packaged copy.
-    """
-    candidate = path if path is not None else os.environ.get(ENV_VAR)
-    if candidate is not None:
-        if os.path.isdir(candidate):
-            candidate = os.path.join(candidate, DATA_NAME)
-        try:
-            with open(candidate, encoding="utf-8") as handle:
-                return handle.read()
-        except OSError as exc:
-            raise FixtureError(f"cannot read fixture file {candidate}: {exc}") from None
-    return resources.files("x0dn").joinpath(f"data/{DATA_NAME}").read_text("utf-8")
+    """Read the fixture file: the given path (a file, or a directory
+    containing prior_work.txt), or else the packaged copy."""
+    if path is None:
+        return resources.files("x0dn").joinpath(f"data/{DATA_NAME}").read_text("utf-8")
+    if os.path.isdir(path):
+        path = os.path.join(path, DATA_NAME)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise FixtureError(f"cannot read fixture file {path}: {exc}") from None
 
 
 def load_fixtures(path: str | None = None) -> FixtureSet:

@@ -2,7 +2,9 @@
 of level N in the indefinite rational quaternion algebra of discriminant
 D.  This module owns the level: the validity of (D, N), the parity that
 makes an algebra definite, and the index of the Atkin--Lehner
-involutions w_m by the Hall divisors m of DN.  A level already checked
+involutions w_m by the Hall divisors m of DN.  The index is the one
+validator of a pair: it checks the pair once, on a miss, and check_pair,
+e_k and the Atkin--Lehner module read it, so a level already checked
 costs a lookup.
 
 All arithmetic is over the integers: 12(g - 1) is computed exactly and
@@ -45,24 +47,27 @@ def is_definite(d: int) -> bool:
 def check_pair(d: int, n: int, m: int = 1) -> None:
     """A valid pair: D > 1 squarefree with an even number of prime
     factors (so the algebra is indefinite), N >= 1 prime to D; and m a
-    Hall divisor of DN, the index of an Atkin--Lehner involution."""
-    check_algebra(d, n)
-    if is_definite(d):
-        raise DomainError(
-            f"D = {d} has an odd number of prime factors (definite algebra)")
-    if type(m) is not int or m != 1 and m not in _hall_index(d, n)[0]:
+    Hall divisor of DN, the index of an Atkin--Lehner involution.  The
+    pair is validated by _hall_index, so a pair in use costs a lookup."""
+    mask_of = _hall_index(d, n)[0]
+    if type(m) is not int or m not in mask_of:
         raise DomainError(f"m = {m!r} is not a Hall divisor of DN = {d * n}")
 
 
 @lru_cache(maxsize=1, typed=True)
 def _hall_index(d: int, n: int) -> tuple[dict[int, int], tuple[int, ...],
                                          tuple[tuple[int, int], ...]]:
-    """For a valid pair: the mask of each Hall divisor m of DN (bit i is
-    set when the i-th prime power of DN divides m), the Hall divisor of
-    each mask, and the factorization of DN whose i-th prime power is bit
-    i.  Callers work through one pair at a time, so only the last pair is
-    kept: a stream of curves holds one index, not one each."""
-    check_pair(d, n)
+    """The one validator of a pair: DomainError unless (D, N) passes
+    check_algebra and D has an even number of primes.  For a valid pair:
+    the mask of each Hall divisor m of DN (bit i is set when the i-th
+    prime power of DN divides m), the Hall divisor of each mask, and the
+    factorization of DN whose i-th prime power is bit i.  Callers work
+    through one pair at a time, so only the last pair is kept: a stream
+    of curves holds one index, not one each."""
+    check_algebra(d, n)
+    if is_definite(d):
+        raise DomainError(
+            f"D = {d} has an odd number of prime factors (definite algebra)")
     factors = factorize(d * n)
     divisor = [1]
     for p, e in factors:
@@ -90,15 +95,13 @@ def _elliptic_factor(k: int, p: int, e: int) -> int:
 
 def e_k(d: int, n: int, k: int) -> int:
     """Number of elliptic points of order 2 (k = 4) or 3 (k = 3): the
-    product of _elliptic_factor over the primes of D and of N."""
+    product of _elliptic_factor over the primes of D and of N, read off
+    the factorization of DN that the pair's index holds."""
     if k not in (3, 4):
         raise DomainError(f"e_k wants k in (3, 4), got {k}")
-    check_pair(d, n)
     out = 1
-    for p, _ in factorize(d):
-        out *= _elliptic_factor(k, p, 0)
-    for p, e in factorize(n):
-        out *= _elliptic_factor(k, p, e)
+    for p, e in _hall_index(d, n)[2]:
+        out *= _elliptic_factor(k, p, 0 if d % p == 0 else e)
     return out
 
 

@@ -45,6 +45,11 @@ SOURCE_PRIME_LEVEL = "clark03"
 LocalVerdict = namedtuple("LocalVerdict", "place status source")
 
 
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise DomainError(f"p = {p!r} is not a prime")
+
+
 def real_component_count(d: int, n: int, m: int) -> int:
     """Number of connected components of the real locus of X_0^D(N)/<w_m>.
 
@@ -89,6 +94,7 @@ def qp_curve_points(d: int, n: int, p: int) -> str:
     level N in the algebra, or p = 1 mod 4, N = 1 and D = 2p.
     """
     check_pair(d, n)
+    _check_prime(p)
     if d % p != 0:
         return NOT_APPLICABLE
     if p == 2 and element_embeds(-1, d, n):
@@ -108,6 +114,7 @@ def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     algebra itself.
     """
     check_pair(d, n, m)
+    _check_prime(p)
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
     if d % p != 0:
@@ -167,6 +174,7 @@ def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
     the quotient has Q_p-points iff N is not inert in Q(sqrt(-q)).
     """
     check_pair(d, n, m)
+    _check_prime(p)
     if omega(d) != 2 or m != d or not is_prime(n) or d % p != 0:
         return NOT_APPLICABLE
     q = d // p

@@ -17,10 +17,10 @@ to that bound, and the genus formula confirms every pair it yields.
 
 from collections import namedtuple
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 
 from .arith import (euler_phi, is_prime, is_squarefree, kronecker, omega,
-                    prime_divisors, valuation)
+                    prime_divisors, smallest_prime_factors, valuation)
 from .atkinlehner import (
     all_subgroups,
     fixed_point_count,
@@ -105,12 +105,7 @@ def _sieve(limit: int) -> tuple[list, ...]:
     with x as a level.  With x = p^e r, p the smallest prime of x and r
     prime to p, every value at x is its value at p^e times its value at
     r, so no x is factored on its own."""
-    spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for k in range(p * p, limit + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
+    spf = smallest_prime_factors(limit)
     phi, psi, mu = [0, 1], [0, 1], [0, 1]
     e4d, e3d, e4n, e3n = [0, 1], [0, 1], [0, 1], [0, 1]
     for x in range(2, limit + 1):

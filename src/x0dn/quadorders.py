@@ -19,7 +19,8 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import is_squarefree, pell_minus_solvable, squarefree_part
+from .arith import (is_squarefree, pell_minus_solvable, smallest_prime_factors,
+                    squarefree_part)
 from .errors import DomainError
 
 
@@ -46,7 +47,9 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 
 class QuadOrder(namedtuple("QuadOrder", "fundamental_discriminant conductor")):
-    """The order of conductor f in the quadratic field of discriminant d0."""
+    """The order of conductor f in the quadratic field of discriminant d0.
+    The constructor checks both; orders valid by construction are built
+    with QuadOrder._make, which does not."""
     __slots__ = ()
 
     def __new__(cls, fundamental_discriminant: int, conductor: int = 1):
@@ -68,15 +71,15 @@ class QuadOrder(namedtuple("QuadOrder", "fundamental_discriminant conductor")):
 
 
 def order_from_discriminant(disc: int) -> QuadOrder:
-    """Split disc as d0 * f^2 with d0 fundamental."""
+    """Split disc as d0 * f^2 with d0 fundamental.  With disc = s t^2, s
+    squarefree: for s = 1 mod 4, d0 = s; otherwise t is even (an odd t
+    would give disc = s = 2, 3 mod 4) and d0 = 4s.  Either way disc / d0
+    is a square and d0 is fundamental, so the order is built unchecked."""
     if not is_discriminant(disc):
         raise DomainError(f"{disc} is not a quadratic discriminant")
     s = squarefree_part(disc)
     d0 = s if s % 4 == 1 else 4 * s
-    f = isqrt(disc // d0)
-    if d0 * f * f != disc:
-        raise DomainError(f"cannot split {disc} as fundamental * square")
-    return QuadOrder(d0, f)
+    return QuadOrder._make((d0, isqrt(disc // d0)))
 
 
 def _imaginary_form_count(disc: int) -> int:
@@ -158,12 +161,7 @@ def _root_table(disc: int, amax: int) -> list[list[int]]:
     the entry is the CRT of the entry at r reduced mod r with the
     roots mod 2^(e+1) of disc mod 2^(e+2).  Prime-power roots are
     computed once per p^e, so no a is factored on its own."""
-    spf = list(range(amax + 1))
-    for p in range(2, isqrt(amax) + 1):
-        if spf[p] == p:
-            for k in range(p * p, amax + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
+    spf = smallest_prime_factors(amax)
     table = [[], [disc % 2]][:amax + 1]
     local = {}
     for a in range(2, amax + 1):

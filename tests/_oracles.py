@@ -248,6 +248,20 @@ def cycle_class_number(disc: int) -> int:
     return h_plus
 
 
+def fixed_point_orders(m: int):
+    """The imaginary quadratic orders whose CM points are the fixed
+    points of w_m: both orders of Q(i) and Q(sqrt(-2)) for m = 2, the
+    orders of discriminant -m and -4m for m = 3 mod 4, and only
+    Z[sqrt(-m)] otherwise.  The reference for the program's fixed-point
+    table, which reads the same orders off the factorization of DN."""
+    from x0dn.errors import DomainError
+    from x0dn.quadorders import order_from_discriminant
+    if m < 2:
+        raise DomainError(f"fixed_point_orders wants m >= 2, got {m}")
+    discs = (-4, -8) if m == 2 else (-m, -4 * m) if m % 4 == 3 else (-4 * m,)
+    return tuple(map(order_from_discriminant, discs))
+
+
 def _prime_powers(n: int) -> list[tuple[int, int]]:
     """(p, e) with p^e || n, by trial division over every integer."""
     out = []

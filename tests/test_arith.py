@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
                         is_squarefree, kronecker, omega,
                         pell_minus_solvable, pell_pm2_solvable, psi, psi_p,
-                        squarefree_part)
+                        smallest_prime_factors, squarefree_part)
 from x0dn.errors import DomainError
 from x0dn.genus import check_pair
 
@@ -36,6 +36,14 @@ def test_factorize_reconstructs(n):
     for p, e in factorize(n):
         prod *= p ** e
     assert prod == n
+
+
+def test_smallest_prime_factors():
+    assert smallest_prime_factors(0) == [0]
+    assert smallest_prime_factors(1) == [0, 1]
+    spf = smallest_prime_factors(3000)
+    assert spf[:2] == [0, 1]
+    assert all(spf[x] == factorize(x)[0][0] for x in range(2, 3001))
 
 
 def test_squarefree():

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from x0dn import atkinlehner
 from x0dn.arith import omega, prime_divisors, squarefree_part
 from x0dn.atkinlehner import (_span, all_subgroups, fixed_point_count,
-                              fixed_point_orders, group_elements,
-                              quotient_genus, subgroup_quotient_genus)
+                              group_elements, quotient_genus,
+                              subgroup_quotient_genus)
 from x0dn.embeddings import embedding_count
 from x0dn.errors import DomainError, IntegralityError
 from x0dn.fixtures import load_fixtures
@@ -15,7 +16,7 @@ from x0dn.genus import _hall_index, genus
 from x0dn.pipeline import bielliptic_candidates, trigonal_candidates
 from x0dn.quadorders import class_number
 
-from _oracles import bfs_subgroups
+from _oracles import bfs_subgroups, fixed_point_orders
 
 
 def _generated(gens, d, n):
@@ -205,9 +206,12 @@ def test_single_involution_consistency():
 ])
 def test_riemann_hurwitz_rejects(monkeypatch, fix, gens):
     # g(26, 1) = 2 and the true counts are 2, 2, 6 (test_26_level_one):
-    # a wrong count trips one of the two integrality checks
-    monkeypatch.setattr(atkinlehner, "fixed_point_count", lambda d, n, m: fix)
-    with pytest.raises(IntegralityError):
+    # a wrong count trips one of the two integrality checks, and the
+    # error names the subgroup by its Hall divisors
+    monkeypatch.setattr(atkinlehner, "_fixed_point_table",
+                        lambda d, n: (0, fix, fix, fix))
+    subgroup = [1, 26] if len(gens) == 1 else [1, 2, 13, 26]
+    with pytest.raises(IntegralityError, match=re.escape(f"by {subgroup}:")):
         if len(gens) == 1:
             quotient_genus(26, 1, gens[0])
         else:

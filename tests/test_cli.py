@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from x0dn.cli import main
+from x0dn.cli import BIELLIPTIC_HEADER, main
 from x0dn.embeddings import embedding_count
 from x0dn.errors import DomainError, IntegralityError
 from x0dn.genus import is_definite
+from x0dn.pipeline import TableRow
 from x0dn.quadorders import QuadOrder
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -203,6 +204,11 @@ def test_airr2_command(capsys):
     assert code == 0
     assert len(out.splitlines()) == 73
     assert "6 17\n" in out
+
+
+def test_bielliptic_header_is_table_row():
+    # the emitters print each TableRow as its own cells, in field order
+    assert tuple(h.lower() for h in BIELLIPTIC_HEADER) == TableRow._fields
 
 
 @pytest.mark.parametrize("name, argv", [

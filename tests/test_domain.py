@@ -6,13 +6,15 @@ calls its input invalid, and a valid input raises nothing."""
 import pytest
 
 from _oracles import valid_algebra, valid_index, valid_pair
-from x0dn.arith import factorize
+from x0dn.arith import factorize, valuation
 from x0dn.atkinlehner import (fixed_point_count, group_elements,
                               quotient_genus)
 from x0dn.embeddings import element_embeds, embedding_count, locally_embeds
 from x0dn.errors import DomainError
 from x0dn.genus import _hall_index, check_algebra, check_pair, e_k, genus
-from x0dn.localpoints import local_obstructions, real_component_count
+from x0dn.localpoints import (local_obstructions, prime_level_quotient_points,
+                              qp_curve_points, qp_quotient_points,
+                              real_component_count)
 from x0dn.quadorders import QuadOrder, class_number
 
 D_RANGE = range(-3, 50)
@@ -20,6 +22,14 @@ N_RANGE = range(-2, 14)
 M_VALUES = (-6, 0, 1, 2, 3, 4, 5, 6, 7, 10, 14, 15, 30)
 ORDERS = (QuadOrder(-4), QuadOrder(-3), QuadOrder(-20), QuadOrder(5))
 RADICANDS = (-3, -1, 0, 2, 4)
+# the p axis: a place p, over a small sample of levels and indices
+P_VALUES = (-3, -1, 0, 1, 2, 3, 4, 5, 6, 7)
+P_PAIRS = [(d, n) for d in (0, 6, 10, 15, 30) for n in (0, 1, 7)]
+P_M_VALUES = (1, 2, 6, 7, 14)
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % k for k in range(2, p))
 
 
 def _raises(call, *args) -> bool:
@@ -51,6 +61,15 @@ def _grid():
                 for call in (fixed_point_count, quotient_genus,
                              local_obstructions):
                     yield call, (d, n, m), index and m != 1
+    for d, n in P_PAIRS:
+        for p in P_VALUES:
+            prime = _is_prime(p)
+            yield valuation, (d, p), d != 0 and p >= 2
+            yield qp_curve_points, (d, n, p), valid_pair(d, n) and prime
+            for m in P_M_VALUES:
+                index = valid_index(d, n, m)
+                yield qp_quotient_points, (d, n, m, p), index and m != 1 and prime
+                yield prime_level_quotient_points, (d, n, m, p), index and prime
 
 
 def test_boundary_grid():
@@ -58,8 +77,9 @@ def test_boundary_grid():
     for call, args, valid in _grid():
         assert _raises(call, *args) != valid, (call.__name__, args)
         calls += 1
-    assert calls == 53 * 16 * (2 + 3 + 2 * len(ORDERS) + len(RADICANDS)
-                               + 5 * len(M_VALUES))
+    assert calls == (53 * 16 * (2 + 3 + 2 * len(ORDERS) + len(RADICANDS)
+                                + 5 * len(M_VALUES))
+                     + len(P_PAIRS) * len(P_VALUES) * (2 + 2 * len(P_M_VALUES)))
 
 
 # (function, int arguments, the same values with a float or a bool)

@@ -3,7 +3,6 @@ import pytest
 from x0dn.cli import main
 from x0dn.errors import FixtureError
 from x0dn.fixtures import (
-    ENV_VAR,
     FIELDS,
     FixtureSet,
     RationalityEntry,
@@ -188,23 +187,17 @@ def test_bad_discriminant_names_its_line():
         parse_fixtures(text)
 
 
-def test_path_and_env_override(tmp_path, monkeypatch):
+def test_path_override(tmp_path):
     small = tmp_path / "prior_work.txt"
     small.write_text("BIELLIPTIC_L1,65,Rotger02\n")
     assert parse_fixtures(fixture_text(str(small))).bielliptic_level_one == (65,)
     # a directory gets the standard file name appended
     assert parse_fixtures(fixture_text(str(tmp_path))).bielliptic_level_one == (65,)
-    monkeypatch.setenv(ENV_VAR, str(small))
-    assert parse_fixtures(fixture_text()).bielliptic_level_one == (65,)
-    monkeypatch.setenv(ENV_VAR, str(tmp_path / "absent.txt"))
     with pytest.raises(FixtureError, match="cannot read"):
-        fixture_text()
+        fixture_text(str(tmp_path / "absent.txt"))
 
 
-def test_packaged_copy_loads_without_env(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_packaged_copy_loads_without_env(tmp_path, monkeypatch):
+    # no environment variable names a fixture file: only a path does
+    monkeypatch.setenv("X0DN_FIXTURES", str(tmp_path / "absent.txt"))
     assert load_fixtures().bielliptic_level_one[0] == 57
-
-
-def test_env_var_name():
-    assert ENV_VAR == "X0DN_FIXTURES"

@@ -48,6 +48,16 @@ def test_order_splitting():
         QuadOrder(-28)
 
 
+def test_unchecked_splits_pass_the_checks():
+    # order_from_discriminant builds its orders unchecked: each must be
+    # one the checking constructor accepts, with the discriminant asked for
+    for disc in range(-3000, 3000):
+        if is_discriminant(disc):
+            order = order_from_discriminant(disc)
+            assert QuadOrder(*order) == order, disc
+            assert order.discriminant == disc, disc
+
+
 # anchors: classical values, the kind every table of imaginary quadratic
 # class numbers lists
 IMAGINARY_ANCHORS = {
