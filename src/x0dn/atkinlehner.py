@@ -98,8 +98,8 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     conductor t when not.  These field discriminants are fundamental by
     construction, so the orders are built unchecked.  Each order counts
     h(R) times its local embedding numbers at the primes of DN prime to
-    m.  Callers work through one pair at a time, so only the last pair is
-    kept."""
+    m, and h(R) is asked only when their product is nonzero.  Callers
+    work through one pair at a time, so only the last pair is kept."""
     divisor, factors = _hall_index(d, n)[1:]
     table = [0]
     for b in range(1, len(divisor)):
@@ -119,10 +119,11 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
             orders = ((-4 * s, t),)
         count = 0
         for d0, f in orders:
-            order, h = QuadOrder._make((d0, f)), class_number(d0 * f * f)
+            order, nu = QuadOrder._make((d0, f)), 1
             for p in away:
-                h *= local_nu(order, p, d, n)
-            count += h
+                nu *= local_nu(order, p, d, n)
+            if nu:
+                count += nu * class_number(d0 * f * f)
         table.append(count)
     return tuple(table)
 

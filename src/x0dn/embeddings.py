@@ -61,7 +61,9 @@ def local_nu(order: QuadOrder, p: int, d: int, n: int) -> int:
 
 def embedding_count(order: QuadOrder, d: int, n: int,
                     skip: tuple[int, ...] = ()) -> int:
-    """h(R) * prod of local numbers over p | dn with p not in skip.
+    """h(R) * prod of local numbers over p | dn with p not in skip; the
+    local numbers come first, and h(R) is asked only when their product
+    is nonzero.
 
     A global count only for indefinite d (one conjugacy class of Eichler
     orders), so a definite d is rejected; the skip argument drops the
@@ -69,12 +71,11 @@ def embedding_count(order: QuadOrder, d: int, n: int,
     counts arise.
     """
     check_pair(d, n)
-    out = class_number(order.discriminant)
+    out = 1
     for p in prime_divisors(d * n):
-        if p in skip:
-            continue
-        out *= local_nu(order, p, d, n)
-    return out
+        if p not in skip:
+            out *= local_nu(order, p, d, n)
+    return out * class_number(order.discriminant) if out else 0
 
 
 def locally_embeds(order: QuadOrder, d: int, n: int,

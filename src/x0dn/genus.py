@@ -17,7 +17,7 @@ e_k and the pipeline's enumeration sieve share.
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, factorize, is_squarefree, omega, psi
+from .arith import MEMO_SIZE, factorize, is_squarefree, omega, psi_p
 from .errors import DomainError, IntegralityError
 
 # One curve visits its own level and the definite levels D/p that its
@@ -105,12 +105,17 @@ def e_k(d: int, n: int, k: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def genus(d: int, n: int) -> int:
     """g = 1 + phi(D) psi(N) / 12 - e_4/4 - e_3/3, computed as
-    12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3."""
+    12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3.  phi(D) psi(N) is read
+    off the factorization of DN that the pair's index holds: p - 1 for
+    each p | D and p^(e-1) (p + 1) for each p^e || N."""
     e4 = e_k(d, n, 4)          # validates the pair
-    t = euler_phi(d) * psi(n) - 3 * e4 - 4 * e_k(d, n, 3)
+    t = 1
+    for p, e in _hall_index(d, n)[2]:
+        t *= p - 1 if d % p == 0 else psi_p(p, e)
+    t -= 3 * e4 + 4 * e_k(d, n, 3)
     if t % 12 != 0:
         raise IntegralityError(f"genus({d}, {n}) = 1 + {t}/12 is not an integer")
     g = t // 12 + 1

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -8,8 +9,8 @@ from x0dn.errors import DomainError
 from x0dn.quadorders import (_SCAN_LIMIT, QuadOrder, _imaginary_count_by_a,
                              _imaginary_form_count, _prime_power_roots,
                              _real_forms_by_a, _real_orbit_count,
-                             _root_table, class_number, is_discriminant,
-                             is_fundamental_discriminant,
+                             _real_unit_index, _root_table, class_number,
+                             is_discriminant, is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
 from _oracles import (brute_imaginary_class_number, cycle_class_number,
@@ -97,22 +98,20 @@ def test_fixed_point_sum_inputs():
 
 
 def test_conductor_formula_imaginary():
-    # h(d0 f^2) = h(d0) f prod_{p|f} (1 - (d0/p)/p) / [unit index]
-    # gives an independent route to the non-maximal values
-    from fractions import Fraction
-
-    from x0dn.arith import kronecker, prime_divisors
-    for d0 in (-3, -4, -7, -8, -11, -15, -20, -23, -24, -39, -40, -43):
-        for f in (2, 3, 4, 5, 6, 7):
-            val = Fraction(class_number(d0) * f)
-            for p in prime_divisors(f):
-                val *= Fraction(p - kronecker(d0, p), p)
-            if d0 == -3:
-                val /= 3
-            elif d0 == -4:
-                val /= 2
-            assert val.denominator == 1, (d0, f)
-            assert class_number(d0 * f * f) == val.numerator, (d0, f)
+    # class_number reads h(d0 f^2) off h(d0) by the conductor formula, so
+    # every non-fundamental disc is checked against the reduced forms
+    # counted from scratch, among them the orders of Q(sqrt(-3)) and
+    # Q(i), whose unit index is 3 and 2
+    cases, fields = 0, set()
+    for disc in range(-15_000, 0):
+        if disc % 4 not in (0, 1) or is_fundamental_discriminant(disc):
+            continue
+        want = brute_imaginary_class_number(disc)
+        assert class_number(disc) == want, disc
+        fields.add(order_from_discriminant(disc).fundamental_discriminant)
+        cases += 1
+    assert {-3, -4} <= fields
+    assert cases == 2940
 
 
 REAL_ANCHORS = {
@@ -225,6 +224,7 @@ def test_root_table_vs_brute():
             assert sorted(table[a]) == want, (disc, a)
 
 
+@lru_cache(maxsize=None)
 def _fundamental_unit(d0: int) -> tuple[int, int]:
     """(x, y) with (x + y sqrt(d0))/2 the fundamental unit of Q(sqrt(d0)):
     the least y > 0 for which x^2 - d0 y^2 = -4 or +4 has a solution,
@@ -239,29 +239,29 @@ def _fundamental_unit(d0: int) -> tuple[int, int]:
 
 
 def test_conductor_formula_real():
-    # h(d0 f^2) = h(d0) f prod_{p|f} (1 - (d0/p)/p) / [O_K^x : O^x], and
-    # the unit index is the least k with eps^k = (x_k + y_k sqrt(d0))/2
-    # in the order of conductor f, that is with f | y_k
-    from fractions import Fraction
-
-    from x0dn.arith import kronecker, prime_divisors
-    cases = 0
-    for d0 in range(5, 200):
-        if not is_fundamental_discriminant(d0):
+    # every non-fundamental disc against h+ counted on the rho-cycles,
+    # halved when the fundamental unit has norm +1 (both from the
+    # oracles); for d0 < 200 also the unit index against the least k
+    # with eps^k = (x_k + y_k sqrt(d0))/2 in the order of conductor f,
+    # that is with f | y_k
+    cases, deep = 0, 0
+    for disc in range(5, 12_000):
+        if not is_discriminant(disc) or is_fundamental_discriminant(disc):
             continue
-        x, y = _fundamental_unit(d0)
-        for f in range(2, 9):
+        h_plus = narrow_cycle_count(disc)
+        want = h_plus if cycle_unit_norm(disc) == -1 else h_plus // 2
+        assert class_number(disc) == want, disc
+        cases += 1
+        d0, f = order_from_discriminant(disc)
+        if d0 < 200:
+            x, y = _fundamental_unit(d0)
             xk, yk, index = x, y, 1
             while yk % f:
                 xk, yk = (xk * x + d0 * yk * y) // 2, (xk * y + yk * x) // 2
                 index += 1
-            val = Fraction(class_number(d0) * f, index)
-            for p in prime_divisors(f):
-                val *= Fraction(p - kronecker(d0, p), p)
-            assert val.denominator == 1, (d0, f)
-            assert class_number(d0 * f * f) == val.numerator, (d0, f)
-            cases += 1
-    assert cases == 420
+            assert _real_unit_index(d0, f) == index, (d0, f)
+            deep += index > 1
+    assert (cases, deep) == (2246, 658)
 
 
 @settings(max_examples=60)
