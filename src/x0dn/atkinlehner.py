@@ -8,7 +8,8 @@ factors q_0 < q_1 < ... of DN (bit i is set when q_i divides m), so the
 twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  The index
 of masks and Hall divisors belongs to `genus`, whose index is the one
 validator of a pair and is kept while the pair is in use.  Subgroups are
-spans of reduced echelon bases over F_2, each built once.  The public API
+spans of reduced echelon bases over F_2, each built once, and the spans
+of the last pair's subgroups are kept for their genera.  The public API
 stays in Hall divisors: elements are ints and subgroups are frozensets
 of Hall divisors containing 1.
 
@@ -23,10 +24,9 @@ table over the masks of a subgroup, and must give integers.
 
 from functools import lru_cache
 
-from .embeddings import local_nu
+from .embeddings import _count_away
 from .errors import DomainError, IntegralityError
-from .genus import _hall_index, check_pair, genus
-from .quadorders import QuadOrder, class_number
+from .genus import _hall_index, _hall_parts, check_pair, genus
 
 
 @lru_cache(maxsize=None)
@@ -72,15 +72,25 @@ def _span(gens, d: int, n: int) -> set[int]:
     return span
 
 
+# (D, N) -> {subgroup: the masks of its span} for the last pair that
+# all_subgroups built, so that subgroup_quotient_genus need not span a
+# subgroup it is handed back.
+_kept_spans: dict[tuple[int, int], dict[frozenset[int], tuple[int, ...]]] = {}
+
+
 def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
     """Every subgroup of the Atkin--Lehner group, sorted by size and then
-    by sorted elements, so the trivial one comes first."""
+    by sorted elements, so the trivial one comes first.  The span of each
+    is kept for the last pair (_kept_spans)."""
     divisor = _hall_index(d, n)[1]
     w = len(divisor).bit_length() - 1      # len(divisor) = 2^omega(DN)
-    subs = [sorted(map(divisor.__getitem__, span))
+    subs = [(sorted(map(divisor.__getitem__, span)), span)
             for span in _subgroup_spans(w)]
-    subs.sort(key=lambda s: (len(s), s))
-    return tuple(map(frozenset, subs))
+    subs.sort(key=lambda sub: (len(sub[1]), sub[0]))
+    spans = {frozenset(elements): span for elements, span in subs}
+    _kept_spans.clear()
+    _kept_spans[d, n] = spans
+    return tuple(spans)
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -92,23 +102,16 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     both orders of Q(i) and Q(sqrt(-2)) for m = 2, the orders of
     discriminant -m and -4m for m = 3 mod 4, and only Z[sqrt(-m)]
     otherwise.  With m = s t^2, s squarefree, read off the factorization
-    of DN, these are the orders of discriminant -4 and -8 for m = 2;
-    -s t^2 and -s (2t)^2 for m = 3 mod 4; otherwise -4m, whose field
-    discriminant is -s with conductor 2t when s = 3 mod 4 and -4s with
-    conductor t when not.  These field discriminants are fundamental by
+    of DN (_hall_parts), these are the orders of discriminant -4 and -8
+    for m = 2; -s t^2 and -s (2t)^2 for m = 3 mod 4; otherwise -4m, whose
+    field discriminant is -s with conductor 2t when s = 3 mod 4 and -4s
+    with conductor t when not.  These field discriminants are fundamental by
     construction, so the orders are built unchecked.  Each order counts
     h(R) times its local embedding numbers at the primes of DN prime to
     m, and h(R) is asked only when their product is nonzero.  Callers
     work through one pair at a time, so only the last pair is kept."""
-    divisor, factors = _hall_index(d, n)[1:]
     table = [0]
-    for b in range(1, len(divisor)):
-        m, s, t, away = divisor[b], 1, 1, []
-        for i, (p, e) in enumerate(factors):
-            if b >> i & 1:
-                s, t = s * p ** (e % 2), t * p ** (e // 2)
-            else:
-                away.append(p)
+    for m, s, t, away in _hall_parts(d, n):
         if m == 2:
             orders = ((-4, 1), (-8, 1))
         elif m % 4 == 3:
@@ -117,14 +120,7 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
             orders = ((-s, 2 * t),)
         else:
             orders = ((-4 * s, t),)
-        count = 0
-        for d0, f in orders:
-            order, nu = QuadOrder._make((d0, f)), 1
-            for p in away:
-                nu *= local_nu(order, p, d, n)
-            if nu:
-                count += nu * class_number(d0 * f * f)
-        table.append(count)
+        table.append(_count_away(orders, d, n, away))
     return tuple(table)
 
 
@@ -170,5 +166,11 @@ def quotient_genus(d: int, n: int, m: int) -> int:
 
 def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     """Genus of the quotient of X_0^D(N) by the subgroup generated by
-    the given involutions."""
-    return _riemann_hurwitz(d, n, _span(gens, d, n))
+    the given involutions.  A subgroup that all_subgroups returned for
+    the last pair is read off its kept span; any other gens are spanned
+    and checked by _span.  Either way _riemann_hurwitz validates the
+    pair through its fixed-point table."""
+    span = None
+    if isinstance(gens, frozenset):
+        span = _kept_spans.get((d, n), {}).get(gens)
+    return _riemann_hurwitz(d, n, span or _span(gens, d, n))

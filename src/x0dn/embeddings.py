@@ -12,6 +12,7 @@ given level; positivity of every local number says exactly that R
 embeds into at least one of them.
 """
 
+from functools import lru_cache
 from math import isqrt
 
 from .arith import divisors, kronecker, prime_divisors, psi_p, valuation
@@ -59,11 +60,28 @@ def local_nu(order: QuadOrder, p: int, d: int, n: int) -> int:
     return 2 * p ** half
 
 
+def _count_away(orders, d: int, n: int, away) -> int:
+    """Sum over the orders (d0, f), valid by construction, of h(R) times
+    the local embedding numbers of R at the primes in away.  The product
+    stops at its first zero factor, and h(R) is asked only when it is
+    nonzero.  embedding_count and the per-pair tables of fixed points and
+    of real components count their orders with it."""
+    count = 0
+    for d0, f in orders:
+        order, nu = QuadOrder._make((d0, f)), 1
+        for p in away:
+            nu *= local_nu(order, p, d, n)
+            if not nu:
+                break
+        else:
+            count += nu * class_number(d0 * f * f)
+    return count
+
+
 def embedding_count(order: QuadOrder, d: int, n: int,
                     skip: tuple[int, ...] = ()) -> int:
-    """h(R) * prod of local numbers over p | dn with p not in skip; the
-    local numbers come first, and h(R) is asked only when their product
-    is nonzero.
+    """h(R) * prod of local numbers over p | dn with p not in skip
+    (_count_away).
 
     A global count only for indefinite d (one conjugacy class of Eichler
     orders), so a definite d is rejected; the skip argument drops the
@@ -71,11 +89,8 @@ def embedding_count(order: QuadOrder, d: int, n: int,
     counts arise.
     """
     check_pair(d, n)
-    out = 1
-    for p in prime_divisors(d * n):
-        if p not in skip:
-            out *= local_nu(order, p, d, n)
-    return out * class_number(order.discriminant) if out else 0
+    away = [p for p in prime_divisors(d * n) if p not in skip]
+    return _count_away((order,), d, n, away)
 
 
 def locally_embeds(order: QuadOrder, d: int, n: int,
@@ -92,13 +107,22 @@ def locally_embeds(order: QuadOrder, d: int, n: int,
                for p in prime_divisors(d * n) if p not in skip)
 
 
+# The p-adic criteria of one curve ask at most 139 distinct questions
+# over the omega(DN) = 6 pairs of the benchmark pool, and 264 at
+# (210, 2431) with omega(DN) = 7, so 512 entries hold those of a curve.
+_ELEMENT_MEMO = 512
+
+
+@lru_cache(maxsize=_ELEMENT_MEMO, typed=True)
 def element_embeds(radicand: int, d: int, n: int) -> bool:
     """Whether an element with square equal to `radicand` lies in some
     Eichler order of level n in the algebra of discriminant d.
 
     Such an element generates Z[sqrt(radicand)], so the question is
     whether any order containing Z[sqrt(radicand)] (conductor dividing
-    that of 4*radicand) embeds.
+    that of 4*radicand) embeds.  The answer does not depend on the
+    involution a criterion is about, so it is memoized: the criteria ask
+    the same questions for every w_m of a curve.
     """
     check_algebra(d, n)
     if radicand == 0:

@@ -76,6 +76,23 @@ def _hall_index(d: int, n: int) -> tuple[dict[int, int], tuple[int, ...],
     return {m: mask for mask, m in enumerate(divisor)}, tuple(divisor), factors
 
 
+@lru_cache(maxsize=1, typed=True)
+def _hall_parts(d: int, n: int) -> tuple[tuple[int, int, int,
+                                                tuple[int, ...]], ...]:
+    """For each mask of a valid pair but the identity's, in mask order:
+    its Hall divisor m, m = s t^2 with s squarefree read off the prime
+    powers of DN, and the primes of DN that do not divide m.  The
+    per-pair tables of fixed points and of real components walk the
+    masks through it, so it is kept for the last pair.  Built by doubling
+    over the prime powers of DN, as the index builds its Hall divisors."""
+    parts = [(1, 1, 1, ())]
+    for p, e in _hall_index(d, n)[2]:
+        q, sp, tp = p ** e, p ** (e % 2), p ** (e // 2)
+        parts = ([(m, s, t, away + (p,)) for m, s, t, away in parts]
+                 + [(m * q, s * sp, t * tp, away) for m, s, t, away in parts])
+    return tuple(parts[1:])
+
+
 def _elliptic_factor(k: int, p: int, e: int) -> int:
     """The local factor of e_k at a prime p: 1 - (-k/p) for p | D (pass
     e = 0), 1 + (-k/p) for p || N (e = 1), and for p^e || N with e >= 2,

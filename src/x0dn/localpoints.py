@@ -14,10 +14,17 @@ Three independent sources of local information about X_0^D(N)/<w_m>:
 
 The sources overlap and are reported separately; `local_obstructions`
 collects every applicable verdict.
+
+The real components of every w_m of a pair are counted at once, from the
+factorization of DN, into one table kept for the last pair
+(_real_component_table, the only copy of the rule that names the real
+orders), as the Atkin--Lehner module does for fixed points.  The p-adic
+criteria ask `element_embeds` questions that do not depend on m; its
+memo answers them once per curve.
 """
 
 from collections import namedtuple
-from math import isqrt
+from functools import lru_cache
 
 from .arith import (
     is_prime,
@@ -26,9 +33,9 @@ from .arith import (
     pell_pm2_solvable,
     prime_divisors,
 )
-from .embeddings import element_embeds, embedding_count, locally_embeds
+from .embeddings import _count_away, element_embeds, locally_embeds
 from .errors import DomainError, IntegralityError
-from .genus import check_pair
+from .genus import _hall_index, _hall_parts, check_pair
 from .quadorders import QuadOrder, order_from_discriminant
 
 EMPTY = "empty"
@@ -38,6 +45,11 @@ NOT_APPLICABLE = "not_applicable"
 SOURCE_REAL = "real_components"
 SOURCE_PADIC = "ogg85"
 SOURCE_PRIME_LEVEL = "clark03"
+
+# Z[i] and Z[zeta_3], whose embeddings into the definite algebra decide
+# two of the p-adic criteria
+_GAUSSIAN = QuadOrder(-4)
+_EISENSTEIN = QuadOrder(-3)
 
 
 # place: "real" or a prime written in decimal; status: EMPTY / NONEMPTY;
@@ -50,36 +62,55 @@ def _check_prime(p: int) -> None:
         raise DomainError(f"p = {p!r} is not a prime")
 
 
-def real_component_count(d: int, n: int, m: int) -> int:
-    """Number of connected components of the real locus of X_0^D(N)/<w_m>.
+@lru_cache(maxsize=1, typed=True)
+def _real_component_table(d: int, n: int) -> tuple[int, ...]:
+    """Twice the number of connected components of the real locus of
+    X_0^D(N)/<w_m>, for every m of a valid pair, indexed by the mask of
+    m (0 at the identity's mask).  An entry is a numerator that must be
+    even; real_component_count halves it, or raises for its own m.
 
-    For square m (including m = 1) the quotient modulo a nontrivial or
-    trivial involution of an arithmetic Fuchsian group with D > 1 has no
-    real points at all, so the count is 0.  Otherwise count optimal
-    embeddings of the orders Z[sqrt(m)] (and the half-integral order when
-    m = 1 mod 4) with the primes dividing m excluded from the local
-    conditions, weight by wide class numbers, and halve; one exceptional
-    configuration contributes extra fixed components.
-    """
+    For square m (including m = 1) the quotient of an arithmetic Fuchsian
+    group with D > 1 has no real points at all, so the entry is 0.
+    Otherwise the components come from optimal embeddings of Z[sqrt(m)],
+    of discriminant 4m, and of Z[(1 + sqrt(m))/2], of discriminant m,
+    when m = 1 mod 4.  With m = s t^2, s squarefree, read off the
+    factorization of DN (_hall_parts): 4m is the order of conductor 2t
+    in the field of discriminant s when s = 1 mod 4, and of conductor t
+    in the field of discriminant 4s when not; m = 1 mod 4 makes t odd
+    and s = 1 mod 4, so m is the order of conductor t in the field of
+    discriminant s.  These field discriminants are fundamental by
+    construction, so the orders are built unchecked.  Each order counts
+    h(R) times its local embedding numbers at the primes of DN prime to
+    m, and h(R) is asked only when their product is nonzero.  A nonzero
+    sum gets one exceptional term: 2^(omega(DN) - 2) more when DN = 2
+    mod 4, m is DN or DN/2, sqrt(-1) lies in an Eichler order of level N
+    and x^2 - m y^2 = +-2 is solvable.  Callers work through one pair at
+    a time, so only the last pair is kept."""
+    factors = _hall_index(d, n)[2]
+    dn = d * n
+    exceptional = (dn // 2, dn) if dn % 4 == 2 else ()
+    table = [0]
+    for m, s, t, away in _hall_parts(d, n):
+        if s == 1:
+            table.append(0)
+            continue
+        orders = [(s, 2 * t) if s % 4 == 1 else (4 * s, t)]
+        if m % 4 == 1:
+            orders.append((s, t))
+        nu = _count_away(orders, d, n, away)
+        if (nu and m in exceptional and element_embeds(-1, d, n)
+                and pell_pm2_solvable(m)):
+            nu += 2 ** (len(factors) - 2)
+        table.append(nu)
+    return tuple(table)
+
+
+def real_component_count(d: int, n: int, m: int) -> int:
+    """Number of connected components of the real locus of
+    X_0^D(N)/<w_m>: half of its entry in the pair's
+    _real_component_table, which must be even."""
     check_pair(d, n, m)
-    if isqrt(m) ** 2 == m:
-        return 0
-    orders = [order_from_discriminant(4 * m)]
-    if m % 4 == 1:
-        orders.append(order_from_discriminant(m))
-    skip = prime_divisors(m)
-    nu = sum(embedding_count(order, d, n, skip=skip) for order in orders)
-    if nu == 0:
-        return 0
-    t = d * n // 2
-    exceptional = (
-        d * n % 4 == 2
-        and m in (t, 2 * t)
-        and element_embeds(-1, d, n)
-        and pell_pm2_solvable(m)
-    )
-    if exceptional:
-        nu += 2 ** (omega(d * n) - 2)
+    nu = _real_component_table(d, n)[_hall_index(d, n)[0][m]]
     if nu % 2:
         raise IntegralityError(
             f"odd component count numerator {nu} for (D, N, m) = ({d}, {n}, {m})"
@@ -128,8 +159,8 @@ def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
             NONEMPTY
             if (
                 element_embeds(-p, dbar, n)
-                or locally_embeds(QuadOrder(-4), dbar, n)
-                or locally_embeds(QuadOrder(-3), dbar, n)
+                or locally_embeds(_GAUSSIAN, dbar, n)
+                or locally_embeds(_EISENSTEIN, dbar, n)
             )
             else EMPTY
         )
@@ -151,7 +182,7 @@ def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
             return NONEMPTY
         if (
             p % 4 == 1
-            and locally_embeds(QuadOrder(-4), d // p, n)
+            and locally_embeds(_GAUSSIAN, d // p, n)
             and dn_over_p in (m, 2 * m)
             and element_embeds(-p * m, d, n)
         ):

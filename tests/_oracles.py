@@ -262,6 +262,44 @@ def fixed_point_orders(m: int):
     return tuple(map(order_from_discriminant, discs))
 
 
+def per_m_real_component_count(d: int, n: int, m: int) -> int:
+    """Real components of X_0^D(N)/<w_m>, one m at a time: 0 for square
+    m; otherwise optimal embeddings of the orders of discriminant 4m and,
+    when m = 1 mod 4, m, counted away from the primes of m, plus the
+    exceptional term, halved.  The reference for the program's
+    real-component table, which reads the same orders off the
+    factorization of DN."""
+    from x0dn.arith import omega, pell_pm2_solvable, prime_divisors
+    from x0dn.embeddings import element_embeds, embedding_count
+    from x0dn.errors import IntegralityError
+    from x0dn.genus import check_pair
+    from x0dn.quadorders import order_from_discriminant
+    check_pair(d, n, m)
+    if isqrt(m) ** 2 == m:
+        return 0
+    orders = [order_from_discriminant(4 * m)]
+    if m % 4 == 1:
+        orders.append(order_from_discriminant(m))
+    skip = prime_divisors(m)
+    nu = sum(embedding_count(order, d, n, skip=skip) for order in orders)
+    if nu == 0:
+        return 0
+    t = d * n // 2
+    exceptional = (
+        d * n % 4 == 2
+        and m in (t, 2 * t)
+        and element_embeds(-1, d, n)
+        and pell_pm2_solvable(m)
+    )
+    if exceptional:
+        nu += 2 ** (omega(d * n) - 2)
+    if nu % 2:
+        raise IntegralityError(
+            f"odd component count numerator {nu} for (D, N, m) = ({d}, {n}, {m})"
+        )
+    return nu // 2
+
+
 def _prime_powers(n: int) -> list[tuple[int, int]]:
     """(p, e) with p^e || n, by trial division over every integer."""
     out = []

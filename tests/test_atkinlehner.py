@@ -78,6 +78,50 @@ def test_all_subgroups_counts():
     assert frozenset({1, 2, 3, 6}) in subs
 
 
+def test_subgroup_genus_any_form(monkeypatch):
+    # omega(DN) = 2..5 (an indefinite D has at least two primes): every
+    # subgroup gives one genus as the frozenset all_subgroups returned,
+    # which is read off its kept span, as a tuple and as a basis, which
+    # are spanned again
+    spanned = []
+
+    def counting_span(gens, d, n):
+        spanned.append(gens)
+        return _span(gens, d, n)
+    monkeypatch.setattr(atkinlehner, "_span", counting_span)
+    for d, n in ((6, 1), (6, 5), (210, 1), (6, 385)):
+        subs = all_subgroups(d, n)
+        genera = [subgroup_quotient_genus(d, n, sub) for sub in subs]
+        assert not spanned, (d, n)
+        for sub, gh in zip(subs, genera):
+            basis = []
+            for m in sorted(sub):
+                if m not in _generated(basis, d, n):
+                    basis.append(m)
+            assert subgroup_quotient_genus(d, n, tuple(sub)) == gh, (d, n, sub)
+            assert subgroup_quotient_genus(d, n, basis) == gh, (d, n, sub)
+        assert len(spanned) == 2 * len(subs)
+        spanned.clear()
+
+
+def test_subgroup_genus_of_other_frozensets():
+    # a frozenset that is not one of the kept subgroups is spanned and
+    # checked as any generator list is
+    all_subgroups(6, 1)
+    assert (subgroup_quotient_genus(6, 1, frozenset({1, 2, 3}))
+            == subgroup_quotient_genus(6, 1, (2, 3)))
+    assert (subgroup_quotient_genus(6, 1, frozenset({2}))
+            == subgroup_quotient_genus(6, 1, frozenset({1, 2})))
+    for bad in (frozenset({1, 4}), frozenset({1, 2, 5})):
+        with pytest.raises(DomainError):
+            subgroup_quotient_genus(6, 1, bad)
+    # a kept subgroup of (6, 1) asked at another pair is spanned there
+    assert (subgroup_quotient_genus(6, 5, frozenset({1, 2, 3, 6}))
+            == subgroup_quotient_genus(6, 5, (2, 3)))
+    with pytest.raises(DomainError):
+        subgroup_quotient_genus(10, 1, frozenset({1, 2, 3, 6}))
+
+
 SMALL_D = (6, 10, 14, 15, 21, 22, 26, 33, 34, 35, 38, 39, 210, 330)
 
 

@@ -93,6 +93,9 @@ TYPED = [
     (factorize, (15,), (15.0,)),
     (factorize, (7,), (7.5,)),
     (factorize, (1,), (True,)),
+    (element_embeds, (-1, 6, 1), (-1, 6.0, 1)),
+    (element_embeds, (-1, 6, 1), (-1, 6, True)),
+    (element_embeds, (-3, 5, 7), (-3.0, 5, 7)),
 ]
 
 
@@ -102,10 +105,20 @@ def test_memos_are_typed(call, good, bad):
     """A float or bool argument is a DomainError, before and after the
     int call is memoized: no memo answers it from the int entry."""
     for memo in (genus, fixed_point_count, check_algebra, _hall_index,
-                 class_number, factorize):
+                 class_number, factorize, element_embeds):
         memo.cache_clear()
     with pytest.raises(DomainError):
         call(*bad)
     call(*good)
     with pytest.raises(DomainError):
         call(*bad)
+
+
+@pytest.mark.parametrize("memo", [factorize, genus, class_number,
+                                  element_embeds],
+                         ids=lambda memo: memo.__name__)
+def test_memos_are_bounded(memo):
+    """The memos a stream of curves fills have a finite size, so a long
+    run holds a bounded number of entries."""
+    size = memo.cache_info().maxsize
+    assert size is not None and size > 0

@@ -1,6 +1,10 @@
+import re
+
 import pytest
 
-from x0dn.errors import DomainError
+from _oracles import per_m_real_component_count
+from x0dn import embeddings, localpoints
+from x0dn.errors import DomainError, IntegralityError
 from x0dn.localpoints import (
     EMPTY,
     NONEMPTY,
@@ -193,22 +197,66 @@ def test_harnack_bound():
     # the real locus of a curve of genus g has at most g + 1 components;
     # this crosses real class numbers (components) with imaginary ones
     # (fixed points, through the quotient genus)
+    from x0dn.atkinlehner import quotient_genus
+    quotients = 0
+    for d, n, m in _harnack_range():
+        assert (real_component_count(d, n, m)
+                <= quotient_genus(d, n, m) + 1), (d, n, m)
+        quotients += 1
+    assert quotients == 16259
+
+
+def _harnack_range():
+    """(D, N, m) for every nontrivial quotient with DN <= 2,000."""
     from math import gcd
 
     from x0dn.arith import is_squarefree, omega
-    from x0dn.atkinlehner import group_elements, quotient_genus
-    quotients = 0
+    from x0dn.atkinlehner import group_elements
     for d in range(6, 2001):
         if not is_squarefree(d) or omega(d) % 2:
             continue
         for n in range(1, 2000 // d + 1):
-            if gcd(d, n) != 1:
-                continue
-            for m in group_elements(d, n)[1:]:
-                assert (real_component_count(d, n, m)
-                        <= quotient_genus(d, n, m) + 1), (d, n, m)
-                quotients += 1
-    assert quotients == 16259
+            if gcd(d, n) == 1:
+                for m in group_elements(d, n)[1:]:
+                    yield d, n, m
+
+
+def test_real_component_table_matches_per_m_reference():
+    # the per-pair table against the per-m formula it replaced, on every
+    # quotient of the Harnack range; the exceptional term (DN = 2 mod 4,
+    # m = DN or DN/2) fires on some of them and is compared as well
+    from x0dn.arith import pell_pm2_solvable
+    from x0dn.embeddings import element_embeds
+    quotients, exceptional = 0, 0
+    for d, n, m in _harnack_range():
+        count = real_component_count(d, n, m)
+        assert count == per_m_real_component_count(d, n, m), (d, n, m)
+        quotients += 1
+        dn = d * n
+        if (count and dn % 4 == 2 and m in (dn // 2, dn)
+                and element_embeds(-1, d, n) and pell_pm2_solvable(m)):
+            exceptional += 1
+    assert (quotients, exceptional) == (16259, 250)
+
+
+@pytest.fixture
+def fresh_real_table():
+    localpoints._real_component_table.cache_clear()
+    yield
+    localpoints._real_component_table.cache_clear()
+
+
+def test_real_components_odd_numerator(monkeypatch, fresh_real_table):
+    # at (6, 1) with every class number read as 2, m = 2 has numerator
+    # 2 * 2 but m = 3 and m = 6 have 2 + 1, the exceptional term being 1;
+    # the table is built once for the pair, and each odd entry is
+    # reported for its own m
+    monkeypatch.setattr(embeddings, "class_number", lambda disc: 2)
+    assert real_component_count(6, 1, 2) == 2
+    for m in (3, 6):
+        with pytest.raises(IntegralityError,
+                           match=re.escape(f"numerator 3 for (D, N, m) = (6, 1, {m})")):
+            real_component_count(6, 1, m)
 
 
 def _empty_places(d, n, m):
