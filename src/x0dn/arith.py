@@ -171,37 +171,51 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _pqa(m: int):
-    """The PQa recurrence for sqrt(m), m > 1 nonsquare: yields (a_k, Q_k)
-    for k = 1 up to the period length, where Q_k = 1 again.  The
-    convergent p_(k-1)/q_(k-1) has p^2 - m q^2 = (-1)^k Q_k."""
+def _half_period(m: int) -> tuple[bool, list[int], list[int]]:
+    """The first half of the continued fraction period of sqrt(m), m > 1
+    nonsquare, by the PQa recurrence P_(k+1) = a_k Q_k - P_k,
+    Q_(k+1) = (m - P_(k+1)^2) / Q_k, a_k = (a_0 + P_k) // Q_k from
+    (P_0, Q_0) = (0, 1): (odd, [a_1 .. a_k], [Q_1 .. Q_k]), odd the
+    parity of the period length l = 2k + odd.  The walk stops at the
+    middle of the period, which lemma (b) of the quadorders module
+    docstring locates.  The convergent p_(k-1)/q_(k-1) has
+    p^2 - m q^2 = (-1)^k Q_k."""
     a0 = isqrt(m)
     if a0 * a0 == m:
         raise DomainError(f"{m} is a perfect square")
     P, Q, a = 0, 1, a0
+    quotients, qs = [], []
     while True:
-        P = a * Q - P
-        Q = (m - P * P) // Q
+        P1 = a * Q - P
+        Q1 = (m - P1 * P1) // Q
+        if Q1 == Q:     # Q_k = Q_(k+1): l = 2k + 1
+            return True, quotients, qs
+        if P1 == P:     # P_k = P_(k+1), never at k = 0: l = 2k
+            return False, quotients, qs
+        P, Q = P1, Q1
         a = (a0 + P) // Q
-        yield a, Q
-        if Q == 1:
-            return
+        quotients.append(a)
+        qs.append(Q)
 
 
 def continued_fraction_sqrt(m: int) -> tuple[int, tuple[int, ...]]:
     """Continued fraction of sqrt(m) for nonsquare m > 1: (a0, period).
-    The period always ends with 2*a0."""
-    return isqrt(m), tuple(a for a, _ in _pqa(m))
+    The period always ends with 2*a0; the rest is the half of
+    _half_period and its mirror image (a_k is the centre when the
+    length 2k is even)."""
+    odd, half, _ = _half_period(m)
+    mirror = half[::-1] if odd else half[-2::-1]
+    a0 = isqrt(m)
+    return a0, tuple(half + mirror + [2 * a0])
 
 
 def pell_minus_solvable(m: int) -> bool:
     """Whether x^2 - m y^2 = -1 has an integer solution (m > 0 nonsquare).
 
     Equivalent to the continued fraction period of sqrt(m) having odd
-    length.
+    length, which _half_period reads off half a period.
     """
-    _, period = continued_fraction_sqrt(m)
-    return len(period) % 2 == 1
+    return _half_period(m)[0]
 
 
 def pell_pm2_solvable(m: int) -> bool:
@@ -209,7 +223,9 @@ def pell_pm2_solvable(m: int) -> bool:
 
     For m >= 5 a solution is primitive (g^2 | 2) with |x^2 - m y^2| = 2
     < sqrt(m), so x/y is a convergent of sqrt(m) and 2 = Q_k for some k
-    in one period of the PQa recurrence.
+    in one period of the PQa recurrence.  Q_l = 1 and the other Q's of
+    a period are a palindrome, so the half of _half_period holds them
+    all.
     """
     if m <= 0 or isqrt(m) ** 2 == m:
         raise DomainError(f"pell_pm2_solvable wants positive nonsquare m, got {m}")
@@ -217,4 +233,4 @@ def pell_pm2_solvable(m: int) -> bool:
         # sqrt(m) too small for the convergent argument; m in {2, 3} and
         # both work: 2^2 - 2*1^2 = 2, 1^2 - 3*1^2 = -2.
         return True
-    return any(Q == 2 for _, Q in _pqa(m))
+    return 2 in _half_period(m)[2]

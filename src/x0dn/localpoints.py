@@ -31,7 +31,6 @@ from .arith import (
     kronecker,
     omega,
     pell_pm2_solvable,
-    prime_divisors,
 )
 from .embeddings import _count_away, element_embeds, locally_embeds
 from .errors import DomainError, IntegralityError
@@ -110,6 +109,11 @@ def real_component_count(d: int, n: int, m: int) -> int:
     X_0^D(N)/<w_m>: half of its entry in the pair's
     _real_component_table, which must be even."""
     check_pair(d, n, m)
+    return _real_components(d, n, m)
+
+
+def _real_components(d: int, n: int, m: int) -> int:
+    """real_component_count for a checked (D, N, m)."""
     nu = _real_component_table(d, n)[_hall_index(d, n)[0][m]]
     if nu % 2:
         raise IntegralityError(
@@ -126,6 +130,11 @@ def qp_curve_points(d: int, n: int, p: int) -> str:
     """
     check_pair(d, n)
     _check_prime(p)
+    return _qp_curve_points(d, n, p)
+
+
+def _qp_curve_points(d: int, n: int, p: int) -> str:
+    """qp_curve_points for a checked pair and prime."""
     if d % p != 0:
         return NOT_APPLICABLE
     if p == 2 and element_embeds(-1, d, n):
@@ -148,6 +157,11 @@ def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     _check_prime(p)
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
+    return _qp_quotient_points(d, n, m, p)
+
+
+def _qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
+    """qp_quotient_points for a checked (D, N, m), m > 1, and prime p."""
     if d % p != 0:
         return NOT_APPLICABLE
     if m == p:
@@ -164,7 +178,7 @@ def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
             )
             else EMPTY
         )
-    if qp_curve_points(d, n, p) == NONEMPTY:
+    if _qp_curve_points(d, n, p) == NONEMPTY:
         return NONEMPTY
     dn_over_p = d * n // p
     if m % p != 0:
@@ -206,6 +220,11 @@ def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
     """
     check_pair(d, n, m)
     _check_prime(p)
+    return _prime_level_quotient_points(d, n, m, p)
+
+
+def _prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
+    """prime_level_quotient_points for a checked (D, N, m) and prime p."""
     if omega(d) != 2 or m != d or not is_prime(n) or d % p != 0:
         return NOT_APPLICABLE
     q = d // p
@@ -216,19 +235,24 @@ def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
 def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
     """All applicable local verdicts for X_0^D(N)/<w_m>: the real place
     first, then each p | D in order, p-adic criterion before the
-    prime-level one."""
+    prime-level one.  (D, N, m) is checked once, and the primes of D are
+    read off the pair's index, so the criteria run unchecked."""
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
+    check_pair(d, n, m)
     verdicts = [
         LocalVerdict(
             "real",
-            NONEMPTY if real_component_count(d, n, m) > 0 else EMPTY,
+            NONEMPTY if _real_components(d, n, m) > 0 else EMPTY,
             SOURCE_REAL,
         )
     ]
-    for p in prime_divisors(d):
-        verdicts.append(LocalVerdict(str(p), qp_quotient_points(d, n, m, p), SOURCE_PADIC))
-        clark = prime_level_quotient_points(d, n, m, p)
+    for p, _ in _hall_index(d, n)[2]:
+        if d % p:
+            continue
+        verdicts.append(LocalVerdict(str(p), _qp_quotient_points(d, n, m, p),
+                                     SOURCE_PADIC))
+        clark = _prime_level_quotient_points(d, n, m, p)
         if clark != NOT_APPLICABLE:
             verdicts.append(LocalVerdict(str(p), clark, SOURCE_PRIME_LEVEL))
     return tuple(verdicts)

@@ -16,17 +16,36 @@ the continued fraction of the reduced (b + sqrt(d0))/2 (Cohen, GTM 138,
 For f = 1, class numbers count reduced binary quadratic forms.  From
 |disc| = 40,000 on (_SCAN_LIMIT, the measured crossover) the forms are
 enumerated by their first coefficient a, up to sqrt(|disc|/3)
-(definite) or isqrt(disc) (indefinite), with the middle coefficient b
-read off a root table: for every such a, the residues x mod 2a with
-x^2 = disc (mod 4a), built over a by the CRT from prime-power square
-roots (Tonelli-Shanks and Hensel lifting).  Below it, scans over b that
-cost O(|disc|) are faster and are used instead.  In the definite case h
-is the number of reduced forms.  In the indefinite case it is the
-number of orbits of f -> -rho(f) on the reduced forms with a > 0; every
-step of the walk must land on a reduced form, and every orbit's length
-parity is checked against the norm of the fundamental unit.  The form
-counts work for any discriminant; the program asks them only for
-fundamental ones.  No analytic formulas anywhere.
+(definite) or isqrt((disc - 1)/4) (indefinite, by lemma (a)), with the
+middle coefficient b read off a root table: for every such a, the
+residues x mod 2a with x^2 = disc (mod 4a), built over a by the CRT
+from prime-power square roots (Tonelli-Shanks and Hensel lifting).
+Below it, scans over b that cost O(|disc|) are faster and are used
+instead.  In the definite case h is the number of reduced forms.  In
+the indefinite case it is the number of orbits of f -> -rho(f) on the
+reduced forms with a > 0; every step of the walk must land on a reduced
+form, and every orbit's length parity is checked against the norm of
+the fundamental unit.  The form counts work for any discriminant; the
+program asks them only for fundamental ones.  No analytic formulas
+anywhere.  Two symmetries halve the real work:
+
+(a) Reduction is symmetric in |a| and |c| (Buchmann-Vollmer, Binary
+    Quadratic Forms, 6.2).  Take (a, b, c) with a > 0 > c and
+    s = isqrt(disc).  Then (sqrt(disc) - b)(sqrt(disc) + b) = 4a|c|, so
+    s - b < 2a <= s + b holds exactly when s - b < 2|c| <= s + b, and
+    primitivity is symmetric in a and c.  So (a, b, -|c|) is reduced
+    exactly when (|c|, b, -a) is: both enumerations stop at a <= |c|
+    and add each form's swap, and a form with a = |c| is its own swap.
+(b) The continued fraction period of sqrt(m) is a palindrome (Cohen,
+    GTM 138, 5.7).  With a_k, P_k, Q_k of the PQa recurrence from
+    (P_0, Q_0) = (0, 1) and period length l: a_j = a_(l-j) and
+    Q_j = Q_(l-j) for 0 < j < l, and P_j = P_(l+1-j) for 0 < j <= l.
+    So the middle of the period is where two neighbours agree: l = 2k
+    at the first k >= 1 with P_k = P_(k+1), and l = 2k + 1 at the
+    first k >= 0 with Q_k = Q_(k+1).  Half a period therefore gives the
+    parity of l, which is the norm of the fundamental unit
+    (arith._half_period).  unit_norm stays a continued fraction of
+    sqrt(m), independent of the form walk whose parity it checks.
 """
 
 from collections import namedtuple
@@ -237,7 +256,8 @@ def unit_norm(disc: int) -> int:
     disc: +1 or -1.
 
     disc = 4m: decided by x^2 - m y^2 = -1, i.e. by the parity of the
-    continued fraction period of sqrt(m).  Odd disc: the order contains
+    continued fraction period of sqrt(m), read off half of it
+    (lemma (b)).  Odd disc: the order contains
     Z[sqrt(disc)] with odd unit index (1 or 3), so the norm sign is the
     same as for the radicand disc itself.
     """
@@ -257,33 +277,37 @@ def _real_forms_scan(disc: int) -> set[int]:
 
     A form is reduced when 0 < b < sqrt(disc) and |sqrt(disc) - 2a| < b;
     (a, b) fixes c = (b^2 - disc)/4a < 0, and 0 < b <= s fixes (a, b)
-    from its key."""
+    from its key.  Only the forms with a <= |c|, so a^2 <= -ac, are
+    scanned, and each adds its swap (|c|, b, -a) too (lemma (a) of the
+    module docstring)."""
     s = isqrt(disc)
     forms = set()
     for b in range(2 - disc % 2, s + 1, 2):
         q = (disc - b * b) // 4     # = -ac > 0
-        # |sqrt(disc) - 2a| < b, exactly: s - b < 2a <= s + b
-        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+        # |sqrt(disc) - 2a| < b, exactly: s - b < 2a <= s + b, where
+        # a <= isqrt(q) already gives 2a <= sqrt(disc - b^2) < s + 1
+        for a in range((s - b) // 2 + 1, isqrt(q) + 1):
             if q % a == 0 and gcd(a, b, q // a) == 1:
                 forms.add(a * (s + 1) + b)
+                forms.add(q // a * (s + 1) + b)
     return forms
 
 
 def _real_forms_by_a(disc: int) -> set[int]:
-    """The forms of _real_forms_scan, enumerated by a <= sqrt(disc).
-    Reduction asks max(s - 2a + 1, 2a - s, 1) <= b <= s, s = isqrt(disc),
-    a window of at most 2a integers, so each root of disc mod 4a gives
-    at most one b."""
+    """The forms of _real_forms_scan, enumerated by a <= |c|, so
+    4a^2 <= disc - b^2 and a <= isqrt((disc - 1)/4), each with its swap
+    (lemma (a)).  Then 2a <= s = isqrt(disc), and reduction asks
+    s - 2a < b <= s, a window of 2a integers, so each root x of disc
+    mod 4a gives one b = s - (s - x) mod 2a."""
     s = isqrt(disc)
     forms = set()
-    for a, roots in enumerate(_root_table(disc, s)):
-        if not roots:
-            continue
-        lo = max(s - 2 * a + 1, 2 * a - s, 1)
+    for a, roots in enumerate(_root_table(disc, isqrt((disc - 1) // 4))):
         for x in roots:
-            b = lo + (x - lo) % (2 * a)
-            if b <= s and gcd(a, b, (disc - b * b) // (4 * a)) == 1:
+            b = s - (s - x) % (2 * a)
+            c = (disc - b * b) // (4 * a)
+            if a <= c and gcd(a, b, c) == 1:
                 forms.add(a * (s + 1) + b)
+                forms.add(c * (s + 1) + b)
     return forms
 
 
@@ -359,10 +383,14 @@ def _real_unit_index(d0: int, f: int) -> int:
 
 
 # Below this |disc| the O(|disc|) scans find the reduced forms faster
-# than the enumeration by a, whose root table costs more than it saves:
-# both sides cost about 0.3 ms (definite) and 0.45 ms (indefinite) near
-# 3-4 * 10^4, on 2 vCPUs with Python 3.11; at 10^7 the enumeration by a
-# takes 4 and 7 ms against 67 and 190 ms.
+# than the enumeration by a, whose root table costs more than it saves.
+# Timed on 2 vCPUs with Python 3.11, both real paths at a <= |c| with
+# the swap: the two sides meet near 2-3 * 10^4 (definite) and
+# 5-6 * 10^4 (indefinite), and at 4 * 10^4 one side is at most about
+# 25% dearer than the other (0.15-0.30 ms) for either sign, so one
+# limit between the two crossovers serves both; at 10^7 the enumeration
+# by a takes about 2-3 ms (definite) and 4-6 ms (indefinite) against
+# 55-85 and 40-60 ms.
 _SCAN_LIMIT = 40_000
 
 # Entries of the class-number memo.  A class number costs far more to
@@ -385,10 +413,13 @@ def class_number(disc: int) -> int:
     For f = 1, imaginary: the count of primitive reduced positive forms.
     Real: the number of rho-cycles of reduced forms up to sign, walked
     over the forms with a > 0, every step and every cycle's parity
-    checked (_real_orbit_count).  The reduced forms come from the
-    enumeration by a over the root table of disc when |disc| >=
-    _SCAN_LIMIT = 40,000, the measured crossover, and from O(|disc|)
-    scans over b below it."""
+    checked against the unit norm, read off half a continued fraction
+    period (lemma (b) of the module docstring; _real_orbit_count).  The
+    reduced forms come from the enumeration by a over the root table of
+    disc when |disc| >= _SCAN_LIMIT = 40,000, the measured crossover,
+    and from O(|disc|) scans over b below it; for real disc both
+    enumerate only the forms with a <= |c| and add their swaps
+    (lemma (a))."""
     if type(disc) is not int:
         raise DomainError(f"class_number wants an integer, got {disc!r}")
     if not is_discriminant(disc):

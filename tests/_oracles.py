@@ -69,6 +69,23 @@ def brute_pell_pm2(m: int) -> bool:
     return 2 in leads or -2 in leads
 
 
+def full_period(m: int) -> tuple[int, ...]:
+    """The continued fraction period (a_1, ..., a_l) of sqrt(m), m > 1
+    nonsquare, by the PQa recurrence run over the whole period, up to
+    the first Q_l = 1, with no use of its symmetry."""
+    a0 = isqrt(m)
+    assert a0 * a0 != m, m
+    P, Q, a = 0, 1, a0
+    period = []
+    while True:
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        a = (a0 + P) // Q
+        period.append(a)
+        if Q == 1:
+            return tuple(period)
+
+
 def brute_hall_divisors(n: int) -> list[int]:
     return [m for m in range(1, n + 1) if n % m == 0 and gcd(m, n // m) == 1]
 

@@ -1,7 +1,7 @@
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
@@ -12,7 +12,7 @@ from x0dn.errors import DomainError
 from x0dn.genus import check_pair
 
 from _oracles import (brute_hall_divisors, brute_kronecker_prime,
-                      brute_pell_pm2)
+                      brute_pell_pm2, full_period)
 
 
 def test_factorize_small():
@@ -130,6 +130,27 @@ def test_continued_fraction_sqrt():
     assert continued_fraction_sqrt(19) == (4, (2, 1, 3, 1, 2, 8))
     with pytest.raises(DomainError):
         continued_fraction_sqrt(25)
+
+
+def _check_half_period(m: int) -> None:
+    # the library walks half a period and mirrors it; the oracle walks
+    # all of it
+    period = full_period(m)
+    assert pell_minus_solvable(m) == (len(period) % 2 == 1), m
+    assert continued_fraction_sqrt(m) == (isqrt(m), period), m
+
+
+def test_half_period_vs_full_walk():
+    for m in range(2, 20_000):
+        if isqrt(m) ** 2 != m:
+            _check_half_period(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 9)
+       .filter(lambda m: isqrt(m) ** 2 != m))
+def test_large_half_periods_vs_full_walk(m):
+    _check_half_period(m)
 
 
 def test_pell_minus():

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from x0dn.errors import DomainError
 from x0dn.quadorders import (_SCAN_LIMIT, QuadOrder, _imaginary_count_by_a,
                              _imaginary_form_count, _prime_power_roots,
-                             _real_forms_by_a, _real_orbit_count,
-                             _real_unit_index, _root_table, class_number,
+                             _real_forms_by_a, _real_forms_scan,
+                             _real_orbit_count, _real_unit_index,
+                             _root_table, class_number,
                              is_discriminant, is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
-from _oracles import (brute_imaginary_class_number, cycle_class_number,
-                      cycle_unit_norm, narrow_cycle_count)
+from _oracles import (_brute_reduced_indefinite, brute_imaginary_class_number,
+                      cycle_class_number, cycle_unit_norm, narrow_cycle_count)
 
 
 def test_discriminant_predicates():
@@ -154,6 +155,31 @@ def test_real_class_numbers_vs_cycle_reference():
             want = cycle_class_number(disc)
             assert class_number(disc) == want, disc
             assert _real_orbit_count(disc, _real_forms_by_a(disc)) == want, disc
+
+
+def test_real_enumerators_vs_brute():
+    # both enumerators stop at a <= |c| and add the swap (|c|, b, -a);
+    # the oracle scans every triple.  The range holds non-fundamental
+    # discriminants and forms that are their own swap, such as (1, 1, -1)
+    # at 5
+    swapped = 0
+    for disc in range(5, 3000):
+        if not is_discriminant(disc):
+            continue
+        s = isqrt(disc)
+        brute = _brute_reduced_indefinite(disc)
+        want = {a * (s + 1) + b for a, b, _ in brute if a > 0}
+        assert _real_forms_scan(disc) == want, disc
+        assert _real_forms_by_a(disc) == want, disc
+        swapped += sum(1 for a, _, c in brute if a == -c)
+    assert (1, 1, -1) in _brute_reduced_indefinite(5)
+    assert swapped > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=5, max_value=10 ** 6).filter(is_discriminant))
+def test_real_enumerators_agree(disc):
+    assert _real_forms_scan(disc) == _real_forms_by_a(disc)
 
 
 def test_imaginary_enumeration_by_a_vs_scan():
