@@ -66,17 +66,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(abs(n)))
 
 
-def squarefree_part(n: int) -> int:
-    """The squarefree integer s with n = s * t^2, sign preserved. n != 0."""
-    if n == 0:
-        raise DomainError("squarefree_part(0)")
-    s = 1
-    for p, e in factorize(abs(n)):
-        if e % 2:
-            s *= p
-    return -s if n < 0 else s
-
-
 def euler_phi(n: int) -> int:
     out = 1
     for p, e in factorize(n):

@@ -12,7 +12,6 @@ given level; positivity of every local number says exactly that R
 embeds into at least one of them.
 """
 
-from functools import lru_cache
 from math import isqrt
 
 from .arith import divisors, kronecker, prime_divisors, psi_p, valuation
@@ -107,22 +106,13 @@ def locally_embeds(order: QuadOrder, d: int, n: int,
                for p in prime_divisors(d * n) if p not in skip)
 
 
-# The p-adic criteria of one curve ask at most 139 distinct questions
-# over the omega(DN) = 6 pairs of the benchmark pool, and 264 at
-# (210, 2431) with omega(DN) = 7, so 512 entries hold those of a curve.
-_ELEMENT_MEMO = 512
-
-
-@lru_cache(maxsize=_ELEMENT_MEMO, typed=True)
 def element_embeds(radicand: int, d: int, n: int) -> bool:
     """Whether an element with square equal to `radicand` lies in some
     Eichler order of level n in the algebra of discriminant d.
 
     Such an element generates Z[sqrt(radicand)], so the question is
     whether any order containing Z[sqrt(radicand)] (conductor dividing
-    that of 4*radicand) embeds.  The answer does not depend on the
-    involution a criterion is about, so it is memoized: the criteria ask
-    the same questions for every w_m of a curve.
+    that of 4*radicand) embeds.
     """
     check_algebra(d, n)
     if radicand == 0:

@@ -15,12 +15,12 @@ Three independent sources of local information about X_0^D(N)/<w_m>:
 The sources overlap and are reported separately; `local_obstructions`
 collects every applicable verdict.
 
-The real components of every w_m of a pair are counted at once, from the
-factorization of DN, into one table kept for the last pair
-(_real_component_table, the only copy of the rule that names the real
-orders), as the Atkin--Lehner module does for fixed points.  The p-adic
-criteria ask `element_embeds` questions that do not depend on m; its
-memo answers them once per curve.
+Each source is decided for every w_m of a pair at once, into a table
+kept for the last pair, as the Atkin--Lehner module does for fixed
+points: the real components from the factorization of DN
+(_real_component_table), the p-adic verdicts of both criteria at every
+p | D (_padic_table).  Each table's docstring is the only copy of its
+rules; the public functions validate their arguments and look up.
 """
 
 from collections import namedtuple
@@ -109,11 +109,6 @@ def real_component_count(d: int, n: int, m: int) -> int:
     X_0^D(N)/<w_m>: half of its entry in the pair's
     _real_component_table, which must be even."""
     check_pair(d, n, m)
-    return _real_components(d, n, m)
-
-
-def _real_components(d: int, n: int, m: int) -> int:
-    """real_component_count for a checked (D, N, m)."""
     nu = _real_component_table(d, n)[_hall_index(d, n)[0][m]]
     if nu % 2:
         raise IntegralityError(
@@ -122,137 +117,114 @@ def _real_components(d: int, n: int, m: int) -> int:
     return nu // 2
 
 
-def qp_curve_points(d: int, n: int, p: int) -> str:
-    """Does X_0^D(N) have Q_p-points, for p | D?
+@lru_cache(maxsize=1, typed=True)
+def _padic_table(d: int, n: int) -> dict[int, tuple[tuple[str, ...], str]]:
+    """For each p | D of a valid pair, ascending: the Q_p-verdict of
+    X_0^D(N)/<w_m> for every m, indexed by the mask of m (Ogg85), and
+    the Clark03 verdict for m = D.
 
-    Nonempty exactly when p = 2 and sqrt(-1) lies in some Eichler order of
-    level N in the algebra, or p = 1 mod 4, N = 1 and D = 2p.
-    """
+    The curve itself stands at the identity's mask: it has Q_p-points
+    exactly when p = 2 and sqrt(-1) lies in some Eichler order of level N
+    in the algebra, or p = 1 mod 4, N = 1 and D = 2p; then so has every
+    quotient but X/<w_p>, which has a rule of its own.  The other
+    verdicts read embeddings into the Eichler orders of level N of the
+    algebra D and of the definite algebra D/p (orders theta_i running
+    through its class set):
+      * w_p, unguarded: Q_p-points iff some theta_i contains sqrt(-p) or
+        a root of unity other than +-1, i.e. iff sqrt(-p), Z[i] or
+        Z[zeta_3] embeds into D/p;
+      * m = p mm, mm > 1: iff sqrt(-mm), or sqrt(-1) when mm = 2, embeds
+        into D/p;
+      * p prime to m: iff p = 2, m = DN/2 and sqrt(-2) embeds into D; or
+        p odd, m = DN/p or DN/2p, (-m/p) = 1, sqrt(-p) embeds into D and,
+        when DN/p = 2m at even N, (p + 1)(m + 1) = 0 mod 8; or p = 1 mod
+        4, m = DN/p or DN/2p, Z[i] embeds into D/p and sqrt(-pm) into D.
+        Every clause needs DN/p = m or 2m, which is tested first, so
+        these embeddings are asked for at most two m.
+
+    Clark03 applies to m = D when D = pq is a product of two primes and N
+    is prime: the quotient has Q_p-points iff N is not inert in
+    Q(sqrt(-q)); otherwise the entry is NOT_APPLICABLE.  Callers work
+    through one pair at a time, so only the last pair is kept."""
+    divisor, factors = _hall_index(d, n)[1:]
+    clark_applies = omega(d) == 2 and is_prime(n)
+    table = {}
+    for p, _ in factors:
+        if d % p:
+            continue
+        dbar, dn_over_p = d // p, d * n // p
+        curve = ((p == 2 and element_embeds(-1, d, n))
+                 or (p % 4 == 1 and n == 1 and d == 2 * p))
+        verdicts = [curve]
+        for m in divisor[1:]:
+            if m == p:
+                found = (element_embeds(-p, dbar, n)
+                         or locally_embeds(_GAUSSIAN, dbar, n)
+                         or locally_embeds(_EISENSTEIN, dbar, n))
+            elif curve:
+                found = True
+            elif m % p:
+                found = dn_over_p in (m, 2 * m) and (
+                    (p == 2 and m == dn_over_p and element_embeds(-2, d, n))
+                    or (p > 2 and kronecker(-m, p) == 1
+                        and element_embeds(-p, d, n)
+                        and (dn_over_p == m or n % 2 == 1
+                             or (p + 1) * (m + 1) % 8 == 0))
+                    or (p % 4 == 1 and locally_embeds(_GAUSSIAN, dbar, n)
+                        and element_embeds(-p * m, d, n)))
+            else:
+                mm = m // p
+                found = (element_embeds(-mm, dbar, n)
+                         or (mm == 2 and element_embeds(-1, dbar, n)))
+            verdicts.append(found)
+        clark = NOT_APPLICABLE
+        if clark_applies:
+            dk = order_from_discriminant(-4 * dbar).fundamental_discriminant
+            clark = EMPTY if kronecker(dk, n) == -1 else NONEMPTY
+        table[p] = (tuple(NONEMPTY if v else EMPTY for v in verdicts), clark)
+    return table
+
+
+def qp_curve_points(d: int, n: int, p: int) -> str:
+    """Does X_0^D(N) have Q_p-points, for p | D?  (_padic_table)"""
     check_pair(d, n)
     _check_prime(p)
-    return _qp_curve_points(d, n, p)
-
-
-def _qp_curve_points(d: int, n: int, p: int) -> str:
-    """qp_curve_points for a checked pair and prime."""
-    if d % p != 0:
-        return NOT_APPLICABLE
-    if p == 2 and element_embeds(-1, d, n):
-        return NONEMPTY
-    if p % 4 == 1 and n == 1 and d == 2 * p:
-        return NONEMPTY
-    return EMPTY
+    row = _padic_table(d, n).get(p)
+    return row[0][0] if row else NOT_APPLICABLE
 
 
 def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     """Does X_0^D(N)/<w_m> have Q_p-points, for p | D and m || DN, m > 1?
-
-    When the curve itself has Q_p-points so does every quotient.  When it
-    does not, the answer is read off from embeddings into the definite
-    algebra of discriminant D/p (orders theta_i of level N run through the
-    class set) and into the Eichler orders of level N in the indefinite
-    algebra itself.
-    """
+    (_padic_table)"""
     check_pair(d, n, m)
     _check_prime(p)
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
-    return _qp_quotient_points(d, n, m, p)
-
-
-def _qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
-    """qp_quotient_points for a checked (D, N, m), m > 1, and prime p."""
-    if d % p != 0:
-        return NOT_APPLICABLE
-    if m == p:
-        # Unguarded criterion for the single involution w_p: the quotient
-        # has Q_p-points iff some theta_i contains sqrt(-p) or a root of
-        # unity other than +-1, i.e. iff Z[i] or Z[zeta_3] embeds.
-        dbar = d // p
-        return (
-            NONEMPTY
-            if (
-                element_embeds(-p, dbar, n)
-                or locally_embeds(_GAUSSIAN, dbar, n)
-                or locally_embeds(_EISENSTEIN, dbar, n)
-            )
-            else EMPTY
-        )
-    if _qp_curve_points(d, n, p) == NONEMPTY:
-        return NONEMPTY
-    dn_over_p = d * n // p
-    if m % p != 0:
-        # w_m with p prime to m, guarded by X(Q_p) empty.
-        if p == 2 and m == dn_over_p and element_embeds(-2, d, n):
-            return NONEMPTY
-        if (
-            p > 2
-            and element_embeds(-p, d, n)
-            and kronecker(-m, p) == 1
-            and dn_over_p in (m, 2 * m)
-            # extra 2-adic constraint only in the doubled case at even level
-            and (dn_over_p == m or n % 2 == 1 or (p + 1) * (m + 1) % 8 == 0)
-        ):
-            return NONEMPTY
-        if (
-            p % 4 == 1
-            and locally_embeds(_GAUSSIAN, d // p, n)
-            and dn_over_p in (m, 2 * m)
-            and element_embeds(-p * m, d, n)
-        ):
-            return NONEMPTY
-        return EMPTY
-    # w_{p*mm} with mm > 1 prime to p, guarded by X(Q_p) empty.
-    mm = m // p
-    dbar = d // p
-    if element_embeds(-mm, dbar, n):
-        return NONEMPTY
-    if mm == 2 and element_embeds(-1, dbar, n):
-        return NONEMPTY
-    return EMPTY
+    row = _padic_table(d, n).get(p)
+    return row[0][_hall_index(d, n)[0][m]] if row else NOT_APPLICABLE
 
 
 def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
-    """Criterion for the full quotient X_0^{pq}(N)/<w_{pq}> at Q_p.
-
-    Applies when D = pq is a product of two primes, N is prime and m = D:
-    the quotient has Q_p-points iff N is not inert in Q(sqrt(-q)).
-    """
+    """Clark03's criterion for the full quotient X_0^{pq}(N)/<w_{pq}> at
+    Q_p (_padic_table); NOT_APPLICABLE unless m = D."""
     check_pair(d, n, m)
     _check_prime(p)
-    return _prime_level_quotient_points(d, n, m, p)
-
-
-def _prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
-    """prime_level_quotient_points for a checked (D, N, m) and prime p."""
-    if omega(d) != 2 or m != d or not is_prime(n) or d % p != 0:
-        return NOT_APPLICABLE
-    q = d // p
-    dk = order_from_discriminant(-4 * q).fundamental_discriminant
-    return EMPTY if kronecker(dk, n) == -1 else NONEMPTY
+    row = _padic_table(d, n).get(p)
+    return row[1] if row and m == d else NOT_APPLICABLE
 
 
 def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
     """All applicable local verdicts for X_0^D(N)/<w_m>: the real place
     first, then each p | D in order, p-adic criterion before the
-    prime-level one.  (D, N, m) is checked once, and the primes of D are
-    read off the pair's index, so the criteria run unchecked."""
+    prime-level one.  real_component_count checks (D, N, m); the rest
+    is read off the pair's _padic_table."""
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
-    check_pair(d, n, m)
-    verdicts = [
-        LocalVerdict(
-            "real",
-            NONEMPTY if _real_components(d, n, m) > 0 else EMPTY,
-            SOURCE_REAL,
-        )
-    ]
-    for p, _ in _hall_index(d, n)[2]:
-        if d % p:
-            continue
-        verdicts.append(LocalVerdict(str(p), _qp_quotient_points(d, n, m, p),
-                                     SOURCE_PADIC))
-        clark = _prime_level_quotient_points(d, n, m, p)
-        if clark != NOT_APPLICABLE:
+    real = real_component_count(d, n, m)
+    mask = _hall_index(d, n)[0][m]
+    verdicts = [LocalVerdict("real", NONEMPTY if real else EMPTY, SOURCE_REAL)]
+    for p, (quotients, clark) in _padic_table(d, n).items():
+        verdicts.append(LocalVerdict(str(p), quotients[mask], SOURCE_PADIC))
+        if m == d and clark != NOT_APPLICABLE:
             verdicts.append(LocalVerdict(str(p), clark, SOURCE_PRIME_LEVEL))
     return tuple(verdicts)

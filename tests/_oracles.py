@@ -317,6 +317,101 @@ def per_m_real_component_count(d: int, n: int, m: int) -> int:
     return nu // 2
 
 
+def per_m_padic_verdicts(d: int, n: int, m: int):
+    """(p, Q_p-verdict of the curve, Ogg85 verdict of X_0^D(N)/<w_m>,
+    Clark03 verdict) for each p | D in order, one m > 1 at a time: the
+    per-m criteria that the program's p-adic table replaced, each asking
+    its embedding questions afresh."""
+    from x0dn.genus import check_pair
+    check_pair(d, n, m)
+    assert m > 1
+    return tuple((p, _qp_curve_points(d, n, p), _qp_quotient_points(d, n, m, p),
+                  _prime_level_quotient_points(d, n, m, p))
+                 for p, _ in _prime_powers(d))
+
+
+def _qp_curve_points(d: int, n: int, p: int) -> str:
+    """Ogg85 at Q_p for the curve itself."""
+    from x0dn.embeddings import element_embeds
+    from x0dn.localpoints import EMPTY, NONEMPTY, NOT_APPLICABLE
+    if d % p != 0:
+        return NOT_APPLICABLE
+    if p == 2 and element_embeds(-1, d, n):
+        return NONEMPTY
+    if p % 4 == 1 and n == 1 and d == 2 * p:
+        return NONEMPTY
+    return EMPTY
+
+
+def _qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
+    """Ogg85 at Q_p for X_0^D(N)/<w_m>, m > 1."""
+    from x0dn.arith import kronecker
+    from x0dn.embeddings import element_embeds, locally_embeds
+    from x0dn.localpoints import EMPTY, NONEMPTY, NOT_APPLICABLE
+    from x0dn.quadorders import QuadOrder
+    gaussian, eisenstein = QuadOrder(-4), QuadOrder(-3)
+    if d % p != 0:
+        return NOT_APPLICABLE
+    if m == p:
+        # Unguarded criterion for the single involution w_p: the quotient
+        # has Q_p-points iff some theta_i contains sqrt(-p) or a root of
+        # unity other than +-1, i.e. iff Z[i] or Z[zeta_3] embeds.
+        dbar = d // p
+        return (
+            NONEMPTY
+            if (
+                element_embeds(-p, dbar, n)
+                or locally_embeds(gaussian, dbar, n)
+                or locally_embeds(eisenstein, dbar, n)
+            )
+            else EMPTY
+        )
+    if _qp_curve_points(d, n, p) == NONEMPTY:
+        return NONEMPTY
+    dn_over_p = d * n // p
+    if m % p != 0:
+        # w_m with p prime to m, guarded by X(Q_p) empty.
+        if p == 2 and m == dn_over_p and element_embeds(-2, d, n):
+            return NONEMPTY
+        if (
+            p > 2
+            and element_embeds(-p, d, n)
+            and kronecker(-m, p) == 1
+            and dn_over_p in (m, 2 * m)
+            # extra 2-adic constraint only in the doubled case at even level
+            and (dn_over_p == m or n % 2 == 1 or (p + 1) * (m + 1) % 8 == 0)
+        ):
+            return NONEMPTY
+        if (
+            p % 4 == 1
+            and locally_embeds(gaussian, d // p, n)
+            and dn_over_p in (m, 2 * m)
+            and element_embeds(-p * m, d, n)
+        ):
+            return NONEMPTY
+        return EMPTY
+    # w_{p*mm} with mm > 1 prime to p, guarded by X(Q_p) empty.
+    mm = m // p
+    dbar = d // p
+    if element_embeds(-mm, dbar, n):
+        return NONEMPTY
+    if mm == 2 and element_embeds(-1, dbar, n):
+        return NONEMPTY
+    return EMPTY
+
+
+def _prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
+    """Clark03 at Q_p for X_0^{pq}(N)/<w_{pq}>, N prime."""
+    from x0dn.arith import is_prime, kronecker, omega
+    from x0dn.localpoints import EMPTY, NONEMPTY, NOT_APPLICABLE
+    from x0dn.quadorders import order_from_discriminant
+    if omega(d) != 2 or m != d or not is_prime(n) or d % p != 0:
+        return NOT_APPLICABLE
+    q = d // p
+    dk = order_from_discriminant(-4 * q).fundamental_discriminant
+    return EMPTY if kronecker(dk, n) == -1 else NONEMPTY
+
+
 def _prime_powers(n: int) -> list[tuple[int, int]]:
     """(p, e) with p^e || n, by trial division over every integer."""
     out = []

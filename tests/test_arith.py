@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
                         is_squarefree, kronecker, omega,
                         pell_minus_solvable, pell_pm2_solvable, psi, psi_p,
-                        smallest_prime_factors, squarefree_part)
+                        smallest_prime_factors)
 from x0dn.errors import DomainError
 from x0dn.genus import check_pair
 
@@ -49,9 +49,6 @@ def test_smallest_prime_factors():
 def test_squarefree():
     assert is_squarefree(1) and is_squarefree(6) and is_squarefree(-15)
     assert not is_squarefree(12) and not is_squarefree(0)
-    assert squarefree_part(12) == 3
-    assert squarefree_part(-28) == -7
-    assert squarefree_part(360) == 10
 
 
 def test_multiplicative_functions():

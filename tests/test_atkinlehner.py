@@ -1,11 +1,11 @@
 import re
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from x0dn import atkinlehner
-from x0dn.arith import omega, prime_divisors, squarefree_part
+from x0dn.arith import factorize, omega, prime_divisors
 from x0dn.atkinlehner import (_span, all_subgroups, fixed_point_count,
                               group_elements, quotient_genus,
                               subgroup_quotient_genus)
@@ -188,7 +188,7 @@ def test_fixed_point_table_matches_per_m_formula():
     for d, n in sorted(pairs):
         for m in group_elements(d, n)[1:]:
             assert fixed_point_count(d, n, m) == _per_m_count(d, n, m), (d, n, m)
-            s = squarefree_part(m)
+            s = prod(p for p, e in factorize(m) if e % 2)  # m = s t^2
             seen.add(("m = 2" if m == 2 else
                       "3 mod 4, square part" if m % 4 == 3 and s != m else
                       "3 mod 4" if m % 4 == 3 else

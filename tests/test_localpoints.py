@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from _oracles import per_m_real_component_count
+from _oracles import per_m_padic_verdicts, per_m_real_component_count
 from x0dn import embeddings, localpoints
 from x0dn.errors import DomainError, IntegralityError
 from x0dn.localpoints import (
@@ -237,6 +237,38 @@ def test_real_component_table_matches_per_m_reference():
                 and element_embeds(-1, d, n) and pell_pm2_solvable(m)):
             exceptional += 1
     assert (quotients, exceptional) == (16259, 250)
+
+
+def test_padic_table_matches_per_m_reference():
+    # the per-pair p-adic table against the per-m criteria it replaced,
+    # through every public reader, at every p | D of every quotient of the
+    # Harnack range; the counts show that each rule's branches fire
+    quotients, nonempty, clark = 0, {}, {EMPTY: 0, NONEMPTY: 0}
+    for d, n, m in _harnack_range():
+        expected = per_m_padic_verdicts(d, n, m)
+        places = [v for v in local_obstructions(d, n, m) if v.place != "real"]
+        assert places == [
+            LocalVerdict(str(p), verdict, source)
+            for p, _, quotient, prime_level in expected
+            for verdict, source in ((quotient, "ogg85"),
+                                    (prime_level, "clark03"))
+            if verdict != NOT_APPLICABLE], (d, n, m)
+        for p, curve, quotient, prime_level in expected:
+            assert qp_curve_points(d, n, p) == curve, (d, n, p)
+            assert qp_quotient_points(d, n, m, p) == quotient, (d, n, m, p)
+            assert (prime_level_quotient_points(d, n, m, p)
+                    == prime_level), (d, n, m, p)
+            if quotient == NONEMPTY and curve == EMPTY:
+                branch = ("w_p" if m == p else "p | m" if m % p == 0
+                          else "DN/p = m" if d * n == p * m else "DN/p = 2m")
+                nonempty[branch] = nonempty.get(branch, 0) + 1
+            if prime_level != NOT_APPLICABLE:
+                clark[prime_level] += 1
+        quotients += 1
+    assert quotients == 16259
+    assert nonempty == {"w_p": 2740, "p | m": 9614, "DN/p = m": 1454,
+                        "DN/p = 2m": 413}
+    assert clark == {EMPTY: 873, NONEMPTY: 939}
 
 
 @pytest.fixture
