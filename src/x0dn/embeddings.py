@@ -59,20 +59,27 @@ def local_nu(order: QuadOrder, p: int, d: int, n: int) -> int:
     return 2 * p ** half
 
 
+def _local_product(order, d: int, n: int, away) -> int:
+    """The local embedding numbers of the order (d0, f), valid by
+    construction, multiplied over the primes in away; the product stops
+    at its first zero factor.  Every factor is at least 0."""
+    order, nu = QuadOrder._make(order), 1
+    for p in away:
+        nu *= local_nu(order, p, d, n)
+        if not nu:
+            break
+    return nu
+
+
 def _count_away(orders, d: int, n: int, away) -> int:
-    """Sum over the orders (d0, f), valid by construction, of h(R) times
-    the local embedding numbers of R at the primes in away.  The product
-    stops at its first zero factor, and h(R) is asked only when it is
-    nonzero.  embedding_count and the per-pair tables of fixed points and
-    of real components count their orders with it."""
+    """Sum over the orders (d0, f) of h(R) times their _local_product,
+    with h(R) asked only when the product is nonzero.  embedding_count
+    and the per-pair tables of fixed points and of real components count
+    their orders with it."""
     count = 0
     for d0, f in orders:
-        order, nu = QuadOrder._make((d0, f)), 1
-        for p in away:
-            nu *= local_nu(order, p, d, n)
-            if not nu:
-                break
-        else:
+        nu = _local_product((d0, f), d, n, away)
+        if nu:
             count += nu * class_number(d0 * f * f)
     return count
 

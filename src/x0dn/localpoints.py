@@ -2,9 +2,8 @@
 
 Three independent sources of local information about X_0^D(N)/<w_m>:
 
-  * the real place, via counts of connected components of the real locus
-    (Ogg83 machinery: class numbers of real quadratic orders weighted by
-    local embedding numbers);
+  * the real place, by Ogg's real-points criterion (Ogg83 machinery:
+    local embedding numbers of real quadratic orders, no class number);
   * the primes p | D of bad reduction, via the p-adic criteria phrased in
     terms of the definite quaternion algebra of discriminant D/p (Ogg85
     machinery, extended to Eichler level N);
@@ -15,12 +14,13 @@ Three independent sources of local information about X_0^D(N)/<w_m>:
 The sources overlap and are reported separately; `local_obstructions`
 collects every applicable verdict.
 
-Each source is decided for every w_m of a pair at once, into a table
-kept for the last pair, as the Atkin--Lehner module does for fixed
-points: the real components from the factorization of DN
-(_real_component_table), the p-adic verdicts of both criteria at every
-p | D (_padic_table).  Each table's docstring is the only copy of its
-rules; the public functions validate their arguments and look up.
+Every verdict is decided for every w_m of a pair at once, into one table
+kept for the last pair (_local_table), as the Atkin--Lehner module does
+for fixed points.  The number of real components, which needs the class
+numbers of the real orders, has a table of its own
+(_real_component_table) and serves only real_component_count.  Each
+table's docstring is the only copy of its rules; the public functions
+validate their arguments and look up.
 """
 
 from collections import namedtuple
@@ -32,7 +32,8 @@ from .arith import (
     omega,
     pell_pm2_solvable,
 )
-from .embeddings import _count_away, element_embeds, locally_embeds
+from .embeddings import (_count_away, _local_product, element_embeds,
+                         locally_embeds)
 from .errors import DomainError, IntegralityError
 from .genus import _hall_index, _hall_parts, check_pair
 from .quadorders import QuadOrder, order_from_discriminant
@@ -61,42 +62,47 @@ def _check_prime(p: int) -> None:
         raise DomainError(f"p = {p!r} is not a prime")
 
 
+def _real_orders(m: int, s: int, t: int) -> tuple[tuple[int, int], ...]:
+    """The real quadratic orders (d0, f) whose optimal embeddings give
+    the real points of X_0^D(N)/<w_m>, with m = s t^2, s squarefree, as
+    _hall_parts reads it off the factorization of DN.
+
+    For square m (s = 1, including m = 1) there is none: the quotient
+    of an arithmetic Fuchsian group with D > 1 then has no real points
+    at all.  Otherwise: Z[sqrt(m)], of discriminant 4m, which is the order
+    of conductor 2t in the field of discriminant s when s = 1 mod 4, and
+    of conductor t in the field of discriminant 4s when not; and, when
+    m = 1 mod 4 (so t is odd and s = 1 mod 4), Z[(1 + sqrt(m))/2], of
+    discriminant m, the order of conductor t in the field of
+    discriminant s.  These field discriminants are fundamental by
+    construction, so the orders are built unchecked."""
+    if s == 1:
+        return ()
+    orders = ((s, 2 * t) if s % 4 == 1 else (4 * s, t),)
+    return orders + ((s, t),) if m % 4 == 1 else orders
+
+
 @lru_cache(maxsize=1, typed=True)
 def _real_component_table(d: int, n: int) -> tuple[int, ...]:
     """Twice the number of connected components of the real locus of
     X_0^D(N)/<w_m>, for every m of a valid pair, indexed by the mask of
     m (0 at the identity's mask).  An entry is a numerator that must be
-    even; real_component_count halves it, or raises for its own m.
+    even; real_component_count halves it, or raises for its own m.  The
+    table serves real_component_count only: the real-place verdict comes
+    from local factors (Ogg83, _local_table).
 
-    For square m (including m = 1) the quotient of an arithmetic Fuchsian
-    group with D > 1 has no real points at all, so the entry is 0.
-    Otherwise the components come from optimal embeddings of Z[sqrt(m)],
-    of discriminant 4m, and of Z[(1 + sqrt(m))/2], of discriminant m,
-    when m = 1 mod 4.  With m = s t^2, s squarefree, read off the
-    factorization of DN (_hall_parts): 4m is the order of conductor 2t
-    in the field of discriminant s when s = 1 mod 4, and of conductor t
-    in the field of discriminant 4s when not; m = 1 mod 4 makes t odd
-    and s = 1 mod 4, so m is the order of conductor t in the field of
-    discriminant s.  These field discriminants are fundamental by
-    construction, so the orders are built unchecked.  Each order counts
-    h(R) times its local embedding numbers at the primes of DN prime to
-    m, and h(R) is asked only when their product is nonzero.  A nonzero
-    sum gets one exceptional term: 2^(omega(DN) - 2) more when DN = 2
-    mod 4, m is DN or DN/2, sqrt(-1) lies in an Eichler order of level N
-    and x^2 - m y^2 = +-2 is solvable.  Callers work through one pair at
-    a time, so only the last pair is kept."""
+    Each of the _real_orders of m counts h(R) times its local embedding
+    numbers at the primes of DN prime to m (_count_away).  A nonzero sum
+    gets one exceptional term: 2^(omega(DN) - 2) more when DN = 2 mod 4,
+    m is DN or DN/2, sqrt(-1) lies in an Eichler order of level N and
+    x^2 - m y^2 = +-2 is solvable.  Callers work through one pair at a
+    time, so only the last pair is kept."""
     factors = _hall_index(d, n)[2]
     dn = d * n
     exceptional = (dn // 2, dn) if dn % 4 == 2 else ()
     table = [0]
     for m, s, t, away in _hall_parts(d, n):
-        if s == 1:
-            table.append(0)
-            continue
-        orders = [(s, 2 * t) if s % 4 == 1 else (4 * s, t)]
-        if m % 4 == 1:
-            orders.append((s, t))
-        nu = _count_away(orders, d, n, away)
+        nu = _count_away(_real_orders(m, s, t), d, n, away)
         if (nu and m in exceptional and element_embeds(-1, d, n)
                 and pell_pm2_solvable(m)):
             nu += 2 ** (len(factors) - 2)
@@ -118,10 +124,20 @@ def real_component_count(d: int, n: int, m: int) -> int:
 
 
 @lru_cache(maxsize=1, typed=True)
-def _padic_table(d: int, n: int) -> dict[int, tuple[tuple[str, ...], str]]:
-    """For each p | D of a valid pair, ascending: the Q_p-verdict of
-    X_0^D(N)/<w_m> for every m, indexed by the mask of m (Ogg85), and
-    the Clark03 verdict for m = D.
+def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
+                                          dict[int, tuple[tuple[str, ...], str]]]:
+    """Every local verdict of X_0^D(N)/<w_m> for a valid pair: the real
+    place for every m, indexed by the mask of m; and for each p | D,
+    ascending, the Q_p-verdict for every m, indexed by the mask of m
+    (Ogg85), with the Clark03 verdict for m = D.
+
+    The real place (Ogg83): the numerator of the component count is a
+    sum over the _real_orders R of m of h(R) times a product of local
+    embedding numbers, plus an exceptional term added only when that sum
+    is nonzero (_real_component_table).  Every h(R) is at least 1 and
+    every local factor at least 0.  So the quotient has real points
+    exactly when some R has a nonzero _local_product, and no class
+    number is asked; at square m there is no R.
 
     The curve itself stands at the identity's mask: it has Q_p-points
     exactly when p = 2 and sqrt(-1) lies in some Eichler order of level N
@@ -146,9 +162,14 @@ def _padic_table(d: int, n: int) -> dict[int, tuple[tuple[str, ...], str]]:
     is prime: the quotient has Q_p-points iff N is not inert in
     Q(sqrt(-q)); otherwise the entry is NOT_APPLICABLE.  Callers work
     through one pair at a time, so only the last pair is kept."""
+    real = [EMPTY]
+    for m, s, t, away in _hall_parts(d, n):
+        real.append(NONEMPTY if any(_local_product(order, d, n, away)
+                                    for order in _real_orders(m, s, t))
+                    else EMPTY)
     divisor, factors = _hall_index(d, n)[1:]
     clark_applies = omega(d) == 2 and is_prime(n)
-    table = {}
+    padic = {}
     for p, _ in factors:
         if d % p:
             continue
@@ -181,49 +202,49 @@ def _padic_table(d: int, n: int) -> dict[int, tuple[tuple[str, ...], str]]:
         if clark_applies:
             dk = order_from_discriminant(-4 * dbar).fundamental_discriminant
             clark = EMPTY if kronecker(dk, n) == -1 else NONEMPTY
-        table[p] = (tuple(NONEMPTY if v else EMPTY for v in verdicts), clark)
-    return table
+        padic[p] = (tuple(NONEMPTY if v else EMPTY for v in verdicts), clark)
+    return tuple(real), padic
 
 
 def qp_curve_points(d: int, n: int, p: int) -> str:
-    """Does X_0^D(N) have Q_p-points, for p | D?  (_padic_table)"""
+    """Does X_0^D(N) have Q_p-points, for p | D?  (_local_table)"""
     check_pair(d, n)
     _check_prime(p)
-    row = _padic_table(d, n).get(p)
+    row = _local_table(d, n)[1].get(p)
     return row[0][0] if row else NOT_APPLICABLE
 
 
 def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     """Does X_0^D(N)/<w_m> have Q_p-points, for p | D and m || DN, m > 1?
-    (_padic_table)"""
+    (_local_table)"""
     check_pair(d, n, m)
     _check_prime(p)
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
-    row = _padic_table(d, n).get(p)
+    row = _local_table(d, n)[1].get(p)
     return row[0][_hall_index(d, n)[0][m]] if row else NOT_APPLICABLE
 
 
 def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
     """Clark03's criterion for the full quotient X_0^{pq}(N)/<w_{pq}> at
-    Q_p (_padic_table); NOT_APPLICABLE unless m = D."""
+    Q_p (_local_table); NOT_APPLICABLE unless m = D."""
     check_pair(d, n, m)
     _check_prime(p)
-    row = _padic_table(d, n).get(p)
+    row = _local_table(d, n)[1].get(p)
     return row[1] if row and m == d else NOT_APPLICABLE
 
 
 def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
     """All applicable local verdicts for X_0^D(N)/<w_m>: the real place
     first, then each p | D in order, p-adic criterion before the
-    prime-level one.  real_component_count checks (D, N, m); the rest
-    is read off the pair's _padic_table."""
+    prime-level one, read off the pair's _local_table."""
     if m == 1:
         raise DomainError("quotient index m must exceed 1")
-    real = real_component_count(d, n, m)
+    check_pair(d, n, m)
+    real, padic = _local_table(d, n)
     mask = _hall_index(d, n)[0][m]
-    verdicts = [LocalVerdict("real", NONEMPTY if real else EMPTY, SOURCE_REAL)]
-    for p, (quotients, clark) in _padic_table(d, n).items():
+    verdicts = [LocalVerdict("real", real[mask], SOURCE_REAL)]
+    for p, (quotients, clark) in padic.items():
         verdicts.append(LocalVerdict(str(p), quotients[mask], SOURCE_PADIC))
         if m == d and clark != NOT_APPLICABLE:
             verdicts.append(LocalVerdict(str(p), clark, SOURCE_PRIME_LEVEL))

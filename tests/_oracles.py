@@ -6,7 +6,7 @@ library code they check.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 
 def brute_kronecker_prime(a: int, p: int) -> int:
@@ -454,6 +454,44 @@ def fraction_genus(d: int, n: int) -> Fraction:
             out *= 1 + s if a == 1 else (2 if s == 1 else 0)
         e[k] = out
     return 1 + phi * psi / 12 - Fraction(e[4], 4) - Fraction(e[3], 3)
+
+
+def classical_genus(m: int) -> int:
+    """Genus of the classical modular curve X_0(M), from
+    12(g - 1) = psi(M) - 3 nu_2 - 4 nu_3 - 6 nu_inf (Shimura,
+    Introduction to the Arithmetic Theory of Automorphic Functions,
+    1.6).  nu_2 and nu_3 count the roots of x^2 + 1 and x^2 + x + 1
+    modulo M, one prime power at a time (Chinese remainders); nu_inf,
+    the cusps, is the sum of phi(gcd(d, M/d)) over the divisors d of M,
+    phi counted.  It shares no local factor with the quaternion side."""
+    psi, nu2, nu3, divs = 1, 1, 1, [1]
+    for p, e in _prime_powers(m):
+        q = p ** e
+        psi *= q + q // p
+        nu2 *= sum(1 for x in range(q) if (x * x + 1) % q == 0)
+        nu3 *= sum(1 for x in range(q) if (x * x + x + 1) % q == 0)
+        divs = [k * p ** i for k in divs for i in range(e + 1)]
+    cusps = 0
+    for k in divs:
+        g = gcd(k, m // k)
+        cusps += sum(1 for j in range(1, g + 1) if gcd(j, g) == 1)
+    t = psi - 3 * nu2 - 4 * nu3 - 6 * cusps
+    assert t % 12 == 0, (m, t)
+    return t // 12 + 1
+
+
+def jacquet_langlands_genus(d: int, n: int) -> int:
+    """g(X_0^D(N)) from the classical side: S_2 of the Shimura curve is
+    the D-new part of S_2(Gamma_0(DN)) (Jacquet--Langlands; Ribet 1990
+    at level N), and for p prime to M' the p-new part of S_2(pM') has
+    dimension dim S_2(pM') - 2 dim S_2(M').  So the genus is the sum of
+    (-2)^omega(D/L) g(X_0(LN)) over the divisors L of D."""
+    primes = [p for p, _ in _prime_powers(d)]
+    total = 0
+    for bits in range(1 << len(primes)):
+        dropped = [p for i, p in enumerate(primes) if bits >> i & 1]
+        total += (-2) ** len(dropped) * classical_genus(d // prod(dropped) * n)
+    return total
 
 
 def bfs_subgroups(d: int, n: int) -> list[frozenset[int]]:

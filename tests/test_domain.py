@@ -12,7 +12,7 @@ from x0dn.atkinlehner import (fixed_point_count, group_elements,
 from x0dn.embeddings import element_embeds, embedding_count, locally_embeds
 from x0dn.errors import DomainError
 from x0dn.genus import _hall_index, check_algebra, check_pair, e_k, genus
-from x0dn.localpoints import (_padic_table, local_obstructions,
+from x0dn.localpoints import (_local_table, local_obstructions,
                               prime_level_quotient_points, qp_curve_points,
                               qp_quotient_points, real_component_count)
 from x0dn.quadorders import QuadOrder, class_number
@@ -105,7 +105,7 @@ def test_memos_are_typed(call, good, bad):
     """A float or bool argument is a DomainError, before and after the
     int call is memoized: no memo answers it from the int entry."""
     for memo in (genus, fixed_point_count, check_algebra, _hall_index,
-                 class_number, factorize, _padic_table):
+                 class_number, factorize, _local_table):
         memo.cache_clear()
     with pytest.raises(DomainError):
         call(*bad)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import fraction_genus
+from _oracles import classical_genus, fraction_genus, jacquet_langlands_genus
 from x0dn.arith import is_prime, kronecker
 from x0dn.errors import DomainError
 from x0dn.genus import _elliptic_factor, check_algebra, check_pair, e_k, genus
@@ -108,3 +108,15 @@ def test_genus_integral_and_nonnegative(d, n):
     assert g == fraction_genus(d, n)
     check_pair(d, n)
 
+
+def test_genus_matches_classical_side():
+    # Jacquet--Langlands: the genus of the Shimura curve is the dimension
+    # of the D-new part of S_2(Gamma_0(DN)), counted on the classical
+    # X_0(LN) with no quaternion-side rule, on every pair of genus <= 39
+    from x0dn.pipeline import _pairs
+    assert [classical_genus(m) for m in (1, 11, 23, 36, 37, 49, 64)] == [
+        0, 1, 2, 1, 2, 1, 3]
+    pairs = list(_pairs(39))
+    assert len(pairs) == 624
+    for d, n in pairs:
+        assert genus(d, n) == jacquet_langlands_genus(d, n), (d, n)

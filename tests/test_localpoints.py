@@ -271,6 +271,24 @@ def test_padic_table_matches_per_m_reference():
     assert clark == {EMPTY: 873, NONEMPTY: 939}
 
 
+def test_real_verdict_matches_component_count():
+    # the real-place verdict reads local factors alone and the count reads
+    # class numbers too; the verdict is nonempty exactly when the count is
+    # positive, on every quotient of the Harnack range.  Square m have no
+    # real order and no real point.
+    from math import isqrt
+    quotients, nonempty, square = 0, 0, 0
+    for d, n, m in _harnack_range():
+        real = local_obstructions(d, n, m)[0]
+        count = real_component_count(d, n, m)
+        assert real.place == "real", (d, n, m)
+        assert (real.status == NONEMPTY) == (count > 0), (d, n, m)
+        quotients += 1
+        nonempty += count > 0
+        square += isqrt(m) ** 2 == m
+    assert (quotients, nonempty, square) == (16259, 8066, 290)
+
+
 @pytest.fixture
 def fresh_real_table():
     localpoints._real_component_table.cache_clear()
