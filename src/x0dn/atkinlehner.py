@@ -9,15 +9,15 @@ twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  The index
 of masks and Hall divisors belongs to `genus`, whose index is the one
 validator of a pair and is kept while the pair is in use.  Subgroups are
 spans of reduced echelon bases over F_2, each built once, and the spans
-of the last pair's subgroups are kept for their genera.  The public API
+of a pair's subgroups are kept for their genera.  The public API
 stays in Hall divisors: elements are ints and subgroups are frozensets
 of Hall divisors containing 1.
 
 Fixed points of w_m are CM points by one or two explicit imaginary
 quadratic orders; their number is a class number times local embedding
 factors away from m.  The counts of every w_m of a pair are built at
-once, from the factorization of DN, into one table kept for the last
-pair, which is the only copy of the rule that names the orders.
+once, from the factorization of DN, into one per-pair table, which
+is the only copy of the rule that names the orders.
 Quotient genera then come out of one Riemann--Hurwitz that sums the
 table over the masks of a subgroup, and must give integers.
 """
@@ -25,8 +25,8 @@ table over the masks of a subgroup, and must give integers.
 from functools import lru_cache
 
 from .embeddings import _count_away
-from .errors import DomainError, IntegralityError
-from .genus import _hall_index, _hall_parts, check_pair, genus
+from .errors import IntegralityError
+from .genus import _hall_index, _involution_mask, check_pair, genus
 
 
 @lru_cache(maxsize=None)
@@ -61,36 +61,33 @@ def _span(gens, d: int, n: int) -> set[int]:
     """The masks of the subgroup generated by the given Hall divisors.
     The span doubles for each generator outside it; a generator already
     in it costs one lookup, so passing a whole subgroup costs O(|H|)."""
-    mask_of = _hall_index(d, n)[0]
     span = {0}
     for m in gens:
-        b = mask_of.get(m)
-        if b is None:
-            raise DomainError(f"{m} is not a Hall divisor of {d * n}")
+        b = check_pair(d, n, m)
         if b not in span:
             span |= {x ^ b for x in span}
     return span
 
 
-# (D, N) -> {subgroup: the masks of its span} for the last pair that
-# all_subgroups built, so that subgroup_quotient_genus need not span a
-# subgroup it is handed back.
-_kept_spans: dict[tuple[int, int], dict[frozenset[int], tuple[int, ...]]] = {}
-
-
-def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
-    """Every subgroup of the Atkin--Lehner group, sorted by size and then
-    by sorted elements, so the trivial one comes first.  The span of each
-    is kept for the last pair (_kept_spans)."""
+@lru_cache(maxsize=1, typed=True)
+def _subgroup_table(d: int, n: int) -> dict[frozenset[int], tuple[int, ...]]:
+    """Every subgroup of the Atkin--Lehner group of a valid pair, as its
+    Hall divisors, mapped to the masks of its span; sorted by size and
+    then by sorted elements, so the trivial one comes first.  A per-pair
+    table (genus._hall_index), so that subgroup_quotient_genus need not
+    span a subgroup that all_subgroups handed out."""
     divisor = _hall_index(d, n)[1]
     w = len(divisor).bit_length() - 1      # len(divisor) = 2^omega(DN)
     subs = [(sorted(map(divisor.__getitem__, span)), span)
             for span in _subgroup_spans(w)]
     subs.sort(key=lambda sub: (len(sub[1]), sub[0]))
-    spans = {frozenset(elements): span for elements, span in subs}
-    _kept_spans.clear()
-    _kept_spans[d, n] = spans
-    return tuple(spans)
+    return {frozenset(elements): span for elements, span in subs}
+
+
+def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
+    """Every subgroup of the Atkin--Lehner group, trivial first
+    (_subgroup_table)."""
+    return tuple(_subgroup_table(d, n))
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -102,16 +99,16 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     both orders of Q(i) and Q(sqrt(-2)) for m = 2, the orders of
     discriminant -m and -4m for m = 3 mod 4, and only Z[sqrt(-m)]
     otherwise.  With m = s t^2, s squarefree, read off the factorization
-    of DN (_hall_parts), these are the orders of discriminant -4 and -8
-    for m = 2; -s t^2 and -s (2t)^2 for m = 3 mod 4; otherwise -4m, whose
-    field discriminant is -s with conductor 2t when s = 3 mod 4 and -4s
-    with conductor t when not.  These field discriminants are fundamental by
-    construction, so the orders are built unchecked.  Each order counts
+    of DN (genus._hall_index), these are the orders of discriminant -4
+    and -8 for m = 2; -s t^2 and -s (2t)^2 for m = 3 mod 4; otherwise
+    -4m, whose field discriminant is -s with conductor 2t when s = 3
+    mod 4 and -4s with conductor t when not.  These field discriminants
+    are fundamental by construction, so the orders are built unchecked.  Each order counts
     h(R) times its local embedding numbers at the primes of DN prime to
-    m, and h(R) is asked only when their product is nonzero.  Callers
-    work through one pair at a time, so only the last pair is kept."""
+    m, and h(R) is asked only when their product is nonzero.  A per-pair
+    table (genus._hall_index)."""
     table = [0]
-    for m, s, t, away in _hall_parts(d, n):
+    for m, s, t, away in _hall_index(d, n)[3][1:]:
         if m == 2:
             orders = ((-4, 1), (-8, 1))
         elif m % 4 == 3:
@@ -124,22 +121,13 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _involution(d: int, n: int, m: int) -> int:
-    """The mask of m, checked to be a nontrivial Hall divisor of DN."""
-    check_pair(d, n, m)
-    if m == 1:
-        raise DomainError(f"{m} is not a nontrivial Hall divisor of {d * n}")
-    return _hall_index(d, n)[0][m]
-
-
 @lru_cache(maxsize=128, typed=True)
 def fixed_point_count(d: int, n: int, m: int) -> int:
     """Number of fixed points of w_m on X_0^D(N), for a nontrivial Hall
     divisor m of DN: a lookup in the pair's _fixed_point_table.  The
-    memo holds the 2^omega(DN) - 1 <= 127 of one pair with
-    omega(DN) <= 7: callers work through one pair at a time, so a stream
-    of curves does not grow it."""
-    return _fixed_point_table(d, n)[_involution(d, n, m)]
+    memo holds the 2^omega(DN) - 1 <= 127 of the pair in use, with
+    omega(DN) <= 7 (genus._hall_index)."""
+    return _fixed_point_table(d, n)[_involution_mask(d, n, m)]
 
 
 def _riemann_hurwitz(d: int, n: int, span) -> int:
@@ -161,16 +149,16 @@ def _riemann_hurwitz(d: int, n: int, span) -> int:
 
 def quotient_genus(d: int, n: int, m: int) -> int:
     """Genus of X_0^D(N)/<w_m>: (2g + 2 - #fixed)/4."""
-    return _riemann_hurwitz(d, n, (0, _involution(d, n, m)))
+    return _riemann_hurwitz(d, n, (0, _involution_mask(d, n, m)))
 
 
 def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     """Genus of the quotient of X_0^D(N) by the subgroup generated by
-    the given involutions.  A subgroup that all_subgroups returned for
-    the last pair is read off its kept span; any other gens are spanned
-    and checked by _span.  Either way _riemann_hurwitz validates the
-    pair through its fixed-point table."""
+    the given involutions.  A subgroup that all_subgroups returns is
+    read off the pair's _subgroup_table; any other gens are spanned and
+    checked by _span.  Either way _riemann_hurwitz validates the pair
+    through its fixed-point table."""
     span = None
     if isinstance(gens, frozenset):
-        span = _kept_spans.get((d, n), {}).get(gens)
+        span = _subgroup_table(d, n).get(gens)
     return _riemann_hurwitz(d, n, span or _span(gens, d, n))

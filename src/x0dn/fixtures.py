@@ -15,13 +15,14 @@ from collections import namedtuple
 from importlib import resources
 
 from .errors import DomainError, FixtureError
-from .genus import check_pair
+from .genus import _involution_mask, check_pair
 
 DATA_NAME = "prior_work.txt"
 
 # The record grammar: the fields of each tag between tag and citation.
 # D, N and m form the key, unique per tag and valid for check_pair (m = 1
-# is refused); a genus or rank is >= 0 and a verdict one of _VERDICTS.
+# is refused by _involution_mask); a genus or rank is >= 0 and a verdict
+# one of _VERDICTS.
 FIELDS = {
     "HYPERELLIPTIC": ("D", "N"),
     "BIELLIPTIC_L1": ("D",),
@@ -68,11 +69,9 @@ def _record(lineno: int, line: str) -> tuple[str, tuple, tuple]:
     key = tuple(values.pop(name) for name in ("D", "N", "m") if name in values)
     d, n, m = (*key, 1, 1)[:3]  # a level-one key has N = 1, a pair m = 1
     try:
-        check_pair(d, n, m)
+        (_involution_mask if len(key) == 3 else check_pair)(d, n, m)
     except DomainError as exc:
         raise _fail(lineno, line, str(exc)) from None
-    if len(key) == 3 and m == 1:
-        raise _fail(lineno, line, "m = 1 is the trivial involution")
     for name, value in values.items():
         if name == "verdict" and value not in _VERDICTS:
             raise _fail(lineno, line, f"verdict must be one of {_VERDICTS}")

@@ -3,9 +3,9 @@ of level N in the indefinite rational quaternion algebra of discriminant
 D.  This module owns the level: the validity of (D, N), the parity that
 makes an algebra definite, and the index of the Atkin--Lehner
 involutions w_m by the Hall divisors m of DN.  The index is the one
-validator of a pair: it checks the pair once, on a miss, and check_pair,
-e_k and the Atkin--Lehner module read it, so a level already checked
-costs a lookup.
+validator of a pair and the one walk over its masks: it checks the pair
+once, on a miss, and check_pair, e_k and the per-pair tables read it, so
+a level already checked costs a lookup.
 
 All arithmetic is over the integers: 12(g - 1) is computed exactly and
 must be divisible by 12, or IntegralityError is raised.  The local
@@ -44,53 +44,59 @@ def is_definite(d: int) -> bool:
     return omega(d) % 2 == 1
 
 
-def check_pair(d: int, n: int, m: int = 1) -> None:
+def check_pair(d: int, n: int, m: int = 1) -> int:
     """A valid pair: D > 1 squarefree with an even number of prime
     factors (so the algebra is indefinite), N >= 1 prime to D; and m a
-    Hall divisor of DN, the index of an Atkin--Lehner involution.  The
-    pair is validated by _hall_index, so a pair in use costs a lookup."""
+    Hall divisor of DN, the index of an Atkin--Lehner involution.
+    Returns the mask of m.  The pair is validated by _hall_index, so a
+    pair in use costs a lookup."""
     mask_of = _hall_index(d, n)[0]
     if type(m) is not int or m not in mask_of:
         raise DomainError(f"m = {m!r} is not a Hall divisor of DN = {d * n}")
+    return mask_of[m]
+
+
+def _involution_mask(d: int, n: int, m: int) -> int:
+    """The mask of m, checked by check_pair and to be nonzero: m > 1
+    indexes an involution w_m, m = 1 the identity."""
+    mask = check_pair(d, n, m)
+    if not mask:
+        raise DomainError(
+            f"m = 1 is not a nontrivial Hall divisor of DN = {d * n}")
+    return mask
 
 
 @lru_cache(maxsize=1, typed=True)
-def _hall_index(d: int, n: int) -> tuple[dict[int, int], tuple[int, ...],
-                                         tuple[tuple[int, int], ...]]:
+def _hall_index(d: int, n: int) -> tuple[
+        dict[int, int], tuple[int, ...], tuple[tuple[int, int], ...],
+        tuple[tuple[int, int, int, tuple[int, ...]], ...]]:
     """The one validator of a pair: DomainError unless (D, N) passes
     check_algebra and D has an even number of primes.  For a valid pair:
     the mask of each Hall divisor m of DN (bit i is set when the i-th
-    prime power of DN divides m), the Hall divisor of each mask, and the
-    factorization of DN whose i-th prime power is bit i.  Callers work
-    through one pair at a time, so only the last pair is kept: a stream
-    of curves holds one index, not one each."""
+    prime power of DN divides m), the Hall divisor of each mask, the
+    factorization of DN whose i-th prime power is bit i, and the parts
+    of each mask: its Hall divisor m, m = s t^2 with s squarefree read
+    off the prime powers of DN, and the primes of DN that do not divide
+    m, ascending.  Divisors and parts come from one doubling over the
+    prime powers of DN.
+
+    Callers work through one pair at a time, so this index and every
+    per-pair table (maxsize=1) keep only the last pair: a stream of
+    curves holds one of each, not one per curve.  A pair gets a table
+    only where a workload reads every m of it."""
     check_algebra(d, n)
     if is_definite(d):
         raise DomainError(
             f"D = {d} has an odd number of prime factors (definite algebra)")
     factors = factorize(d * n)
-    divisor = [1]
-    for p, e in factors:
-        q = p ** e
-        divisor += [m * q for m in divisor]
-    return {m: mask for mask, m in enumerate(divisor)}, tuple(divisor), factors
-
-
-@lru_cache(maxsize=1, typed=True)
-def _hall_parts(d: int, n: int) -> tuple[tuple[int, int, int,
-                                                tuple[int, ...]], ...]:
-    """For each mask of a valid pair but the identity's, in mask order:
-    its Hall divisor m, m = s t^2 with s squarefree read off the prime
-    powers of DN, and the primes of DN that do not divide m.  The
-    per-pair tables of fixed points and of real components walk the
-    masks through it, so it is kept for the last pair.  Built by doubling
-    over the prime powers of DN, as the index builds its Hall divisors."""
     parts = [(1, 1, 1, ())]
-    for p, e in _hall_index(d, n)[2]:
+    for p, e in factors:
         q, sp, tp = p ** e, p ** (e % 2), p ** (e // 2)
         parts = ([(m, s, t, away + (p,)) for m, s, t, away in parts]
                  + [(m * q, s * sp, t * tp, away) for m, s, t, away in parts])
-    return tuple(parts[1:])
+    divisor = tuple(part[0] for part in parts)
+    return ({m: mask for mask, m in enumerate(divisor)}, divisor, factors,
+            tuple(parts))
 
 
 def _elliptic_factor(k: int, p: int, e: int) -> int:

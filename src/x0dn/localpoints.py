@@ -14,13 +14,12 @@ Three independent sources of local information about X_0^D(N)/<w_m>:
 The sources overlap and are reported separately; `local_obstructions`
 collects every applicable verdict.
 
-Every verdict is decided for every w_m of a pair at once, into one table
-kept for the last pair (_local_table), as the Atkin--Lehner module does
-for fixed points.  The number of real components, which needs the class
-numbers of the real orders, has a table of its own
-(_real_component_table) and serves only real_component_count.  Each
-table's docstring is the only copy of its rules; the public functions
-validate their arguments and look up.
+Every verdict is decided for every w_m of a pair at once, into one
+per-pair table (_local_table), as the Atkin--Lehner module does for
+fixed points; the table's docstring is the only copy of its rules, and
+the public functions validate their arguments and look up.  The number
+of real components, which needs the class numbers of the real orders,
+is computed for its one m by real_component_count.
 """
 
 from collections import namedtuple
@@ -35,7 +34,7 @@ from .arith import (
 from .embeddings import (_count_away, _local_product, element_embeds,
                          locally_embeds)
 from .errors import DomainError, IntegralityError
-from .genus import _hall_index, _hall_parts, check_pair
+from .genus import _hall_index, _involution_mask, check_pair
 from .quadorders import QuadOrder, order_from_discriminant
 
 EMPTY = "empty"
@@ -65,7 +64,7 @@ def _check_prime(p: int) -> None:
 def _real_orders(m: int, s: int, t: int) -> tuple[tuple[int, int], ...]:
     """The real quadratic orders (d0, f) whose optimal embeddings give
     the real points of X_0^D(N)/<w_m>, with m = s t^2, s squarefree, as
-    _hall_parts reads it off the factorization of DN.
+    genus._hall_index reads it off the factorization of DN.
 
     For square m (s = 1, including m = 1) there is none: the quotient
     of an arithmetic Fuchsian group with D > 1 then has no real points
@@ -82,40 +81,24 @@ def _real_orders(m: int, s: int, t: int) -> tuple[tuple[int, int], ...]:
     return orders + ((s, t),) if m % 4 == 1 else orders
 
 
-@lru_cache(maxsize=1, typed=True)
-def _real_component_table(d: int, n: int) -> tuple[int, ...]:
-    """Twice the number of connected components of the real locus of
-    X_0^D(N)/<w_m>, for every m of a valid pair, indexed by the mask of
-    m (0 at the identity's mask).  An entry is a numerator that must be
-    even; real_component_count halves it, or raises for its own m.  The
-    table serves real_component_count only: the real-place verdict comes
-    from local factors (Ogg83, _local_table).
+def real_component_count(d: int, n: int, m: int) -> int:
+    """Number of connected components of the real locus of
+    X_0^D(N)/<w_m>: half of a numerator nu, which must be even.  The
+    real-place verdict does not need it: that comes from local factors
+    (Ogg83, _local_table).
 
     Each of the _real_orders of m counts h(R) times its local embedding
     numbers at the primes of DN prime to m (_count_away).  A nonzero sum
     gets one exceptional term: 2^(omega(DN) - 2) more when DN = 2 mod 4,
     m is DN or DN/2, sqrt(-1) lies in an Eichler order of level N and
-    x^2 - m y^2 = +-2 is solvable.  Callers work through one pair at a
-    time, so only the last pair is kept."""
-    factors = _hall_index(d, n)[2]
+    x^2 - m y^2 = +-2 is solvable."""
+    index = _hall_index(d, n)
+    _, s, t, away = index[3][check_pair(d, n, m)]
+    nu = _count_away(_real_orders(m, s, t), d, n, away)
     dn = d * n
-    exceptional = (dn // 2, dn) if dn % 4 == 2 else ()
-    table = [0]
-    for m, s, t, away in _hall_parts(d, n):
-        nu = _count_away(_real_orders(m, s, t), d, n, away)
-        if (nu and m in exceptional and element_embeds(-1, d, n)
-                and pell_pm2_solvable(m)):
-            nu += 2 ** (len(factors) - 2)
-        table.append(nu)
-    return tuple(table)
-
-
-def real_component_count(d: int, n: int, m: int) -> int:
-    """Number of connected components of the real locus of
-    X_0^D(N)/<w_m>: half of its entry in the pair's
-    _real_component_table, which must be even."""
-    check_pair(d, n, m)
-    nu = _real_component_table(d, n)[_hall_index(d, n)[0][m]]
+    if (nu and dn % 4 == 2 and m in (dn // 2, dn)
+            and element_embeds(-1, d, n) and pell_pm2_solvable(m)):
+        nu += 2 ** (len(index[2]) - 2)
     if nu % 2:
         raise IntegralityError(
             f"odd component count numerator {nu} for (D, N, m) = ({d}, {n}, {m})"
@@ -134,7 +117,7 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
     The real place (Ogg83): the numerator of the component count is a
     sum over the _real_orders R of m of h(R) times a product of local
     embedding numbers, plus an exceptional term added only when that sum
-    is nonzero (_real_component_table).  Every h(R) is at least 1 and
+    is nonzero (real_component_count).  Every h(R) is at least 1 and
     every local factor at least 0.  So the quotient has real points
     exactly when some R has a nonzero _local_product, and no class
     number is asked; at square m there is no R.
@@ -160,14 +143,14 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
 
     Clark03 applies to m = D when D = pq is a product of two primes and N
     is prime: the quotient has Q_p-points iff N is not inert in
-    Q(sqrt(-q)); otherwise the entry is NOT_APPLICABLE.  Callers work
-    through one pair at a time, so only the last pair is kept."""
+    Q(sqrt(-q)); otherwise the entry is NOT_APPLICABLE.  A per-pair
+    table (genus._hall_index)."""
+    _, divisor, factors, parts = _hall_index(d, n)
     real = [EMPTY]
-    for m, s, t, away in _hall_parts(d, n):
+    for m, s, t, away in parts[1:]:
         real.append(NONEMPTY if any(_local_product(order, d, n, away)
                                     for order in _real_orders(m, s, t))
                     else EMPTY)
-    divisor, factors = _hall_index(d, n)[1:]
     clark_applies = omega(d) == 2 and is_prime(n)
     padic = {}
     for p, _ in factors:
@@ -217,12 +200,10 @@ def qp_curve_points(d: int, n: int, p: int) -> str:
 def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     """Does X_0^D(N)/<w_m> have Q_p-points, for p | D and m || DN, m > 1?
     (_local_table)"""
-    check_pair(d, n, m)
+    mask = _involution_mask(d, n, m)
     _check_prime(p)
-    if m == 1:
-        raise DomainError("quotient index m must exceed 1")
     row = _local_table(d, n)[1].get(p)
-    return row[0][_hall_index(d, n)[0][m]] if row else NOT_APPLICABLE
+    return row[0][mask] if row else NOT_APPLICABLE
 
 
 def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
@@ -238,11 +219,8 @@ def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
     """All applicable local verdicts for X_0^D(N)/<w_m>: the real place
     first, then each p | D in order, p-adic criterion before the
     prime-level one, read off the pair's _local_table."""
-    if m == 1:
-        raise DomainError("quotient index m must exceed 1")
-    check_pair(d, n, m)
+    mask = _involution_mask(d, n, m)
     real, padic = _local_table(d, n)
-    mask = _hall_index(d, n)[0][m]
     verdicts = [LocalVerdict("real", real[mask], SOURCE_REAL)]
     for p, (quotients, clark) in padic.items():
         verdicts.append(LocalVerdict(str(p), quotients[mask], SOURCE_PADIC))

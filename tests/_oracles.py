@@ -283,9 +283,8 @@ def per_m_real_component_count(d: int, n: int, m: int) -> int:
     """Real components of X_0^D(N)/<w_m>, one m at a time: 0 for square
     m; otherwise optimal embeddings of the orders of discriminant 4m and,
     when m = 1 mod 4, m, counted away from the primes of m, plus the
-    exceptional term, halved.  The reference for the program's
-    real-component table, which reads the same orders off the
-    factorization of DN."""
+    exceptional term, halved.  The reference for real_component_count,
+    which reads the same orders off the factorization of DN."""
     from x0dn.arith import omega, pell_pm2_solvable, prime_divisors
     from x0dn.embeddings import element_embeds, embedding_count
     from x0dn.errors import IntegralityError

@@ -7,8 +7,9 @@ import pytest
 
 from _oracles import valid_algebra, valid_index, valid_pair
 from x0dn.arith import factorize, valuation
-from x0dn.atkinlehner import (fixed_point_count, group_elements,
-                              quotient_genus)
+from x0dn.atkinlehner import (_fixed_point_table, _subgroup_table,
+                              fixed_point_count, group_elements,
+                              quotient_genus, subgroup_quotient_genus)
 from x0dn.embeddings import element_embeds, embedding_count, locally_embeds
 from x0dn.errors import DomainError
 from x0dn.genus import _hall_index, check_algebra, check_pair, e_k, genus
@@ -89,6 +90,8 @@ TYPED = [
     (fixed_point_count, (6, 5, 2), (6.0, 5, 2)),
     (check_pair, (6, 5, 6), (6, 5, 6.0)),
     (quotient_genus, (6, 5, 6), (6, 5, 6.0)),
+    (subgroup_quotient_genus, (6, 5, [6]), (6, 5, [6.0])),
+    (subgroup_quotient_genus, (6, 5, [1]), (6, 5, [True])),
     (class_number, (-23,), (-23.0,)),
     (factorize, (15,), (15.0,)),
     (factorize, (7,), (7.5,)),
@@ -105,7 +108,8 @@ def test_memos_are_typed(call, good, bad):
     """A float or bool argument is a DomainError, before and after the
     int call is memoized: no memo answers it from the int entry."""
     for memo in (genus, fixed_point_count, check_algebra, _hall_index,
-                 class_number, factorize, _local_table):
+                 _fixed_point_table, _local_table, _subgroup_table,
+                 class_number, factorize):
         memo.cache_clear()
     with pytest.raises(DomainError):
         call(*bad)

@@ -1,10 +1,13 @@
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import classical_genus, fraction_genus, jacquet_langlands_genus
-from x0dn.arith import is_prime, kronecker
+from x0dn.arith import factorize, is_prime, kronecker
 from x0dn.errors import DomainError
-from x0dn.genus import _elliptic_factor, check_algebra, check_pair, e_k, genus
+from x0dn.genus import (_elliptic_factor, _hall_index, _involution_mask,
+                        check_algebra, check_pair, e_k, genus)
 
 # Discriminant/level pairs of genus 0 and of genus 1 (complete lists).
 GENUS_ZERO = {(6, 1), (10, 1), (22, 1)}
@@ -96,6 +99,29 @@ def test_check_pair_index():
     check_algebra(30, 1)
     with pytest.raises(DomainError):
         check_pair(30, 1)
+    # on every pair of genus <= 39, each mask's parts against factorize:
+    # its Hall divisor m, the squarefree s and t with m = s t^2, and the
+    # primes of DN prime to m; check_pair returns the mask of m, and
+    # _involution_mask raises exactly at m = 1
+    from x0dn.pipeline import _pairs
+    pairs = list(_pairs(39))
+    for d, n in pairs:
+        factors = factorize(d * n)
+        parts = _hall_index(d, n)[3]
+        assert len(parts) == 2 ** len(factors), (d, n)
+        for mask, (m, s, t, away) in enumerate(parts):
+            assert m == prod(p ** e for i, (p, e) in enumerate(factors)
+                             if mask >> i & 1), (d, n, mask)
+            assert s == prod(p for p, e in factorize(m) if e % 2), (d, n, m)
+            assert t == prod(p ** (e // 2) for p, e in factorize(m)), (d, n, m)
+            assert away == tuple(p for p, _ in factors if m % p), (d, n, m)
+            assert check_pair(d, n, m) == mask, (d, n, m)
+            if m == 1:
+                with pytest.raises(DomainError):
+                    _involution_mask(d, n, m)
+            else:
+                assert _involution_mask(d, n, m) == mask, (d, n, m)
+    assert len(pairs) == 624
 
 
 @given(st.sampled_from(QUATERNION_DISCS), st.integers(min_value=1, max_value=400))

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from _oracles import per_m_padic_verdicts, per_m_real_component_count
-from x0dn import embeddings, localpoints
+from x0dn import embeddings
 from x0dn.errors import DomainError, IntegralityError
 from x0dn.localpoints import (
     EMPTY,
@@ -222,9 +222,10 @@ def _harnack_range():
 
 
 def test_real_component_table_matches_per_m_reference():
-    # the per-pair table against the per-m formula it replaced, on every
-    # quotient of the Harnack range; the exceptional term (DN = 2 mod 4,
-    # m = DN or DN/2) fires on some of them and is compared as well
+    # real_component_count against the per-m oracle, which counts with
+    # embedding_count, on every quotient of the Harnack range; the
+    # exceptional term (DN = 2 mod 4, m = DN or DN/2) fires on some of
+    # them and is compared as well
     from x0dn.arith import pell_pm2_solvable
     from x0dn.embeddings import element_embeds
     quotients, exceptional = 0, 0
@@ -289,18 +290,10 @@ def test_real_verdict_matches_component_count():
     assert (quotients, nonempty, square) == (16259, 8066, 290)
 
 
-@pytest.fixture
-def fresh_real_table():
-    localpoints._real_component_table.cache_clear()
-    yield
-    localpoints._real_component_table.cache_clear()
-
-
-def test_real_components_odd_numerator(monkeypatch, fresh_real_table):
+def test_real_components_odd_numerator(monkeypatch):
     # at (6, 1) with every class number read as 2, m = 2 has numerator
     # 2 * 2 but m = 3 and m = 6 have 2 + 1, the exceptional term being 1;
-    # the table is built once for the pair, and each odd entry is
-    # reported for its own m
+    # each odd numerator is reported for its own m
     monkeypatch.setattr(embeddings, "class_number", lambda disc: 2)
     assert real_component_count(6, 1, 2) == 2
     for m in (3, 6):
