@@ -70,18 +70,19 @@ def _span(gens, d: int, n: int) -> set[int]:
 
 
 @lru_cache(maxsize=1, typed=True)
-def _subgroup_table(d: int, n: int) -> dict[frozenset[int], tuple[int, ...]]:
+def _subgroup_table(d: int, n: int) -> dict[frozenset[int], tuple]:
     """Every subgroup of the Atkin--Lehner group of a valid pair, as its
-    Hall divisors, mapped to the masks of its span; sorted by size and
-    then by sorted elements, so the trivial one comes first.  A per-pair
-    table (genus._hall_index), so that subgroup_quotient_genus need not
-    span a subgroup that all_subgroups handed out."""
+    Hall divisors, mapped to the pair (that very key, the masks of its
+    span); sorted by size and then by sorted elements, so the trivial
+    one comes first.  A per-pair table (genus._hall_index), so that
+    subgroup_quotient_genus need not span a subgroup that all_subgroups
+    handed out."""
     divisor = _hall_index(d, n)[1]
     w = len(divisor).bit_length() - 1      # len(divisor) = 2^omega(DN)
-    subs = [(sorted(map(divisor.__getitem__, span)), span)
+    subs = [(frozenset(map(divisor.__getitem__, span)), span)
             for span in _subgroup_spans(w)]
-    subs.sort(key=lambda sub: (len(sub[1]), sub[0]))
-    return {frozenset(elements): span for elements, span in subs}
+    subs.sort(key=lambda sub: (len(sub[1]), sorted(sub[0])))
+    return {sub[0]: sub for sub in subs}
 
 
 def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
@@ -154,11 +155,13 @@ def quotient_genus(d: int, n: int, m: int) -> int:
 
 def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     """Genus of the quotient of X_0^D(N) by the subgroup generated by
-    the given involutions.  A subgroup that all_subgroups returns is
-    read off the pair's _subgroup_table; any other gens are spanned and
-    checked by _span.  Either way _riemann_hurwitz validates the pair
-    through its fixed-point table."""
-    span = None
+    the given involutions.  The very frozenset that all_subgroups
+    returned (identity, not equality, so frozenset({1, 6.0}) is not it)
+    is read off the pair's _subgroup_table; any other gens are spanned
+    and checked by _span.  Either way _riemann_hurwitz validates the
+    pair through its fixed-point table."""
+    kept = None
     if isinstance(gens, frozenset):
-        span = _subgroup_table(d, n).get(gens)
-    return _riemann_hurwitz(d, n, span or _span(gens, d, n))
+        kept = _subgroup_table(d, n).get(gens)
+    span = kept[1] if kept and kept[0] is gens else _span(gens, d, n)
+    return _riemann_hurwitz(d, n, span)

@@ -13,21 +13,23 @@ eps the fundamental unit of the field read modulo f off one period of
 the continued fraction of the reduced (b + sqrt(d0))/2 (Cohen, GTM 138,
 5.7); see _real_unit_index.
 
-For f = 1, class numbers count reduced binary quadratic forms.  From
-|disc| = 40,000 on (_SCAN_LIMIT, the measured crossover) the forms are
-enumerated by their first coefficient a, up to sqrt(|disc|/3)
-(definite) or isqrt((disc - 1)/4) (indefinite, by lemma (a)), with the
-middle coefficient b read off a root table: for every such a, the
-residues x mod 2a with x^2 = disc (mod 4a), built over a by the CRT
-from prime-power square roots (Tonelli-Shanks and Hensel lifting).
-Below it, scans over b that cost O(|disc|) are faster and are used
-instead.  In the definite case h is the number of reduced forms.  In
-the indefinite case it is the number of orbits of f -> -rho(f) on the
-reduced forms with a > 0; every step of the walk must land on a reduced
-form, and every orbit's length parity is checked against the norm of
-the fundamental unit.  The form counts work for any discriminant; the
-program asks them only for fundamental ones.  No analytic formulas
-anywhere.  Two symmetries halve the real work:
+For f = 1, class numbers count reduced binary quadratic forms.  For
+disc < 0 the count is lemma (c): a multiplicative count of roots for
+a <= isqrt((|disc| - 1)/4), and explicit roots only for the larger a up
+to sqrt(|disc|/3).  For disc > 0, from 40,000 on (_SCAN_LIMIT) the
+forms are enumerated by their first coefficient a up to
+isqrt((disc - 1)/4) (lemma (a)), with the middle coefficient b read
+off a root table: for every such a, the residues x mod 2a with
+x^2 = disc (mod 4a), built over a by the CRT from prime-power square
+roots (Tonelli-Shanks and Hensel lifting).  Below it, a scan over b
+that costs O(disc) is faster and is used instead.  h is the number of
+orbits of f -> -rho(f) on the reduced forms with a > 0; every step of
+the walk must land on a reduced form, and every orbit's length parity
+is checked against the norm of the fundamental unit.  The real form
+counts work for any discriminant; the program asks them, and lemma (c),
+only for fundamental ones.  No analytic formulas anywhere.  Two
+symmetries halve the real work, and one count spares most imaginary
+roots:
 
 (a) Reduction is symmetric in |a| and |c| (Buchmann-Vollmer, Binary
     Quadratic Forms, 6.2).  Take (a, b, c) with a > 0 > c and
@@ -46,6 +48,23 @@ anywhere.  Two symmetries halve the real work:
     parity of l, which is the norm of the fundamental unit
     (arith._half_period).  unit_norm stays a continued fraction of
     sqrt(m), independent of the form walk whose parity it checks.
+(c) Let d < 0 be fundamental and r(a) = #{x mod 2a : x^2 = d (mod 4a)}
+    (Cohen, GTM 138, 5.3; Buell, Binary Quadratic Forms, ch. 2).  The
+    condition mod 4a = 2^(e+2) u, u odd, reads x mod 2^(e+1) and x mod
+    u, so r is multiplicative by the CRT.  For p not dividing d,
+    r(p^e) = 1 + (d/p) for every e >= 1, with the Kronecker symbol at
+    p = 2 (Hensel; at 2, d = 1 mod 4 is a square mod 2^(e+2) exactly
+    when d = 1 mod 8, with two roots mod 2^(e+1)).  For p | d,
+    r(p) = 1 and r(p^e) = 0 for e >= 2, as p^2 does not divide d, or
+    d = 4s with s = 2, 3 mod 4 at p = 2.  The roots x, taken as b in
+    (-a, a], are the middle coefficients of the forms (a, b, c) of
+    discriminant d.  If 4a^2 < |d|, then c = (b^2 + |d|)/4a > a, so
+    every one is reduced; and a common factor g > 1 of a, b, c would
+    make d/g^2 a discriminant, so for fundamental d every form is
+    primitive.  Hence h(d) = sum of r(a) over a <= a0 plus the reduced
+    forms with a0 < a <= sqrt(|d|/3), a0 = isqrt((|d| - 1)/4): only
+    that last part, about sqrt(|d|) (1/sqrt(3) - 1/2), some 13% of the
+    range of a, needs explicit roots.
 """
 
 from collections import namedtuple
@@ -123,25 +142,6 @@ def order_from_discriminant(disc: int) -> QuadOrder:
     return _split(disc, factorize(abs(disc)))
 
 
-def _imaginary_form_count(disc: int) -> int:
-    """Primitive reduced forms (a,b,c) of discriminant disc < 0:
-    -a < b <= a <= c, with b >= 0 whenever a == c or b == a.  A scan
-    over b and the divisors a of (b^2 - disc)/4: O(|disc|)."""
-    count = 0
-    b = disc % 2
-    while 3 * b * b <= -disc:
-        q = (b * b - disc) // 4
-        a = max(b, 1)
-        while a * a <= q:
-            if q % a == 0:
-                c = q // a
-                if gcd(gcd(a, b), c) == 1:
-                    count += 1 if b == 0 or a == b or a == c else 2
-            a += 1
-        b += 2
-    return count
-
-
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n modulo an odd prime p not dividing n, by
     Tonelli-Shanks with the least non-residue z = 2, 3, ...; None when
@@ -191,18 +191,51 @@ def _prime_power_roots(n: int, p: int, e: int) -> list[int]:
     return sorted(roots)
 
 
+@lru_cache(maxsize=None)
+def _sieve(bits: int) -> list[int]:
+    """arith.smallest_prime_factors up to 2^bits, built once per bits: a
+    root table or root count up to amax < 2^bits reads a prefix of it,
+    so a stream of class numbers sieves once per bit length, not once
+    per call, and keeps less than twice the largest sieve it asked for."""
+    return smallest_prime_factors(1 << bits)
+
+
+def _crt_lift(disc: int, rest: list[int], r: int, p: int, e: int,
+              local: dict[int, list[int]]) -> list[int]:
+    """The residues x mod 2a with x^2 = disc (mod 4a), a = r p^e, p prime
+    to r and r odd when p = 2, from rest, those mod 2r.  For odd p they
+    are the CRT of rest with the roots of disc mod p^e; for p = 2 the
+    CRT of rest reduced mod r with the roots mod 2^(e+1) of disc mod
+    2^(e+2).  The prime-power roots are kept in local, keyed by p^e, so
+    they are computed once per p^e."""
+    q = p ** e
+    roots = local.get(q)
+    if roots is None:
+        if p == 2:
+            roots = sorted({y % (2 * q)
+                            for y in _prime_power_roots(disc, 2, e + 2)})
+        else:
+            roots = _prime_power_roots(disc, p, e)
+        local[q] = roots
+    if not roots:
+        return []
+    if p == 2:
+        m1, m2, rest = r, 2 * q, [u % r for u in rest]
+    else:
+        m1, m2 = 2 * r, q
+    inv = pow(m1, -1, m2)
+    return [u + m1 * ((v - u) * inv % m2) for u in rest for v in roots]
+
+
 def _root_table(disc: int, amax: int) -> list[list[int]]:
     """For every 0 <= a <= amax, the residues x mod 2a with
     x^2 = disc (mod 4a); the entry at 0 is empty.  These are the middle
     coefficients b mod 2a of the forms (a, b, c) of discriminant disc.
 
     Built by a DP over a with its smallest prime factor p, p^e || a,
-    r = a / p^e: for odd p the entry is the CRT of the entry at r
-    (mod 2r) with the roots of disc mod p^e; for p = 2, r is odd and
-    the entry is the CRT of the entry at r reduced mod r with the
-    roots mod 2^(e+1) of disc mod 2^(e+2).  Prime-power roots are
-    computed once per p^e, so no a is factored on its own."""
-    spf = smallest_prime_factors(amax)
+    r = a / p^e: the entry at a is _crt_lift of the entry at r, so no a
+    is factored on its own."""
+    spf = _sieve(amax.bit_length())
     table = [[], [disc % 2]][:amax + 1]
     local = {}
     for a in range(2, amax + 1):
@@ -211,44 +244,60 @@ def _root_table(disc: int, amax: int) -> list[list[int]]:
         if not table[a // p]:
             table.append([])
             continue
-        q, r, e = p, a // p, 1
+        r, e = a // p, 1
         while r % p == 0:
-            q, r, e = q * p, r // p, e + 1
-        rest = table[r]
-        roots = local.get(q)
-        if roots is None:
-            if p == 2:
-                roots = sorted({y % (2 * q)
-                                for y in _prime_power_roots(disc, 2, e + 2)})
-            else:
-                roots = _prime_power_roots(disc, p, e)
-            local[q] = roots
-        if not roots:
-            table.append([])
-            continue
-        if p == 2:
-            m1, m2, rest = r, 2 * q, [u % r for u in rest]
-        else:
-            m1, m2 = 2 * r, q
-        inv = pow(m1, -1, m2)
-        table.append([u + m1 * ((v - u) * inv % m2)
-                      for u in rest for v in roots])
+            r, e = r // p, e + 1
+        table.append(_crt_lift(disc, table[r], r, p, e, local))
     return table
 
 
-def _imaginary_count_by_a(disc: int) -> int:
-    """The count of _imaginary_form_count, enumerated by a <=
-    sqrt(|disc|/3): b runs over the roots of disc mod 4a, taken in
-    (-a, a] (so b = -a never occurs), c = (b^2 - disc)/4a must be at
-    least a, and b >= 0 when c == a."""
-    count = 0
-    for a, roots in enumerate(_root_table(disc, isqrt(-disc // 3))):
+def _root_counts(disc: int, spf: list[int], amax: int) -> list[int]:
+    """r(a) of lemma (c) for every 0 <= a <= amax, r(0) = 0, for a
+    fundamental disc < 0, from the smallest prime factors spf of _sieve:
+    multiplicative, with r(p) = 1 + (d/p), by Euler's criterion at odd
+    p, and for e >= 2 r(p^e) = r(p^(e-1)) when p is prime to d and 0
+    when p | d."""
+    r = [0, 1]
+    for a in range(2, amax + 1):
+        p = spf[a]
+        if p == a:
+            r.append(1 + kronecker(disc, 2) if p == 2
+                     else (1 + pow(disc, p // 2, p)) % p)
+        elif a // p % p:
+            r.append(r[a // p] * r[p])
+        else:
+            r.append(r[a // p] if disc % p else 0)
+    return r
+
+
+def _imaginary_count(disc: int) -> int:
+    """h(disc) for a fundamental disc < 0 by lemma (c): the sum of r(a)
+    over a <= a0, then for each a0 < a <= sqrt(|disc|/3) with r(a) > 0
+    the roots of disc mod 4a, lifted over the prime powers of a in
+    ascending order (_crt_lift) and taken as b in (-a, a] (so b = -a
+    never occurs); c = (b^2 - disc)/4a must be at least a, and b >= 0
+    when c == a."""
+    a0, amax = isqrt((-disc - 1) // 4), isqrt(-disc // 3)
+    spf = _sieve(amax.bit_length())
+    r = _root_counts(disc, spf, amax)
+    h = sum(r[:a0 + 1])
+    local = {}
+    for a in range(a0 + 1, amax + 1):
+        if not r[a]:
+            continue
+        roots, left = [disc % 2], a
+        while left > 1:
+            p, m = spf[left], a // left
+            left, e = left // p, 1
+            while left % p == 0:
+                left, e = left // p, e + 1
+            roots = _crt_lift(disc, roots, m, p, e, local)
         for x in roots:
             b = x if x <= a else x - 2 * a
             c = (b * b - disc) // (4 * a)
-            if c >= a and (b >= 0 or c > a) and gcd(a, b, c) == 1:
-                count += 1
-    return count
+            if c > a or (c == a and b >= 0):
+                h += 1
+    return h
 
 
 def unit_norm(disc: int) -> int:
@@ -382,15 +431,12 @@ def _real_unit_index(d0: int, f: int) -> int:
     return k
 
 
-# Below this |disc| the O(|disc|) scans find the reduced forms faster
-# than the enumeration by a, whose root table costs more than it saves.
-# Timed on 2 vCPUs with Python 3.11, both real paths at a <= |c| with
-# the swap: the two sides meet near 2-3 * 10^4 (definite) and
-# 5-6 * 10^4 (indefinite), and at 4 * 10^4 one side is at most about
-# 25% dearer than the other (0.15-0.30 ms) for either sign, so one
-# limit between the two crossovers serves both; at 10^7 the enumeration
-# by a takes about 2-3 ms (definite) and 4-6 ms (indefinite) against
-# 55-85 and 40-60 ms.
+# Below this disc > 0 the O(disc) scan over b finds the reduced forms;
+# from it on, the enumeration by a over the root table.  Timed on 2
+# vCPUs with Python 3.11, both at a <= |c| with the swap: the two meet
+# near 6 * 10^4; at 4 * 10^4 the enumeration by a takes about 1.2 times
+# as long (0.146 against 0.125 ms), and at 10^7 about 4-6 ms against
+# 40-60 ms.  Imaginary class numbers do not use it.
 _SCAN_LIMIT = 40_000
 
 # Entries of the class-number memo.  A class number costs far more to
@@ -411,16 +457,16 @@ def class_number(disc: int) -> int:
     For f > 1: h(d0) * prod_{p^e || f} p^(e-1) (p - (d0/p)) / k, with
     the unit index k = 3, 2, 1 for d0 = -3, -4, other d0 < 0 and
     _real_unit_index for d0 > 0; IntegralityError unless k divides.
-    For f = 1, imaginary: the count of primitive reduced positive forms.
-    Real: the number of rho-cycles of reduced forms up to sign, walked
-    over the forms with a > 0, every step and every cycle's parity
-    checked against the unit norm, read off half a continued fraction
-    period (lemma (b) of the module docstring; _real_orbit_count).  The
-    reduced forms come from the enumeration by a over the root table of
-    disc when |disc| >= _SCAN_LIMIT = 40,000, the measured crossover,
-    and from O(|disc|) scans over b below it; for real disc both
-    enumerate only the forms with a <= |c| and add their swaps
-    (lemma (a))."""
+    For f = 1, imaginary: the count of reduced positive forms by lemma
+    (c) of the module docstring (_imaginary_count), explicit roots only
+    for a > isqrt((|disc| - 1)/4).  Real: the number of rho-cycles of
+    reduced forms up to sign, walked over the forms with a > 0, every
+    step and every cycle's parity checked against the unit norm, read
+    off half a continued fraction period (lemma (b); _real_orbit_count).
+    The real reduced forms come from the enumeration by a over the root
+    table of disc when disc >= _SCAN_LIMIT = 40,000 and from an O(disc)
+    scan over b below it; both enumerate only the forms with a <= |c|
+    and add their swaps (lemma (a))."""
     if type(disc) is not int:
         raise DomainError(f"class_number wants an integer, got {disc!r}")
     if not is_discriminant(disc):
@@ -438,9 +484,7 @@ def class_number(disc: int) -> int:
             raise IntegralityError(f"h({disc}) = {h}/{k} is not an integer")
         return h // k
     if disc < 0:
-        if -disc < _SCAN_LIMIT:
-            return _imaginary_form_count(disc)
-        return _imaginary_count_by_a(disc)
+        return _imaginary_count(disc)
     if disc < _SCAN_LIMIT:
         return _real_orbit_count(disc, _real_forms_scan(disc))
     return _real_orbit_count(disc, _real_forms_by_a(disc))

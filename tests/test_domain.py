@@ -92,6 +92,10 @@ TYPED = [
     (quotient_genus, (6, 5, 6), (6, 5, 6.0)),
     (subgroup_quotient_genus, (6, 5, [6]), (6, 5, [6.0])),
     (subgroup_quotient_genus, (6, 5, [1]), (6, 5, [True])),
+    (subgroup_quotient_genus, (6, 5, frozenset({1, 6})),
+     (6, 5, frozenset({1, 6.0}))),
+    (subgroup_quotient_genus, (6, 5, frozenset({1, 6})),
+     (6, 5, frozenset({True, 6}))),
     (class_number, (-23,), (-23.0,)),
     (factorize, (15,), (15.0,)),
     (factorize, (7,), (7.5,)),

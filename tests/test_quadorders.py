@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from x0dn.arith import smallest_prime_factors
 from x0dn.errors import DomainError
-from x0dn.quadorders import (_SCAN_LIMIT, QuadOrder, _imaginary_count_by_a,
-                             _imaginary_form_count, _prime_power_roots,
-                             _real_forms_by_a, _real_forms_scan,
-                             _real_orbit_count, _real_unit_index,
-                             _root_table, class_number,
-                             is_discriminant, is_fundamental_discriminant,
+from x0dn.quadorders import (_SCAN_LIMIT, QuadOrder, _imaginary_count,
+                             _prime_power_roots, _real_forms_by_a,
+                             _real_forms_scan, _real_orbit_count,
+                             _real_unit_index, _root_counts, _root_table,
+                             class_number, is_discriminant,
+                             is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
 from _oracles import (_brute_reduced_indefinite, brute_imaginary_class_number,
-                      cycle_class_number, cycle_unit_norm, narrow_cycle_count)
+                      cycle_class_number, cycle_unit_norm,
+                      imaginary_form_count, narrow_cycle_count)
 
 
 def test_discriminant_predicates():
@@ -183,9 +185,46 @@ def test_real_enumerators_agree(disc):
 
 
 def test_imaginary_enumeration_by_a_vs_scan():
+    # every discriminant in (-10^4, 0) against the O(|disc|) scan:
+    # class_number, the non-fundamental ones through the conductor
+    # formula, and the count of lemma (c) on every fundamental one
+    fundamental = 0
     for disc in range(-10 ** 4 + 1, 0):
         if is_discriminant(disc):
-            assert _imaginary_count_by_a(disc) == _imaginary_form_count(disc), disc
+            want = imaginary_form_count(disc)
+            assert class_number(disc) == want, disc
+            if is_fundamental_discriminant(disc):
+                assert _imaginary_count(disc) == want, disc
+                fundamental += 1
+    assert fundamental == 3043
+
+
+def test_root_count_lemma():
+    # lemma (c) of the quadorders docstring, for every fundamental disc
+    # in (-3000, 0) and every a <= isqrt(|disc|/3): the multiplicative
+    # r(a) is the number of x mod 2a with x^2 = disc (mod 4a), counted
+    # one by one, and for a <= a0 = isqrt((|disc| - 1)/4) every such x,
+    # taken as b in (-a, a], gives c = (b^2 - disc)/4a > a.  At a0 + 1
+    # that fails for some disc, so the window of explicit roots cannot
+    # start later
+    checked, late = 0, 0
+    for disc in range(-2999, 0):
+        if not is_fundamental_discriminant(disc):
+            continue
+        amax, a0 = isqrt(-disc // 3), isqrt((-disc - 1) // 4)
+        r = _root_counts(disc, smallest_prime_factors(amax), amax)
+        assert len(r) == amax + 1 and r[0] == 0, disc
+        for a in range(1, amax + 1):
+            roots = [x for x in range(2 * a) if (x * x - disc) % (4 * a) == 0]
+            assert r[a] == len(roots), (disc, a)
+            cs = [((x if x <= a else x - 2 * a) ** 2 - disc) // (4 * a)
+                  for x in roots]
+            if a <= a0:
+                assert all(c > a for c in cs), (disc, a)
+            elif a == a0 + 1:
+                late += any(c <= a for c in cs)
+            checked += 1
+    assert (checked, late) == (18699, 199)
 
 
 def test_class_numbers_across_the_size_switch():
@@ -194,7 +233,7 @@ def test_class_numbers_across_the_size_switch():
             assert class_number(disc) == cycle_class_number(disc), disc
         if is_discriminant(-disc):
             want = brute_imaginary_class_number(-disc)
-            assert _imaginary_form_count(-disc) == want, -disc
+            assert imaginary_form_count(-disc) == want, -disc
             assert class_number(-disc) == want, -disc
 
 
@@ -205,11 +244,16 @@ def test_large_real_class_numbers_vs_cycle_reference(disc):
     assert class_number(disc) == cycle_class_number(disc)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=-10 ** 6, max_value=-10 ** 3)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=6)
+       .flatmap(lambda e: st.integers(min_value=-10 ** (e + 1),
+                                      max_value=-10 ** e))
        .filter(is_discriminant))
 def test_large_imaginary_class_numbers_vs_scan(disc):
-    assert class_number(disc) == _imaginary_form_count(disc)
+    # every decade of |disc| up to the 10^7 of the class-numbers
+    # benchmark, where the explicit roots of lemma (c) cover a window of
+    # some 240 values of a
+    assert class_number(disc) == imaginary_form_count(disc)
 
 
 def _brute_roots(m: int) -> dict[int, list[int]]:
