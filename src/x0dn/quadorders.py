@@ -13,31 +13,30 @@ eps the fundamental unit of the field read modulo f off one period of
 the continued fraction of the reduced (b + sqrt(d0))/2 (Cohen, GTM 138,
 5.7); see _real_unit_index.
 
-For f = 1, class numbers count reduced binary quadratic forms.  For
-disc < 0 the count is lemma (c): a multiplicative count of roots for
-a <= isqrt((|disc| - 1)/4), and explicit roots only for the larger a up
-to sqrt(|disc|/3).  For disc > 0, from 40,000 on (_SCAN_LIMIT) the
-forms are enumerated by their first coefficient a up to
-isqrt((disc - 1)/4) (lemma (a)), with the middle coefficient b read
-off a root table: for every such a, the residues x mod 2a with
-x^2 = disc (mod 4a), built over a by the CRT from prime-power square
-roots (Tonelli-Shanks and Hensel lifting).  Below it, a scan over b
-that costs O(disc) is faster and is used instead.  h is the number of
-orbits of f -> -rho(f) on the reduced forms with a > 0; every step of
-the walk must land on a reduced form, and every orbit's length parity
-is checked against the norm of the fundamental unit.  The real form
-counts work for any discriminant; the program asks them, and lemma (c),
-only for fundamental ones.  No analytic formulas anywhere.  Two
-symmetries halve the real work, and one count spares most imaginary
+For f = 1, class numbers count reduced binary quadratic forms, with
+the roots of disc mod 4a built by the CRT from prime-power square roots
+(Tonelli-Shanks and Hensel lifting) only where a count does not
+suffice.  For disc < 0 the count is lemma (c): a multiplicative count of
+roots for a <= isqrt((|disc| - 1)/4), and explicit roots only for the
+larger a up to sqrt(|disc|/3).  For disc > 0, h is the number of orbits
+of f -> -rho(f) on the reduced forms with a > 0, walked from the forms
+with 2a <= isqrt(disc), taken by ascending a, until the walks have met
+as many of them as the multiplicative count of lemma (d) says there are.
+Every step of a walk must land on a reduced form, every orbit's length
+parity is checked against the norm of the fundamental unit, and the
+count itself checks the walk.  The program asks lemmas (c) and (d) only
+for fundamental discriminants.  No analytic formulas anywhere.  Lemma
+(b) halves the unit-norm work, and the counts of (c) and (d) spare most
 roots:
 
-(a) Reduction is symmetric in |a| and |c| (Buchmann-Vollmer, Binary
-    Quadratic Forms, 6.2).  Take (a, b, c) with a > 0 > c and
-    s = isqrt(disc).  Then (sqrt(disc) - b)(sqrt(disc) + b) = 4a|c|, so
-    s - b < 2a <= s + b holds exactly when s - b < 2|c| <= s + b, and
-    primitivity is symmetric in a and c.  So (a, b, -|c|) is reduced
-    exactly when (|c|, b, -a) is: both enumerations stop at a <= |c|
-    and add each form's swap, and a form with a = |c| is its own swap.
+(a) Take (a, b, c) of nonsquare disc > 0 with a > 0 > c, and
+    s = isqrt(disc).  It is reduced when 0 < b < sqrt(disc) and
+    |sqrt(disc) - 2a| < b (Buchmann-Vollmer, Binary Quadratic Forms,
+    6.2); sqrt(disc) is irrational, so in integers 0 < b <= s and
+    s - b < 2a <= s + b.  As (sqrt(disc) - b)(sqrt(disc) + b) = 4a|c|,
+    s - b < 2a <= s + b holds exactly when s - b < 2|c| <= s + b:
+    reduction is symmetric in a and |c|.  And (2a)(2|c|) = disc - b^2
+    is below disc, so 2a and 2|c| are not both above sqrt(disc).
 (b) The continued fraction period of sqrt(m) is a palindrome (Cohen,
     GTM 138, 5.7).  With a_k, P_k, Q_k of the PQa recurrence from
     (P_0, Q_0) = (0, 1) and period length l: a_j = a_(l-j) and
@@ -65,11 +64,26 @@ roots:
     forms with a0 < a <= sqrt(|d|/3), a0 = isqrt((|d| - 1)/4): only
     that last part, about sqrt(|d|) (1/sqrt(3) - 1/2), some 13% of the
     range of a, needs explicit roots.
+(d) Let d > 0 be fundamental, s = isqrt(d), and S the reduced forms
+    (a, b, -c) of (a) with c > 0 and 2a <= s (Buchmann-Vollmer, 6.2-6.3;
+    Cohen, GTM 138, 5.6-5.7).  (i) For 2a <= s every b in the window
+    s - 2a < b <= s is positive and meets both bounds on 2a of (a), so
+    (a, b, -c) is reduced as soon as b^2 = d (mod 4a), and primitive as
+    in (c).  x^2 mod 4a depends only on x mod 2a, and the window holds 2a
+    consecutive integers, so each root x of d mod 4a gives exactly one
+    b = s - (s - x) mod 2a: |S| is the sum of r(a) over a <= s/2, with
+    the r of (c), whose proof does not use the sign of d.  (ii) Every
+    orbit of f -> -rho(f) meets S: -rho takes (a, b, -c) to a form with
+    first coefficient c, and if 2a > s then 2a > sqrt(d), so 2c < sqrt(d)
+    by (a) and 2c <= s.  Hence walking an orbit from each unseen form of
+    S, by ascending a, finds every class, and the search can stop as
+    soon as the walks have met sum r(a) forms of S: only the roots for
+    the a up to there are built.
 """
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import (MEMO_SIZE, _trial_division, factorize, is_squarefree,
                     kronecker, pell_minus_solvable, smallest_prime_factors)
@@ -193,8 +207,8 @@ def _prime_power_roots(n: int, p: int, e: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _sieve(bits: int) -> list[int]:
-    """arith.smallest_prime_factors up to 2^bits, built once per bits: a
-    root table or root count up to amax < 2^bits reads a prefix of it,
+    """arith.smallest_prime_factors up to 2^bits, built once per bits: the
+    root counts and roots up to amax < 2^bits read a prefix of it,
     so a stream of class numbers sieves once per bit length, not once
     per call, and keeps less than twice the largest sieve it asked for."""
     return smallest_prime_factors(1 << bits)
@@ -227,36 +241,28 @@ def _crt_lift(disc: int, rest: list[int], r: int, p: int, e: int,
     return [u + m1 * ((v - u) * inv % m2) for u in rest for v in roots]
 
 
-def _root_table(disc: int, amax: int) -> list[list[int]]:
-    """For every 0 <= a <= amax, the residues x mod 2a with
-    x^2 = disc (mod 4a); the entry at 0 is empty.  These are the middle
-    coefficients b mod 2a of the forms (a, b, c) of discriminant disc.
-
-    Built by a DP over a with its smallest prime factor p, p^e || a,
-    r = a / p^e: the entry at a is _crt_lift of the entry at r, so no a
-    is factored on its own."""
-    spf = _sieve(amax.bit_length())
-    table = [[], [disc % 2]][:amax + 1]
-    local = {}
-    for a in range(2, amax + 1):
-        p = spf[a]
-        # a root mod 4a reduces to one mod 4a/p, so an empty entry stays empty
-        if not table[a // p]:
-            table.append([])
-            continue
-        r, e = a // p, 1
-        while r % p == 0:
-            r, e = r // p, e + 1
-        table.append(_crt_lift(disc, table[r], r, p, e, local))
-    return table
+def _roots(disc: int, a: int, spf: list[int],
+           local: dict[int, list[int]]) -> list[int]:
+    """The residues x mod 2a with x^2 = disc (mod 4a), a >= 1, lifted
+    over the prime powers of a in ascending order (_crt_lift), with spf
+    the smallest prime factors of _sieve and local the prime-power roots
+    of disc shared by the calls for one disc."""
+    roots, left = [disc % 2], a
+    while left > 1:
+        p, m = spf[left], a // left
+        left, e = left // p, 1
+        while left % p == 0:
+            left, e = left // p, e + 1
+        roots = _crt_lift(disc, roots, m, p, e, local)
+    return roots
 
 
 def _root_counts(disc: int, spf: list[int], amax: int) -> list[int]:
-    """r(a) of lemma (c) for every 0 <= a <= amax, r(0) = 0, for a
-    fundamental disc < 0, from the smallest prime factors spf of _sieve:
-    multiplicative, with r(p) = 1 + (d/p), by Euler's criterion at odd
-    p, and for e >= 2 r(p^e) = r(p^(e-1)) when p is prime to d and 0
-    when p | d."""
+    """r(a) of lemmas (c) and (d) for every 0 <= a <= amax, r(0) = 0, for
+    a fundamental disc of either sign, from the smallest prime factors
+    spf of _sieve: multiplicative, with r(p) = 1 + (d/p), by Euler's
+    criterion at odd p, and for e >= 2 r(p^e) = r(p^(e-1)) when p is
+    prime to d and 0 when p | d."""
     r = [0, 1]
     for a in range(2, amax + 1):
         p = spf[a]
@@ -273,8 +279,7 @@ def _root_counts(disc: int, spf: list[int], amax: int) -> list[int]:
 def _imaginary_count(disc: int) -> int:
     """h(disc) for a fundamental disc < 0 by lemma (c): the sum of r(a)
     over a <= a0, then for each a0 < a <= sqrt(|disc|/3) with r(a) > 0
-    the roots of disc mod 4a, lifted over the prime powers of a in
-    ascending order (_crt_lift) and taken as b in (-a, a] (so b = -a
+    the roots of disc mod 4a (_roots), taken as b in (-a, a] (so b = -a
     never occurs); c = (b^2 - disc)/4a must be at least a, and b >= 0
     when c == a."""
     a0, amax = isqrt((-disc - 1) // 4), isqrt(-disc // 3)
@@ -285,14 +290,7 @@ def _imaginary_count(disc: int) -> int:
     for a in range(a0 + 1, amax + 1):
         if not r[a]:
             continue
-        roots, left = [disc % 2], a
-        while left > 1:
-            p, m = spf[left], a // left
-            left, e = left // p, 1
-            while left % p == 0:
-                left, e = left // p, e + 1
-            roots = _crt_lift(disc, roots, m, p, e, local)
-        for x in roots:
+        for x in _roots(disc, a, spf, local):
             b = x if x <= a else x - 2 * a
             c = (b * b - disc) // (4 * a)
             if c > a or (c == a and b >= 0):
@@ -318,85 +316,66 @@ def unit_norm(disc: int) -> int:
     return -1 if pell_minus_solvable(m) else 1
 
 
-def _real_forms_scan(disc: int) -> set[int]:
-    """The primitive reduced forms (a, b, c) of nonsquare disc > 0 with
-    a > 0, each as the key a (s + 1) + b, s = isqrt(disc), by a scan over
-    b and the window of a: O(disc).  Ints take less memory than pairs:
-    0.78 MB against 1.25 MB for the 7,853 forms of 9,033,649.
-
-    A form is reduced when 0 < b < sqrt(disc) and |sqrt(disc) - 2a| < b;
-    (a, b) fixes c = (b^2 - disc)/4a < 0, and 0 < b <= s fixes (a, b)
-    from its key.  Only the forms with a <= |c|, so a^2 <= -ac, are
-    scanned, and each adds its swap (|c|, b, -a) too (lemma (a) of the
-    module docstring)."""
-    s = isqrt(disc)
-    forms = set()
-    for b in range(2 - disc % 2, s + 1, 2):
-        q = (disc - b * b) // 4     # = -ac > 0
-        # |sqrt(disc) - 2a| < b, exactly: s - b < 2a <= s + b, where
-        # a <= isqrt(q) already gives 2a <= sqrt(disc - b^2) < s + 1
-        for a in range((s - b) // 2 + 1, isqrt(q) + 1):
-            if q % a == 0 and gcd(a, b, q // a) == 1:
-                forms.add(a * (s + 1) + b)
-                forms.add(q // a * (s + 1) + b)
-    return forms
-
-
-def _real_forms_by_a(disc: int) -> set[int]:
-    """The forms of _real_forms_scan, enumerated by a <= |c|, so
-    4a^2 <= disc - b^2 and a <= isqrt((disc - 1)/4), each with its swap
-    (lemma (a)).  Then 2a <= s = isqrt(disc), and reduction asks
-    s - 2a < b <= s, a window of 2a integers, so each root x of disc
-    mod 4a gives one b = s - (s - x) mod 2a."""
-    s = isqrt(disc)
-    forms = set()
-    for a, roots in enumerate(_root_table(disc, isqrt((disc - 1) // 4))):
-        for x in roots:
-            b = s - (s - x) % (2 * a)
-            c = (disc - b * b) // (4 * a)
-            if a <= c and gcd(a, b, c) == 1:
-                forms.add(a * (s + 1) + b)
-                forms.add(c * (s + 1) + b)
-    return forms
-
-
-def _real_orbit_count(disc: int, forms: set[int]) -> int:
-    """h(disc) for nonsquare disc > 0 from the keys of its primitive
-    reduced forms with a > 0 (_real_forms_scan): the number of orbits of
-    f -> -rho(f).  Empties forms.
+def _real_count(disc: int) -> int:
+    """h(disc) for a fundamental disc > 0 by lemma (d): the number of
+    orbits of f -> -rho(f) on the reduced forms (a, b, -c), a, c > 0,
+    each form kept as the key a (s + 1) + b, s = isqrt(disc).
 
     rho flips the sign of a and commutes with negation
-    (a, b, c) -> (-a, b, -c), so -rho permutes the forms with a > 0, and
-    its orbits are the rho-cycles up to sign: the (wide) classes.  A
-    unit of norm -1 puts -f on the rho-cycle of f at half its length,
-    which is odd; so an orbit has odd length exactly when
-    unit_norm(disc) == -1, and every orbit is checked for that.
-    """
+    (a, b, c) -> (-a, b, -c), so -rho permutes these forms, and its
+    orbits are the rho-cycles up to sign: the (wide) classes.  A unit of
+    norm -1 puts -f on the rho-cycle of f at half its length, which is
+    odd; so an orbit has odd length exactly when unit_norm(disc) == -1.
+
+    The a <= s/2 with r(a) > 0 are taken in ascending order, the roots
+    of each give its forms of S (_roots), and an orbit is walked from
+    each one not yet seen, until the walks have met sum r(a) forms of S.
+    A step that leaves the reduced forms, a form of S met twice, an
+    orbit whose parity contradicts the unit norm, or a final count of S
+    other than sum r(a) raises DomainError."""
     s = isqrt(disc)
+    amax = s // 2
+    spf = _sieve(amax.bit_length())
+    r = _root_counts(disc, spf, amax)
+    total = sum(r)
     odd = unit_norm(disc) == -1
-    h = 0
-    while forms:
-        start = forms.pop()
-        a, b = divmod(start, s + 1)
-        length = 1
-        while True:
-            # the form is (a, b, -c); -rho of it is (c, r, (r^2 - disc)/4c)
-            # with r = -b mod 2c in (sqrt(disc) - 2c, sqrt(disc)), a window
-            # that exists since reduction gives c < sqrt(disc)
-            c = (disc - b * b) // (4 * a)
-            a, b = c, s - (s + b) % (2 * c)
-            key = a * (s + 1) + b
-            if key == start:
-                break
-            if key not in forms:
-                raise DomainError(f"the walk from {divmod(start, s + 1)} left "
-                                  f"the reduced forms of {disc} at {(a, b)}")
-            forms.remove(key)
-            length += 1
-        if (length % 2 == 1) != odd:
-            raise DomainError(f"orbit length {length} at {disc} contradicts "
-                              f"the unit norm {-1 if odd else 1}")
-        h += 1
+    seen, local, h = set(), {}, 0
+    for a in range(1, amax + 1):
+        if len(seen) >= total:
+            break
+        if not r[a]:
+            continue
+        for x in _roots(disc, a, spf, local):
+            b = s - (s - x) % (2 * a)
+            start = a * (s + 1) + b
+            if start in seen:
+                continue
+            seen.add(start)
+            u, v, length = a, b, 1
+            while True:
+                # the form is (u, v, -w); -rho of it is (w, t, (t^2 - disc)/4w)
+                # with t = -v mod 2w in the window s - 2w < t <= s
+                w = (disc - v * v) // (4 * u)
+                u, v = w, s - (s + v) % (2 * w)
+                if v <= 0 or 2 * u > s + v:
+                    raise DomainError(f"the walk from {(a, b)} left the "
+                                      f"reduced forms of {disc} at {(u, v)}")
+                key = u * (s + 1) + v
+                if key == start:
+                    break
+                length += 1
+                if 2 * u <= s:
+                    if key in seen:
+                        raise DomainError(f"the walk from {(a, b)} reached "
+                                          f"{(u, v)} of {disc} twice")
+                    seen.add(key)
+            if (length % 2 == 1) != odd:
+                raise DomainError(f"orbit length {length} at {disc} contradicts "
+                                  f"the unit norm {-1 if odd else 1}")
+            h += 1
+    if len(seen) != total:
+        raise DomainError(f"the orbits of {disc} hold {len(seen)} forms with "
+                          f"2a <= {s}, not the {total} of the root count")
     return h
 
 
@@ -431,14 +410,6 @@ def _real_unit_index(d0: int, f: int) -> int:
     return k
 
 
-# Below this disc > 0 the O(disc) scan over b finds the reduced forms;
-# from it on, the enumeration by a over the root table.  Timed on 2
-# vCPUs with Python 3.11, both at a <= |c| with the swap: the two meet
-# near 6 * 10^4; at 4 * 10^4 the enumeration by a takes about 1.2 times
-# as long (0.146 against 0.125 ms), and at 10^7 about 4-6 ms against
-# 40-60 ms.  Imaginary class numbers do not use it.
-_SCAN_LIMIT = 40_000
-
 # Entries of the class-number memo.  A class number costs far more to
 # recompute than a factorization and takes less memory to keep.  The
 # first 8,190 curves of the curves benchmark (seed 1) ask 43,486 class
@@ -460,13 +431,11 @@ def class_number(disc: int) -> int:
     For f = 1, imaginary: the count of reduced positive forms by lemma
     (c) of the module docstring (_imaginary_count), explicit roots only
     for a > isqrt((|disc| - 1)/4).  Real: the number of rho-cycles of
-    reduced forms up to sign, walked over the forms with a > 0, every
-    step and every cycle's parity checked against the unit norm, read
-    off half a continued fraction period (lemma (b); _real_orbit_count).
-    The real reduced forms come from the enumeration by a over the root
-    table of disc when disc >= _SCAN_LIMIT = 40,000 and from an O(disc)
-    scan over b below it; both enumerate only the forms with a <= |c|
-    and add their swaps (lemma (a))."""
+    reduced forms up to sign, walked from the forms with
+    2a <= isqrt(disc) until the multiplicative count of lemma (d) says
+    every one of them is met (_real_count); every step and every cycle's
+    parity is checked against the unit norm, read off half a continued
+    fraction period (lemma (b)), and the final count against lemma (d)."""
     if type(disc) is not int:
         raise DomainError(f"class_number wants an integer, got {disc!r}")
     if not is_discriminant(disc):
@@ -483,8 +452,4 @@ def class_number(disc: int) -> int:
         if h % k:
             raise IntegralityError(f"h({disc}) = {h}/{k} is not an integer")
         return h // k
-    if disc < 0:
-        return _imaginary_count(disc)
-    if disc < _SCAN_LIMIT:
-        return _real_orbit_count(disc, _real_forms_scan(disc))
-    return _real_orbit_count(disc, _real_forms_by_a(disc))
+    return _imaginary_count(disc) if disc < 0 else _real_count(disc)

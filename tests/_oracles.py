@@ -285,6 +285,52 @@ def cycle_class_number(disc: int) -> int:
     return h_plus
 
 
+def real_forms_scan(disc: int) -> set[int]:
+    """The primitive reduced forms (a, b, c) of nonsquare disc > 0 with
+    a > 0, each as the key a (s + 1) + b, s = isqrt(disc), by a scan over
+    b and the window of a: O(disc).
+
+    A form is reduced when 0 < b < sqrt(disc) and |sqrt(disc) - 2a| < b;
+    (a, b) fixes c = (b^2 - disc)/4a < 0, and 0 < b <= s fixes (a, b)
+    from its key.  Only the forms with a <= |c|, so a^2 <= -ac, are
+    scanned, and each adds its swap (|c|, b, -a) too: reduction is
+    symmetric in a and |c| (Buchmann-Vollmer, Binary Quadratic Forms,
+    6.2)."""
+    s = isqrt(disc)
+    forms = set()
+    for b in range(2 - disc % 2, s + 1, 2):
+        q = (disc - b * b) // 4     # = -ac > 0
+        # |sqrt(disc) - 2a| < b, exactly: s - b < 2a <= s + b, where
+        # a <= isqrt(q) already gives 2a <= sqrt(disc - b^2) < s + 1
+        for a in range((s - b) // 2 + 1, isqrt(q) + 1):
+            if q % a == 0 and gcd(gcd(a, b), q // a) == 1:
+                forms.add(a * (s + 1) + b)
+                forms.add(q // a * (s + 1) + b)
+    return forms
+
+
+def real_orbit_count(disc: int) -> int:
+    """h(disc) for nonsquare disc > 0: the orbits of f -> -rho(f) on the
+    forms of real_forms_scan, every step checked to land on one."""
+    s = isqrt(disc)
+    forms = real_forms_scan(disc)
+    orbits = 0
+    while forms:
+        start = forms.pop()
+        a, b = divmod(start, s + 1)
+        cur = (a, b, (b * b - disc) // (4 * a))
+        while True:
+            a, b, c = _rho(*cur, disc)
+            cur = (-a, b, -c)
+            key = -a * (s + 1) + b
+            if key == start:
+                break
+            assert key in forms, (disc, start, cur)
+            forms.remove(key)
+        orbits += 1
+    return orbits
+
+
 def fixed_point_orders(m: int):
     """The imaginary quadratic orders whose CM points are the fixed
     points of w_m: both orders of Q(i) and Q(sqrt(-2)) for m = 2, the

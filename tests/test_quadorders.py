@@ -1,23 +1,23 @@
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from x0dn import quadorders
 from x0dn.arith import smallest_prime_factors
 from x0dn.errors import DomainError
-from x0dn.quadorders import (_SCAN_LIMIT, QuadOrder, _imaginary_count,
-                             _prime_power_roots, _real_forms_by_a,
-                             _real_forms_scan, _real_orbit_count,
-                             _real_unit_index, _root_counts, _root_table,
-                             class_number, is_discriminant,
+from x0dn.quadorders import (QuadOrder, _imaginary_count, _prime_power_roots,
+                             _real_count, _real_unit_index, _root_counts,
+                             _roots, _sieve, class_number, is_discriminant,
                              is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
-from _oracles import (_brute_reduced_indefinite, brute_imaginary_class_number,
-                      cycle_class_number, cycle_unit_norm,
-                      imaginary_form_count, narrow_cycle_count)
+from _oracles import (_brute_reduced_indefinite, _rho,
+                      brute_imaginary_class_number, cycle_class_number,
+                      cycle_unit_norm, imaginary_form_count,
+                      narrow_cycle_count, real_forms_scan, real_orbit_count)
 
 
 def test_discriminant_predicates():
@@ -150,18 +150,42 @@ def test_unit_norm_known():
 
 
 def test_real_class_numbers_vs_cycle_reference():
-    # below the size switch class_number scans; the enumeration by a is
-    # called directly so that both paths meet the reference everywhere
+    # every disc twice: class_number, and a second count, the walk of
+    # lemma (d) itself at a fundamental disc and the orbits over the scan
+    # oracle at the others, whose class_number comes from their field
     for disc in range(5, 10 ** 4):
         if is_discriminant(disc):
             want = cycle_class_number(disc)
             assert class_number(disc) == want, disc
-            assert _real_orbit_count(disc, _real_forms_by_a(disc)) == want, disc
+            if is_fundamental_discriminant(disc):
+                assert _real_count(disc) == want, disc
+            else:
+                assert real_orbit_count(disc) == want, disc
+
+
+def _forms_of_s(disc: int) -> set[int]:
+    """The keys a (s + 1) + b of the primitive reduced forms with
+    2a <= s = isqrt(disc), read off the roots of disc mod 4a as lemma (d)
+    reads them: one b per root in the window s - 2a < b <= s."""
+    s = isqrt(disc)
+    spf, local, out = _sieve((s // 2).bit_length()), {}, set()
+    for a in range(1, s // 2 + 1):
+        for x in _roots(disc, a, spf, local):
+            b = s - (s - x) % (2 * a)
+            if gcd(gcd(a, b), (disc - b * b) // (4 * a)) == 1:
+                out.add(a * (s + 1) + b)
+    return out
+
+
+def _keys_of_s(disc: int, keys: set[int]) -> set[int]:
+    s = isqrt(disc)
+    return {k for k in keys if 2 * (k // (s + 1)) <= s}
 
 
 def test_real_enumerators_vs_brute():
-    # both enumerators stop at a <= |c| and add the swap (|c|, b, -a);
-    # the oracle scans every triple.  The range holds non-fundamental
+    # the scan oracle stops at a <= |c| and adds the swap (|c|, b, -a),
+    # and lemma (d) reads the forms with 2a <= s off the roots; the brute
+    # oracle scans every triple.  The range holds non-fundamental
     # discriminants and forms that are their own swap, such as (1, 1, -1)
     # at 5
     swapped = 0
@@ -171,17 +195,21 @@ def test_real_enumerators_vs_brute():
         s = isqrt(disc)
         brute = _brute_reduced_indefinite(disc)
         want = {a * (s + 1) + b for a, b, _ in brute if a > 0}
-        assert _real_forms_scan(disc) == want, disc
-        assert _real_forms_by_a(disc) == want, disc
+        assert real_forms_scan(disc) == want, disc
+        assert _forms_of_s(disc) == _keys_of_s(disc, want), disc
         swapped += sum(1 for a, _, c in brute if a == -c)
     assert (1, 1, -1) in _brute_reduced_indefinite(5)
     assert swapped > 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=5, max_value=10 ** 6).filter(is_discriminant))
+@given(st.integers(min_value=0, max_value=5)
+       .flatmap(lambda e: st.integers(min_value=max(5, 10 ** e),
+                                      max_value=10 ** (e + 1)))
+       .filter(is_discriminant))
 def test_real_enumerators_agree(disc):
-    assert _real_forms_scan(disc) == _real_forms_by_a(disc)
+    # one decade of disc per draw, up to 10^6
+    assert _forms_of_s(disc) == _keys_of_s(disc, real_forms_scan(disc))
 
 
 def test_imaginary_enumeration_by_a_vs_scan():
@@ -225,10 +253,56 @@ def test_root_count_lemma():
                 late += any(c <= a for c in cs)
             checked += 1
     assert (checked, late) == (18699, 199)
+    # lemma (d), for every fundamental disc in (5, 3000), s = isqrt(disc):
+    # for every 2a <= s, r(a) is the number of reduced forms (a, b, c)
+    # counted by brute force, and every orbit of f -> -rho(f) on the
+    # reduced forms with a > 0 holds one with 2a <= s
+    checked, orbits = 0, 0
+    for disc in range(6, 3000):
+        if not is_fundamental_discriminant(disc):
+            continue
+        s = isqrt(disc)
+        r = _root_counts(disc, smallest_prime_factors(s // 2), s // 2)
+        left = {f for f in _brute_reduced_indefinite(disc) if f[0] > 0}
+        for a in range(1, s // 2 + 1):
+            assert r[a] == sum(1 for f in left if f[0] == a), (disc, a)
+            checked += 1
+        while left:
+            start = form = left.pop()
+            orbit = [start]
+            while True:
+                a, b, c = _rho(*form, disc)
+                form = (-a, b, -c)
+                if form == start:
+                    break
+                left.remove(form)
+                orbit.append(form)
+            assert any(2 * a <= s for a, _, _ in orbit), (disc, orbit)
+            orbits += 1
+    assert (checked, orbits) == (16130, 1776)
 
 
-def test_class_numbers_across_the_size_switch():
-    for disc in range(_SCAN_LIMIT - 16, _SCAN_LIMIT + 17):
+@pytest.mark.parametrize("disc, delta", [(1_000_001, 1), (40_012, -1)])
+def test_root_count_checks_the_walk(monkeypatch, disc, delta):
+    # the sum of r(a) is an independent count of the forms with 2a <= s:
+    # with one r(a) off by one the walk must raise
+    count = quadorders._root_counts
+
+    def off_by_one(d, spf, amax):
+        r = count(d, spf, amax)
+        r[max(a for a in range(amax + 1) if r[a])] += delta
+        return r
+
+    monkeypatch.setattr(quadorders, "_root_counts", off_by_one)
+    class_number.cache_clear()
+    with pytest.raises(DomainError):
+        class_number(disc)
+
+
+def test_class_numbers_near_40000():
+    # both signs around 40,000, where the real forms once switched from
+    # a scan over b to an enumeration by a
+    for disc in range(40_000 - 16, 40_000 + 17):
         if is_discriminant(disc):
             assert class_number(disc) == cycle_class_number(disc), disc
         if is_discriminant(-disc):
@@ -238,9 +312,12 @@ def test_class_numbers_across_the_size_switch():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=10 ** 3, max_value=10 ** 6)
+@given(st.integers(min_value=3, max_value=5)
+       .flatmap(lambda e: st.integers(min_value=10 ** e,
+                                      max_value=10 ** (e + 1)))
        .filter(is_discriminant))
 def test_large_real_class_numbers_vs_cycle_reference(disc):
+    # one decade of disc per draw, up to 10^6
     assert class_number(disc) == cycle_class_number(disc)
 
 
@@ -283,15 +360,17 @@ def test_prime_power_roots_vs_brute():
             e += 1
 
 
-def test_root_table_vs_brute():
+def test_roots_vs_brute():
+    # the explicit roots of both signs, one prime-power memo per disc as
+    # the class numbers use it
+    spf = smallest_prime_factors(40)
     for disc in range(-300, 301):
         if disc % 4 not in (0, 1):
             continue
-        table = _root_table(disc, 40)
-        assert len(table) == 41 and table[0] == []
+        local = {}
         for a in range(1, 41):
             want = [x for x in range(2 * a) if (x * x - disc) % (4 * a) == 0]
-            assert sorted(table[a]) == want, (disc, a)
+            assert sorted(_roots(disc, a, spf, local)) == want, (disc, a)
 
 
 @lru_cache(maxsize=None)
