@@ -121,14 +121,6 @@ def smallest_prime_factors(limit: int) -> list[int]:
     return spf
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n >= 1, ascending."""
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p ** i for d in out for i in range(e + 1)]
-    return tuple(sorted(out))
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a/n), defined for all integers."""
     if n == 0:

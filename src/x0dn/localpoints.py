@@ -144,7 +144,13 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
     Clark03 applies to m = D when D = pq is a product of two primes and N
     is prime: the quotient has Q_p-points iff N is not inert in
     Q(sqrt(-q)); otherwise the entry is NOT_APPLICABLE.  A per-pair
-    table (genus._hall_index)."""
+    table (genus._hall_index).
+
+    Every embedding question here reads the local types of the
+    embeddings module: _local_product for the real orders, and
+    element_embeds and locally_embeds for the p-adic clauses, which
+    answer from the q-adic data of the radicand or order at each q | DN,
+    with no radicand factored."""
     _, divisor, factors, parts = _hall_index(d, n)
     real = [EMPTY]
     for m, s, t, away in parts[1:]:

@@ -32,8 +32,17 @@ from .errors import DomainError, IntegralityError, PipelineError
 from .fixtures import FixtureSet
 from .genus import _elliptic_factor, e_k, genus
 
-GENUS_CAP_BIELLIPTIC = 39
-GENUS_CAP_TRIGONAL = 29
+# Genus caps.  Abramovich's bound (Abramovich 1996, "A linear lower bound
+# on the gonality of modular curves") reads gamma_C >= (lambda_1 / 24)
+# phi(D) psi(N), phi(D) psi(N) standing for the index; the paper applies
+# it to X_0^D(N), where Jacquet--Langlands carries the eigenvalue bound
+# lambda_1 >= 21/100 of Luo--Rudnick--Sarnak from the congruence subgroups
+# of SL_2(Z) to the quaternion side.  The genus formula gives
+# 12(g - 1) <= phi(D) psi(N), so gamma_C >= (21/200)(g - 1), and a curve of
+# C-gonality at most gamma has g <= 1 + floor(200 gamma / 21).  A
+# bielliptic curve has gamma_C <= 4, a geometrically trigonal one 3.
+GENUS_CAP_BIELLIPTIC = 1 + 200 * 4 // 21
+GENUS_CAP_TRIGONAL = 1 + 200 * 3 // 21
 
 ALL_AL = "all_AL"
 UNKNOWN = "unknown"

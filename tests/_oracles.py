@@ -345,6 +345,26 @@ def fixed_point_orders(m: int):
     return tuple(map(order_from_discriminant, discs))
 
 
+def element_embeds_by_orders(radicand: int, d: int, n: int) -> bool:
+    """Whether an element with square equal to radicand lies in some
+    Eichler order of level n, order by order: factor 4 * radicand as
+    d0 F^2 and ask locally_embeds of the order of every conductor
+    f | F.  The reference for element_embeds, which reads the local
+    types off the radicand instead."""
+    from x0dn.embeddings import locally_embeds
+    from x0dn.errors import DomainError
+    from x0dn.genus import check_algebra
+    from x0dn.quadorders import QuadOrder, order_from_discriminant
+    check_algebra(d, n)
+    if radicand == 0:
+        raise DomainError("element_embeds wants a nonzero radicand")
+    if radicand > 0 and isqrt(radicand) ** 2 == radicand:
+        raise DomainError(f"radicand {radicand} is a perfect square")
+    d0, conductor = order_from_discriminant(4 * radicand)
+    return any(locally_embeds(QuadOrder._make((d0, f)), d, n)
+               for f in range(1, conductor + 1) if conductor % f == 0)
+
+
 def per_m_real_component_count(d: int, n: int, m: int) -> int:
     """Real components of X_0^D(N)/<w_m>, one m at a time: 0 for square
     m; otherwise optimal embeddings of the orders of discriminant 4m and,

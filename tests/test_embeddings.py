@@ -1,8 +1,13 @@
-import pytest
-from hypothesis import given, strategies as st
+from math import gcd, isqrt, prod
 
-from x0dn.embeddings import (eichler_symbol, element_embeds, embedding_count,
-                             is_definite, local_nu, locally_embeds)
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from _oracles import element_embeds_by_orders
+from x0dn.arith import prime_divisors
+from x0dn.embeddings import (_local_product, eichler_symbol, element_embeds,
+                             embedding_count, is_definite, local_nu,
+                             locally_embeds)
 from x0dn.errors import DomainError
 from x0dn.genus import check_algebra, e_k
 from x0dn.quadorders import QuadOrder
@@ -101,6 +106,9 @@ def test_rejects_bad_input():
         element_embeds(0, 6, 1)
     with pytest.raises(DomainError):
         element_embeds(9, 6, 1)
+    for radicand in (-1.0, True, "-1"):
+        with pytest.raises(DomainError):
+            element_embeds(radicand, 6, 1)
     assert is_definite(3) and not is_definite(6)
 
 
@@ -118,3 +126,65 @@ def test_count_factors_positive(d, n, disc, f):
     count = embedding_count(order, d, n)
     assert count >= 0
     assert (count > 0) == locally_embeds(order, d, n)
+
+
+# The squarefree D below 50, definite and indefinite, and levels with
+# every prime power the local case split distinguishes
+GRID_D = [d for d in range(2, 50) if all(d % (p * p) for p in (2, 3, 5, 7))]
+GRID_N = (1, 3, 4, 5, 8, 9, 16, 25, 27, 32, 64, 81)
+GRID_R = (list(range(-70, 0))
+          + [-(2 ** a) * u for a in range(9) for u in (1, 3, 5, 7)]
+          + [-(3 ** b) for b in range(1, 8)]
+          + [r for r in range(2, 41) if isqrt(r) ** 2 != r])
+
+
+def test_element_embeds_matches_order_by_order_oracle():
+    """The local types read off the radicand give the verdict that
+    factoring 4r and asking every order of conductor f | F gives."""
+    radicands = sorted(set(GRID_R))
+    for d in GRID_D:
+        for n in GRID_N:
+            if gcd(d, n) != 1:
+                continue
+            for r in radicands:
+                assert element_embeds(r, d, n) == element_embeds_by_orders(
+                    r, d, n), (r, d, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=6), st.data(),
+       st.sampled_from(GRID_D), st.sampled_from(GRID_N))
+def test_element_embeds_matches_oracle_by_decade(decade, data, d, n):
+    """|r| drawn decade by decade up to 10^7, so that large radicands,
+    with deep prime powers, are as likely as small ones."""
+    assume(gcd(d, n) == 1)
+    r = data.draw(st.integers(min_value=10 ** decade, max_value=10 ** (decade + 1)))
+    r *= data.draw(st.sampled_from((-1, 1)))
+    assume(r < 0 or isqrt(r) ** 2 != r)
+    assert element_embeds(r, d, n) == element_embeds_by_orders(r, d, n)
+
+
+# imaginary and real orders, maximal and not, ramified and split at 2, 3
+OWNER_ORDERS = [QuadOrder(d0, f) for d0 in (-3, -4, -7, -8, -15, -20, -23, 5, 8,
+                                            12, 13, 17, 21)
+                for f in (1, 2, 3, 4, 6, 9)]
+
+
+def test_every_reader_of_the_case_split_agrees_with_local_nu():
+    """_local_product is the product of local_nu over its primes, and
+    locally_embeds holds exactly when every local_nu is positive, except
+    that a real order never embeds in a definite algebra."""
+    for d in (2, 3, 5, 6, 7, 10, 15, 30, 42):
+        for n in (1, 4, 5, 8, 9, 16, 25, 27, 49, 64):
+            if gcd(d, n) != 1:
+                continue
+            primes = prime_divisors(d * n)
+            for order in OWNER_ORDERS:
+                nus = [local_nu(order, p, d, n) for p in primes]
+                assert _local_product(order, d, n, primes) == prod(nus)
+                for skip in ((), primes[:1]):
+                    kept = [nu for p, nu in zip(primes, nus) if p not in skip]
+                    real_in_definite = order.discriminant > 0 and is_definite(d)
+                    assert locally_embeds(order, d, n, skip=skip) == (
+                        all(nu > 0 for nu in kept) and not real_in_definite), (
+                        order, d, n, skip)

@@ -8,7 +8,8 @@ from x0dn.atkinlehner import fixed_point_count, group_elements
 from x0dn.errors import DomainError
 from x0dn.fixtures import load_fixtures
 from x0dn.genus import genus
-from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, GENUS_CAP_BIELLIPTIC, UNKNOWN,
+from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, GENUS_CAP_BIELLIPTIC,
+                           GENUS_CAP_TRIGONAL, UNKNOWN,
                            _pair_values, _pairs, _sieve, airr2_report,
                            allowed_discriminants,
                            automorphism_exception_pairs, automorphism_status,
@@ -141,6 +142,14 @@ def test_level_one_bielliptic_records():
                   if d not in by_automorphisms}
     assert open_discs == {133: 9, 145: 9, 187: 13, 205: 13, 217: 15,
                           301: 21, 445: 29, 505: 33}
+
+
+def test_genus_caps_from_abramovich():
+    """gamma_C >= (21/200)(g - 1) with gamma_C <= 4 (bielliptic) or 3
+    (geometrically trigonal): the largest such genus is the cap."""
+    for cap, gamma in ((GENUS_CAP_BIELLIPTIC, 4), (GENUS_CAP_TRIGONAL, 3)):
+        assert 21 * (cap - 1) <= 200 * gamma < 21 * cap
+    assert (GENUS_CAP_BIELLIPTIC, GENUS_CAP_TRIGONAL) == (39, 29)
 
 
 def test_candidate_counts(fixtures):
