@@ -73,16 +73,9 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def psi(n: int) -> int:
-    """The index [PSL2(Z) : Gamma_0(n)] = n * prod_{p|n} (1 + 1/p)."""
-    out = 1
-    for p, e in factorize(n):
-        out *= p ** (e - 1) * (p + 1)
-    return out
-
-
 def psi_p(p: int, e: int) -> int:
-    """Local factor of psi at p^e: p^(e-1) * (p+1) for e >= 1, else 1."""
+    """Local factor at p^e of the index psi(N) = [PSL2(Z) : Gamma_0(N)]
+    = N prod_{p|N} (1 + 1/p): p^(e-1) * (p+1) for e >= 1, else 1."""
     return p ** (e - 1) * (p + 1) if e >= 1 else 1
 
 

@@ -18,8 +18,9 @@ quadratic orders; their number is a class number times local embedding
 factors away from m.  The counts of every w_m of a pair are built at
 once, from the factorization of DN, into one per-pair table, which
 is the only copy of the rule that names the orders.
-Quotient genera then come out of one Riemann--Hurwitz that sums the
-table over the masks of a subgroup, and must give integers.
+Each w_m's quotient genus is checked to be an integer when the table
+is built.  Quotient genera then come out of one Riemann--Hurwitz that
+sums the table over the masks of a subgroup, and must give integers.
 """
 
 from functools import lru_cache
@@ -107,7 +108,12 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     are fundamental by construction, so the orders are built unchecked.  Each order counts
     h(R) times its local embedding numbers at the primes of DN prime to
     m, and h(R) is asked only when their product is nonzero.  A per-pair
-    table (genus._hall_index)."""
+    table (genus._hall_index).
+
+    Riemann--Hurwitz is checked here, once per table, whoever reads it:
+    X/<w_m> has genus (2g + 2 - F)/4 for F fixed points, which must be
+    a nonnegative integer, or IntegralityError is raised."""
+    bound = 2 * genus(d, n) + 2
     table = [0]
     for m, s, t, away in _hall_index(d, n)[3][1:]:
         if m == 2:
@@ -118,7 +124,12 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
             orders = ((-s, 2 * t),)
         else:
             orders = ((-4 * s, t),)
-        table.append(_count_away(orders, d, n, away))
+        fix = _count_away(orders, d, n, away)
+        if fix > bound or (bound - fix) % 4:
+            raise IntegralityError(
+                f"quotient genus of ({d}, {n}) by w_{m}"
+                f": ({bound} - {fix})/4 is not a nonnegative integer")
+        table.append(fix)
     return tuple(table)
 
 

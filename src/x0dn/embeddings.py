@@ -110,13 +110,6 @@ def _radicand_type(r: int, q: int) -> tuple[int, int]:
     return v // 2, 0
 
 
-def eichler_symbol(order: QuadOrder, p: int) -> int:
-    """(R/p): 1 when p divides the conductor of R, otherwise the
-    Kronecker symbol of the field discriminant at p."""
-    k, ell = _order_type(order, p)
-    return 1 if k else ell
-
-
 def local_nu(order: QuadOrder, p: int, d: int, n: int) -> int:
     """Number of local optimal embedding classes of R at p, for an
     Eichler order of level n in the algebra of discriminant d: _nu of

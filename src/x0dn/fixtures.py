@@ -12,7 +12,6 @@ fatal.
 
 import os
 from collections import namedtuple
-from importlib import resources
 
 from .errors import DomainError, FixtureError
 from .genus import _involution_mask, check_pair
@@ -113,16 +112,17 @@ def parse_fixtures(text: str) -> FixtureSet:
 
 
 def fixture_text(path: str | None = None) -> str:
-    """Read the fixture file: the given path (a file, or a directory
-    containing prior_work.txt), or else the packaged copy."""
+    """Read the fixture file as UTF-8: the given path (a file, or a
+    directory containing prior_work.txt), or else the packaged copy in
+    data/ next to this module."""
     if path is None:
-        return resources.files("x0dn").joinpath(f"data/{DATA_NAME}").read_text("utf-8")
-    if os.path.isdir(path):
+        path = os.path.join(os.path.dirname(__file__), "data", DATA_NAME)
+    elif os.path.isdir(path):
         path = os.path.join(path, DATA_NAME)
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FixtureError(f"cannot read fixture file {path}: {exc}") from None
 
 

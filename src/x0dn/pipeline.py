@@ -22,15 +22,14 @@ from math import gcd
 from .arith import (euler_phi, is_prime, is_squarefree, kronecker, omega,
                     prime_divisors, smallest_prime_factors, valuation)
 from .atkinlehner import (
+    _fixed_point_table,
     all_subgroups,
-    fixed_point_count,
-    group_elements,
     quotient_genus,
     subgroup_quotient_genus,
 )
 from .errors import DomainError, IntegralityError, PipelineError
 from .fixtures import FixtureSet
-from .genus import _elliptic_factor, e_k, genus
+from .genus import _elliptic_factor, _hall_index, e_k, genus
 
 # Genus caps.  Abramovich's bound (Abramovich 1996, "A linear lower bound
 # on the gonality of modular curves") reads gamma_C >= (lambda_1 / 24)
@@ -244,27 +243,23 @@ def automorphism_status(d: int, n: int) -> str:
 
 def fixed_point_screen(d: int, n: int) -> bool:
     """True when some involution w_m has more than 8 fixed points yet
-    not 2g - 2 of them, which rules out biellipticity."""
+    not 2g - 2 of them, which rules out biellipticity.  Read off the
+    pair's fixed-point table, whose identity entry 0 never exceeds 8."""
     g = genus(d, n)
     if g < 2:
         raise DomainError(f"fixed-point screen needs genus >= 2, got {g}")
-    target = 2 * g - 2
-    for m in group_elements(d, n):
-        if m == 1:
-            continue
-        fix = fixed_point_count(d, n, m)
-        if fix > 8 and fix != target:
-            return True
-    return False
+    return any(fix > 8 and fix != 2 * g - 2 for fix in _fixed_point_table(d, n))
 
 
 def genus1_al_quotients(d: int, n: int) -> list[int]:
-    """Hall divisors m > 1 of DN whose quotient curve has genus one."""
-    return [
-        m
-        for m in group_elements(d, n)
-        if m != 1 and quotient_genus(d, n, m) == 1
-    ]
+    """Hall divisors m > 1 of DN whose quotient curve has genus one,
+    ascending.  By Riemann--Hurwitz, X/<w_m> has genus (2g + 2 - F)/4
+    for F fixed points, so genus one exactly when F = 2g - 2; the
+    identity's mask 0 is skipped, as its entry 0 is 2g - 2 when g = 1."""
+    target = 2 * genus(d, n) - 2
+    divisor = _hall_index(d, n)[1]
+    return sorted(divisor[mask] for mask, fix
+                  in enumerate(_fixed_point_table(d, n)) if mask and fix == target)
 
 
 def cs_bound(d1: int, g1: int, d2: int, g2: int) -> int:
@@ -440,11 +435,7 @@ def schweizer_survivors() -> list[tuple[int, int]]:
         g = genus(d, n)
         if g < 2 or g % 4 == 1:
             continue
-        counts = {
-            fixed_point_count(d, n, m)
-            for m in group_elements(d, n)
-            if m != 1
-        }
+        counts = set(_fixed_point_table(d, n)[1:])
         if g % 2 == 1 and counts <= {4}:
             out.append((d, n))
         elif g % 2 == 0 and counts <= {2, 6}:

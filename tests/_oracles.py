@@ -345,6 +345,46 @@ def fixed_point_orders(m: int):
     return tuple(map(order_from_discriminant, discs))
 
 
+def per_m_fixed_point_counts(d: int, n: int) -> dict[int, int]:
+    """The fixed points of every nontrivial w_m, one fixed_point_count
+    call per Hall divisor m > 1 of DN."""
+    from x0dn.atkinlehner import fixed_point_count, group_elements
+    return {m: fixed_point_count(d, n, m) for m in group_elements(d, n)[1:]}
+
+
+def per_m_genus1_quotients(d: int, n: int) -> list[int]:
+    """The Hall divisors m > 1 of DN with g(X/<w_m>) = 1, ascending, one
+    quotient_genus call per m.  The reference for
+    pipeline.genus1_al_quotients, which reads the pair's fixed-point
+    table instead."""
+    from x0dn.atkinlehner import group_elements, quotient_genus
+    return [m for m in group_elements(d, n)[1:] if quotient_genus(d, n, m) == 1]
+
+
+def per_m_fixed_point_screen(d: int, n: int) -> bool:
+    """Some w_m has more than 8 fixed points but not 2g - 2, asked one m
+    at a time.  The reference for pipeline.fixed_point_screen."""
+    from x0dn.genus import genus
+    target = 2 * genus(d, n) - 2
+    return any(fix > 8 and fix != target
+               for fix in per_m_fixed_point_counts(d, n).values())
+
+
+def per_m_schweizer_survivors(candidates) -> list[tuple[int, int]]:
+    """The candidates of genus g >= 2, g != 1 mod 4, whose involutions
+    all have 4 fixed points (odd g) or 2 or 6 (even g), asked one m at a
+    time.  The reference for pipeline.schweizer_survivors."""
+    from x0dn.genus import genus
+    out = []
+    for d, n in candidates:
+        g = genus(d, n)
+        allowed = {4} if g % 2 else {2, 6}
+        if (g >= 2 and g % 4 != 1
+                and set(per_m_fixed_point_counts(d, n).values()) <= allowed):
+            out.append((d, n))
+    return out
+
+
 def element_embeds_by_orders(radicand: int, d: int, n: int) -> bool:
     """Whether an element with square equal to radicand lies in some
     Eichler order of level n, order by order: factor 4 * radicand as

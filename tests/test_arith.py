@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
                         is_squarefree, kronecker, omega,
-                        pell_minus_solvable, pell_pm2_solvable, psi, psi_p,
+                        pell_minus_solvable, pell_pm2_solvable, psi_p,
                         smallest_prime_factors)
 from x0dn.errors import DomainError
 from x0dn.genus import check_pair
@@ -55,9 +55,6 @@ def test_multiplicative_functions():
     assert euler_phi(1) == 1
     assert euler_phi(6) == 2
     assert euler_phi(214) == 106
-    assert psi(1) == 1
-    assert psi(4) == 6
-    assert psi(25) == 30
     assert psi_p(2, 2) == 6
     assert psi_p(5, 0) == 1
     assert omega(1) == 0 and omega(60) == 3

@@ -27,10 +27,12 @@ def run(capsys, *argv):
 
 
 def test_cold_import_skips_dataclasses():
-    # the records are named tuples: a cold start imports neither
-    # dataclasses nor inspect (-S keeps site-packages out of the count)
+    # the records are named tuples and the packaged data is read by a
+    # path: a cold start imports neither dataclasses, inspect nor
+    # importlib.resources (-S keeps site-packages out of the count)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import x0dn.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
@@ -263,6 +265,12 @@ def test_fixtures_flag(capsys, tmp_path):
     missing = tmp_path / "nope.txt"
     code, _, err = run(capsys, "airr2", "--fixtures", str(missing))
     assert code == 1
+    # a file that is not UTF-8 is refused with a message, not a traceback
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"HYPERELLIPTIC,6,1,\xff\xfe\n")
+    code, out, err = run(capsys, "airr2", "--fixtures", str(binary))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read fixture file") and "utf-8" in err
     # the allowed discriminants are derived, so a quoted list is refused
     stale = tmp_path / "stale.txt"
     stale.write_text(fixture_text() + "ALLOWED_D,6,Voight09\n")

@@ -5,22 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import element_embeds_by_orders
 from x0dn.arith import prime_divisors
-from x0dn.embeddings import (_local_product, eichler_symbol, element_embeds,
-                             embedding_count, is_definite, local_nu,
-                             locally_embeds)
+from x0dn.embeddings import (_local_product, element_embeds, embedding_count,
+                             is_definite, local_nu, locally_embeds)
 from x0dn.errors import DomainError
 from x0dn.genus import check_algebra, e_k
 from x0dn.quadorders import QuadOrder
-
-
-def test_eichler_symbol():
-    # conductor divisible by p forces +1 regardless of the field
-    assert eichler_symbol(QuadOrder(-4, 2), 2) == 1
-    assert eichler_symbol(QuadOrder(-4), 2) == 0
-    assert eichler_symbol(QuadOrder(-4), 3) == -1
-    assert eichler_symbol(QuadOrder(-4), 5) == 1
-    assert eichler_symbol(QuadOrder(-3, 5), 5) == 1
-    assert eichler_symbol(QuadOrder(-3), 5) == -1
 
 
 def test_local_nu_ramified_and_unramified():

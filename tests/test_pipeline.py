@@ -1,11 +1,14 @@
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
-from x0dn.arith import euler_phi, is_squarefree, omega, psi
+from _oracles import (per_m_fixed_point_counts, per_m_fixed_point_screen,
+                      per_m_genus1_quotients, per_m_schweizer_survivors)
+from x0dn import atkinlehner
+from x0dn.arith import euler_phi, is_squarefree, omega, prime_divisors
 from x0dn.atkinlehner import fixed_point_count, group_elements
-from x0dn.errors import DomainError
+from x0dn.errors import DomainError, IntegralityError
 from x0dn.fixtures import load_fixtures
 from x0dn.genus import genus
 from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, GENUS_CAP_BIELLIPTIC,
@@ -94,9 +97,14 @@ def test_enumerators_match_brute_force(small_pairs, fixtures):
     # up to four times the largest cutoff, far above every cap
     limit = 4 * dn_cutoff(39)
     tables = _sieve(limit)
-    phi, psi_of, mu = tables[:3]
-    assert all((phi[x], psi_of[x], mu[x]) == (euler_phi(x), psi(x),
-                                              is_squarefree(x) * (-1) ** omega(x))
+    phi, psi, mu = tables[:3]
+
+    def index(x):   # [PSL2(Z) : Gamma_0(x)] = x prod_{p | x} (1 + 1/p)
+        primes = prime_divisors(x)
+        return x * prod(p + 1 for p in primes) // prod(primes)
+
+    assert all((phi[x], psi[x], mu[x]) == (euler_phi(x), index(x),
+                                           is_squarefree(x) * (-1) ** omega(x))
                for x in range(1, limit + 1))
     discs = sorted({d for d, _ in small_pairs})
     values = {(d, n): t for d, n, t in _pair_values(tables, discs)}
@@ -199,6 +207,40 @@ def test_genus1_al_quotients_examples():
     assert genus1_al_quotients(6, 17) == [2, 51, 102]
     assert genus1_al_quotients(34, 7) == []
     assert genus1_al_quotients(39, 4) == [39]
+
+
+def test_sweeps_match_per_m_definitions(fixtures):
+    # the sweeps read each pair's fixed-point table at once; the oracles
+    # ask quotient_genus and fixed_point_count one m at a time
+    bielliptic = bielliptic_candidates(fixtures)
+    trigonal = trigonal_candidates()
+    assert (len(bielliptic), len(trigonal)) == (357, 455)
+    for d, n in bielliptic + trigonal:
+        assert genus1_al_quotients(d, n) == per_m_genus1_quotients(d, n), (d, n)
+        if genus(d, n) >= 2:
+            assert (fixed_point_screen(d, n)
+                    == per_m_fixed_point_screen(d, n)), (d, n)
+    for d, n in trigonal:   # Schweizer's test reads the table's set
+        assert (set(atkinlehner._fixed_point_table(d, n)[1:])
+                == set(per_m_fixed_point_counts(d, n).values())), (d, n)
+    assert schweizer_survivors() == per_m_schweizer_survivors(trigonal)
+
+
+def test_table_build_checks_riemann_hurwitz(monkeypatch):
+    # g(26, 1) = 2 with counts 2, 2, 6: two more fixed points leave
+    # (2g + 2 - F)/4 fractional, so the table refuses to be built and
+    # every reader of it raises, the sweeps included
+    count_away = atkinlehner._count_away
+    monkeypatch.setattr(atkinlehner, "_count_away",
+                        lambda *args: count_away(*args) + 2)
+    atkinlehner._fixed_point_table.cache_clear()
+    fixed_point_count.cache_clear()
+    for read in (lambda: fixed_point_count(26, 1, 13),
+                 lambda: genus1_al_quotients(26, 1),
+                 lambda: fixed_point_screen(26, 1)):
+        with pytest.raises(IntegralityError,
+                           match=r"of \(26, 1\) by w_2: \(6 - 4\)/4"):
+            read()
 
 
 def test_automorphism_status_examples():
