@@ -8,10 +8,11 @@ factors q_0 < q_1 < ... of DN (bit i is set when q_i divides m), so the
 twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  The index
 of masks and Hall divisors belongs to `genus`, whose index is the one
 validator of a pair and is kept while the pair is in use.  Subgroups are
-spans of reduced echelon bases over F_2, each built once, and the spans
-of a pair's subgroups are kept for their genera.  The public API
-stays in Hall divisors: elements are ints and subgroups are frozensets
-of Hall divisors containing 1.
+spans of reduced echelon bases over F_2, built once for each omega.  A
+pair's subgroups are kept in one per-pair table, in a fixed order, each
+with its span and the genus of its quotient.  The public API stays in
+Hall divisors: elements are ints and subgroups are frozensets of Hall
+divisors containing 1.
 
 Fixed points of w_m are CM points by one or two explicit imaginary
 quadratic orders; their number is a class number times local embedding
@@ -19,8 +20,11 @@ factors away from m.  The counts of every w_m of a pair are built at
 once, from the factorization of DN, into one per-pair table, which
 is the only copy of the rule that names the orders.
 Each w_m's quotient genus is checked to be an integer when the table
-is built.  Quotient genera then come out of one Riemann--Hurwitz that
-sums the table over the masks of a subgroup, and must give integers.
+is built.  The genus of a quotient by a subgroup comes out of one
+Riemann--Hurwitz that sums the fixed-point table over the subgroup's
+masks and must give a nonnegative integer.  It runs over every subgroup
+of a pair at once when the subgroup table is built, and over any other
+generators when they are asked.
 """
 
 from functools import lru_cache
@@ -31,15 +35,16 @@ from .genus import _hall_index, _involution_mask, check_pair, genus
 
 
 @lru_cache(maxsize=None)
-def _subgroup_spans(w: int) -> tuple[tuple[int, ...], ...]:
-    """Every subgroup of F_2^w, once each, as the masks of its span.
+def _subgroup_spans(w: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every subgroup of F_2^w, once each, as the masks of its span,
+    grouped by size: entry k holds the subgroups of order 2^k.
 
     A subgroup has exactly one reduced echelon basis: the pivot of a row
     is its highest set bit, and below its pivot a row has bits only
     outside the set of pivots.  So choose the pivots, then the free bits
     of each row, and span the rows by doubling.  The result depends on w
     alone, so it is built once per rank."""
-    out = []
+    out = [[] for _ in range(w + 1)]
     for pivots in range(1 << w):
         spans = [(0,)]
         for p in range(w):
@@ -48,8 +53,8 @@ def _subgroup_spans(w: int) -> tuple[tuple[int, ...], ...]:
             rows = [(1 << p) | s for s in range(1 << p) if not s & pivots]
             spans = [span + tuple(x ^ r for x in span)
                      for span in spans for r in rows]
-        out += spans
-    return tuple(out)
+        out[pivots.bit_count()] += spans
+    return tuple(map(tuple, out))
 
 
 def group_elements(d: int, n: int) -> tuple[int, ...]:
@@ -72,23 +77,49 @@ def _span(gens, d: int, n: int) -> set[int]:
 
 @lru_cache(maxsize=1, typed=True)
 def _subgroup_table(d: int, n: int) -> dict[frozenset[int], tuple]:
-    """Every subgroup of the Atkin--Lehner group of a valid pair, as its
-    Hall divisors, mapped to the pair (that very key, the masks of its
-    span); sorted by size and then by sorted elements, so the trivial
-    one comes first.  A per-pair table (genus._hall_index), so that
-    subgroup_quotient_genus need not span a subgroup that all_subgroups
-    handed out."""
+    """Every subgroup H of the Atkin--Lehner group of a valid pair, as
+    its Hall divisors, mapped to (that very key, the masks of its span,
+    the genus g_H of X_0^D(N)/H); sorted by size and then by sorted
+    elements, so the trivial one comes first.  Each g_H is summed and
+    checked once, here, by _riemann_hurwitz, so no table is kept for a
+    pair whose fixed points break it.  A per-pair table
+    (genus._hall_index): subgroup_quotient_genus reads off it the genus
+    of a subgroup that all_subgroups handed out.
+
+    Within one size the order is an integer key.  Give the mask x the
+    weight 2^(2^omega - 1 - rank(x)), where rank(x) is the place of its
+    Hall divisor in ascending order.  Let A and B be distinct subgroups
+    of equal size, and x the least element of their symmetric
+    difference, say in A.  Every element below x lies in both or in
+    neither, so their sorted elements agree up to the place of x, where
+    B, being as large as A, has an element above x: A sorts first.  And
+    weight(x) exceeds the sum of the weights of all larger elements, so
+    it outweighs the elements of B outside A: A has the larger total.
+    So the sorted-element order is the order of descending total
+    weight, and the key (|H|, -total) keeps it; _subgroup_spans gives
+    the sizes in order."""
     divisor = _hall_index(d, n)[1]
-    w = len(divisor).bit_length() - 1      # len(divisor) = 2^omega(DN)
-    subs = [(frozenset(map(divisor.__getitem__, span)), span)
-            for span in _subgroup_spans(w)]
-    subs.sort(key=lambda sub: (len(sub[1]), sorted(sub[0])))
-    return {sub[0]: sub for sub in subs}
+    order = sorted(range(len(divisor)), key=divisor.__getitem__)
+    weight = [0] * len(order)
+    for bit, x in enumerate(reversed(order)):   # 2^omega - 1 - rank(x)
+        weight[x] = 1 << bit
+    omega = len(order).bit_length() - 1         # len(order) = 2^omega(DN)
+    spans = []
+    for group in _subgroup_spans(omega):
+        spans += sorted(group, reverse=True,
+                        key=lambda span: sum(map(weight.__getitem__, span)))
+    table = {}
+    for span, gh in zip(spans, _riemann_hurwitz(d, n, spans)):
+        sub = frozenset(map(divisor.__getitem__, span))
+        table[sub] = sub, span, gh
+    return table
 
 
 def all_subgroups(d: int, n: int) -> tuple[frozenset[int], ...]:
-    """Every subgroup of the Atkin--Lehner group, trivial first
-    (_subgroup_table)."""
+    """Every subgroup of the Atkin--Lehner group, trivial first, then by
+    size and by sorted elements (_subgroup_table).  Building the pair's
+    table sums and checks every quotient genus, so a pair whose fixed
+    points break Riemann--Hurwitz raises IntegralityError here."""
     return tuple(_subgroup_table(d, n))
 
 
@@ -142,37 +173,44 @@ def fixed_point_count(d: int, n: int, m: int) -> int:
     return _fixed_point_table(d, n)[_involution_mask(d, n, m)]
 
 
-def _riemann_hurwitz(d: int, n: int, span) -> int:
-    """Genus g_H of the quotient of X_0^D(N) by the subgroup H whose
-    masks are span (0 included): every w_m is an involution, so all
-    ramification is tame of order 2 and
-    2g - 2 = |H| (2 g_H - 2) + sum of #fixed(w_m) over the table."""
+def _riemann_hurwitz(d: int, n: int, spans) -> list[int]:
+    """Genus g_H of the quotient of X_0^D(N) by each subgroup H whose
+    masks (0 included) are one of spans: every w_m is an involution, so
+    all ramification is tame of order 2 and
+    2g - 2 = |H| (2 g_H - 2) + sum of #fixed(w_m) over the table.  Each
+    g_H must be a nonnegative integer, or IntegralityError names H.  The
+    one copy of the formula, for the subgroup table and for every
+    spanned subgroup alike."""
     table = _fixed_point_table(d, n)
-    num = 2 * genus(d, n) - 2 - sum(map(table.__getitem__, span))
-    out, rest = divmod(num, 2 * len(span))
-    if rest or out < -1:
-        divisor = _hall_index(d, n)[1]
-        subgroup = sorted(divisor[x] for x in span)
-        raise IntegralityError(
-            f"quotient genus of ({d}, {n}) by {subgroup}"
-            f": {num}/{2 * len(span)} + 1 is not a nonnegative integer")
-    return out + 1
+    twice = 2 * genus(d, n) - 2
+    out = []
+    for span in spans:
+        num = twice - sum(map(table.__getitem__, span))
+        gh, rest = divmod(num, 2 * len(span))
+        if rest or gh < -1:
+            divisor = _hall_index(d, n)[1]
+            subgroup = sorted(divisor[x] for x in span)
+            raise IntegralityError(
+                f"quotient genus of ({d}, {n}) by {subgroup}"
+                f": {num}/{2 * len(span)} + 1 is not a nonnegative integer")
+        out.append(gh + 1)
+    return out
 
 
 def quotient_genus(d: int, n: int, m: int) -> int:
     """Genus of X_0^D(N)/<w_m>: (2g + 2 - #fixed)/4."""
-    return _riemann_hurwitz(d, n, (0, _involution_mask(d, n, m)))
+    return _riemann_hurwitz(d, n, [(0, _involution_mask(d, n, m))])[0]
 
 
 def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     """Genus of the quotient of X_0^D(N) by the subgroup generated by
     the given involutions.  The very frozenset that all_subgroups
     returned (identity, not equality, so frozenset({1, 6.0}) is not it)
-    is read off the pair's _subgroup_table; any other gens are spanned
-    and checked by _span.  Either way _riemann_hurwitz validates the
-    pair through its fixed-point table."""
-    kept = None
+    is looked up in the pair's _subgroup_table, which holds its genus;
+    any other gens are spanned and checked by _span, and their genus is
+    summed from the pair's fixed-point table by _riemann_hurwitz."""
     if isinstance(gens, frozenset):
         kept = _subgroup_table(d, n).get(gens)
-    span = kept[1] if kept and kept[0] is gens else _span(gens, d, n)
-    return _riemann_hurwitz(d, n, span)
+        if kept and kept[0] is gens:
+            return kept[2]
+    return _riemann_hurwitz(d, n, [_span(gens, d, n)])[0]

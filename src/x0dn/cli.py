@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 domain/usage error, 2 integrality failure.
 """
 
 import argparse
-import json
 import sys
 
 from .arith import is_prime, is_squarefree
@@ -13,7 +12,6 @@ from .embeddings import embedding_count, locally_embeds
 from .errors import DomainError, FixtureError, IntegralityError, PipelineError
 from .fixtures import load_fixtures
 from .genus import check_algebra, genus, is_definite
-from .localpoints import local_obstructions
 from .pipeline import (airr2_report, bielliptic_candidates, classify_bielliptic,
                        classify_trigonal, trigonal_candidates)
 from .quadorders import class_number, order_from_discriminant
@@ -59,6 +57,7 @@ def _emit_csv(header, cells) -> str:
 
 
 def _emit_json(header, cells) -> str:
+    import json     # only this format needs it, so a cold start skips it
     out = []
     for row in cells:
         obj = {}
@@ -129,6 +128,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_local_points(args) -> int:
+    from .localpoints import local_obstructions     # only this command
     for verdict in local_obstructions(args.d, args.n, args.m):
         print(f"{verdict.place} {verdict.status} {verdict.source}")
     return 0

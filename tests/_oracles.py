@@ -352,6 +352,19 @@ def per_m_fixed_point_counts(d: int, n: int) -> dict[int, int]:
     return {m: fixed_point_count(d, n, m) for m in group_elements(d, n)[1:]}
 
 
+def per_subgroup_genus(d: int, n: int, sub) -> int:
+    """g(X_0^D(N)/H) for the subgroup H given by its Hall divisors,
+    Riemann--Hurwitz summed one fixed_point_count call per m in H:
+    2g - 2 = |H| (2 g_H - 2) + the sum of #fixed(w_m) over m > 1.  The
+    reference for the genera atkinlehner._subgroup_table stores."""
+    from x0dn.genus import genus
+    fixed = per_m_fixed_point_counts(d, n)
+    num = 2 * genus(d, n) - 2 - sum(fixed[m] for m in sub if m != 1)
+    gh, rest = divmod(num, 2 * len(sub))
+    assert rest == 0 and gh >= -1, (d, n, sorted(sub))
+    return gh + 1
+
+
 def per_m_genus1_quotients(d: int, n: int) -> list[int]:
     """The Hall divisors m > 1 of DN with g(X/<w_m>) = 1, ascending, one
     quotient_genus call per m.  The reference for

@@ -13,10 +13,10 @@ from x0dn.embeddings import embedding_count
 from x0dn.errors import DomainError, IntegralityError
 from x0dn.fixtures import load_fixtures
 from x0dn.genus import _hall_index, genus
-from x0dn.pipeline import bielliptic_candidates, trigonal_candidates
+from x0dn.pipeline import _pairs, bielliptic_candidates, trigonal_candidates
 from x0dn.quadorders import class_number
 
-from _oracles import bfs_subgroups, fixed_point_orders
+from _oracles import bfs_subgroups, fixed_point_orders, per_subgroup_genus
 
 
 def _generated(gens, d, n):
@@ -130,6 +130,43 @@ SMALL_D = (6, 10, 14, 15, 21, 22, 26, 33, 34, 35, 38, 39, 210, 330)
 def test_all_subgroups_match_bfs(d, n):
     assume(gcd(d, n) == 1 and omega(d * n) <= 5)
     assert list(all_subgroups(d, n)) == bfs_subgroups(d, n)
+
+
+# pairs at omega = 4..6, past the draws above, whose Hall divisors are
+# out of mask order (with 2, 3 and 5 in DN, mask 3 is 6 and mask 4 is 5)
+@pytest.mark.parametrize("d, n", [(6, 5005), (6, 385), (10, 1001),
+                                  (15, 308), (210, 1), (6, 175)])
+def test_all_subgroups_order_pinned(d, n):
+    assert list(_hall_index(d, n)[1]) != sorted(_hall_index(d, n)[1])
+    assert list(all_subgroups(d, n)) == bfs_subgroups(d, n)
+
+
+def test_stored_genera_match_oracle():
+    # every genus the subgroup table stores, and the same subgroup
+    # spanned again from a tuple, against Riemann--Hurwitz summed one
+    # fixed_point_count at a time
+    for d, n in [*_pairs(39), (6, 385)]:
+        subs = all_subgroups(d, n)
+        for sub in subs:
+            gh = per_subgroup_genus(d, n, sub)
+            assert atkinlehner._subgroup_table(d, n)[sub][0] is sub
+            assert subgroup_quotient_genus(d, n, sub) == gh, (d, n, sub)
+            assert subgroup_quotient_genus(d, n, tuple(sub)) == gh, (d, n, sub)
+
+
+def test_subgroup_table_checks_riemann_hurwitz(monkeypatch):
+    # g(26, 1) = 2: two fixed points for every w_m give each w_m a
+    # quotient of genus (6 - 2)/4 = 1, but the whole group
+    # (2 - 6)/8 + 1, so the table is refused when all_subgroups builds
+    # it, and nothing is kept
+    monkeypatch.setattr(atkinlehner, "_fixed_point_table",
+                        lambda d, n: (0, 2, 2, 2))
+    atkinlehner._subgroup_table.cache_clear()
+    assert [quotient_genus(26, 1, m) for m in (2, 13, 26)] == [1, 1, 1]
+    with pytest.raises(IntegralityError,
+                       match=re.escape("(26, 1) by [1, 2, 13, 26]: -4/8 + 1")):
+        all_subgroups(26, 1)
+    assert atkinlehner._subgroup_table.cache_info().currsize == 0
 
 
 def test_fixed_point_orders():

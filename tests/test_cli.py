@@ -29,10 +29,12 @@ def run(capsys, *argv):
 def test_cold_import_skips_dataclasses():
     # the records are named tuples and the packaged data is read by a
     # path: a cold start imports neither dataclasses, inspect nor
-    # importlib.resources (-S keeps site-packages out of the count)
+    # importlib.resources; json and localpoints wait for the one format
+    # and the one command that use them (-S keeps site-packages out of
+    # the count)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import x0dn.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
-            " & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources',"
+            " 'json', 'x0dn.localpoints'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
