@@ -8,9 +8,12 @@ factors q_0 < q_1 < ... of DN (bit i is set when q_i divides m), so the
 twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  The index
 of masks and Hall divisors belongs to `genus`, whose index is the one
 validator of a pair and is kept while the pair is in use.  Subgroups are
-spans of reduced echelon bases over F_2, built once for each omega.  A
-pair's subgroups are kept in one per-pair table, in a fixed order, each
-with its span and the genus of its quotient.  The public API stays in
+spans of reduced echelon bases over F_2, built once for each omega,
+and each span is read through one operator.itemgetter of its masks,
+which takes the subgroup's entries of any mask-indexed sequence (rank
+weights, fixed-point counts, Hall divisors) in one C call.  A pair's
+subgroups are kept in one per-pair table, in a fixed order, each with
+the genus of its quotient.  The public API stays in
 Hall divisors: elements are ints and subgroups are frozensets of Hall
 divisors containing 1.
 
@@ -21,21 +24,21 @@ once, from the factorization of DN, into one per-pair table, which
 is the only copy of the rule that names the orders.
 Each w_m's quotient genus is checked to be an integer when the table
 is built.  The genus of a quotient by a subgroup comes out of one
-Riemann--Hurwitz that sums the fixed-point table over the subgroup's
-masks and must give a nonnegative integer.  It runs over every subgroup
-of a pair at once when the subgroup table is built, and over any other
-generators when they are asked.
+Riemann--Hurwitz that sums the fixed-point counts its span's reader
+takes from the fixed-point table, and must give a nonnegative integer.
+It runs over every subgroup of a pair at once when the subgroup table
+is built, and over any other generators when they are asked.
 """
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .embeddings import _count_away
 from .errors import IntegralityError
 from .genus import _hall_index, _involution_mask, check_pair, genus
 
 
-@lru_cache(maxsize=None)
-def _subgroup_spans(w: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _subgroup_spans(w: int) -> list[list[tuple[int, ...]]]:
     """Every subgroup of F_2^w, once each, as the masks of its span,
     grouped by size: entry k holds the subgroups of order 2^k.
 
@@ -43,7 +46,7 @@ def _subgroup_spans(w: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     is its highest set bit, and below its pivot a row has bits only
     outside the set of pivots.  So choose the pivots, then the free bits
     of each row, and span the rows by doubling.  The result depends on w
-    alone, so it is built once per rank."""
+    alone; _subgroup_readers keeps it, once per rank, as readers."""
     out = [[] for _ in range(w + 1)]
     for pivots in range(1 << w):
         spans = [(0,)]
@@ -54,7 +57,28 @@ def _subgroup_spans(w: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             spans = [span + tuple(x ^ r for x in span)
                      for span in spans for r in rows]
         out[pivots.bit_count()] += spans
-    return tuple(map(tuple, out))
+    return out
+
+
+def _read_identity(masks):
+    """The reader of the trivial span (0,)."""
+    return (masks[0],)
+
+
+def _reader(span):
+    """The entries at the masks of span (0 included) of a mask-indexed
+    sequence, as one tuple, in one C call: itemgetter(*span), which
+    holds the span's own tuple.  The trivial span's itemgetter(0) would
+    return its one entry bare, so it has its own reader."""
+    return itemgetter(*span) if len(span) > 1 else _read_identity
+
+
+@lru_cache(maxsize=None)
+def _subgroup_readers(w: int) -> tuple[tuple, ...]:
+    """The reader (_reader) of every span of _subgroup_spans(w), grouped
+    by size alike: entry k reads the subgroups of order 2^k.  Built once
+    per rank, in place of the spans, which nothing else reads."""
+    return tuple(tuple(map(_reader, group)) for group in _subgroup_spans(w))
 
 
 def group_elements(d: int, n: int) -> tuple[int, ...]:
@@ -76,13 +100,16 @@ def _span(gens, d: int, n: int) -> set[int]:
 
 
 @lru_cache(maxsize=1, typed=True)
-def _subgroup_table(d: int, n: int) -> dict[frozenset[int], tuple]:
+def _subgroup_table(d: int, n: int) -> dict[
+        frozenset[int], tuple[frozenset[int], int]]:
     """Every subgroup H of the Atkin--Lehner group of a valid pair, as
-    its Hall divisors, mapped to (that very key, the masks of its span,
-    the genus g_H of X_0^D(N)/H); sorted by size and then by sorted
-    elements, so the trivial one comes first.  Each g_H is summed and
-    checked once, here, by _riemann_hurwitz, so no table is kept for a
-    pair whose fixed points break it.  A per-pair table
+    its Hall divisors, mapped to (that very key, the genus g_H of
+    X_0^D(N)/H); sorted by size and then by sorted elements, so the
+    trivial one comes first.  Each subgroup is read through its span's
+    reader (_subgroup_readers): its order key from the rank weights, its
+    fixed-point counts and its Hall divisors, one C call each.  Each g_H
+    is summed and checked once, here, by _riemann_hurwitz, so no table
+    is kept for a pair whose fixed points break it.  A per-pair table
     (genus._hall_index): subgroup_quotient_genus reads off it the genus
     of a subgroup that all_subgroups handed out.
 
@@ -96,7 +123,7 @@ def _subgroup_table(d: int, n: int) -> dict[frozenset[int], tuple]:
     weight(x) exceeds the sum of the weights of all larger elements, so
     it outweighs the elements of B outside A: A has the larger total.
     So the sorted-element order is the order of descending total
-    weight, and the key (|H|, -total) keeps it; _subgroup_spans gives
+    weight, and the key (|H|, -total) keeps it; _subgroup_readers gives
     the sizes in order."""
     divisor = _hall_index(d, n)[1]
     order = sorted(range(len(divisor)), key=divisor.__getitem__)
@@ -104,14 +131,14 @@ def _subgroup_table(d: int, n: int) -> dict[frozenset[int], tuple]:
     for bit, x in enumerate(reversed(order)):   # 2^omega - 1 - rank(x)
         weight[x] = 1 << bit
     omega = len(order).bit_length() - 1         # len(order) = 2^omega(DN)
-    spans = []
-    for group in _subgroup_spans(omega):
-        spans += sorted(group, reverse=True,
-                        key=lambda span: sum(map(weight.__getitem__, span)))
+    readers = []
+    for group in _subgroup_readers(omega):
+        readers += sorted(group, reverse=True,
+                          key=lambda read: sum(read(weight)))
     table = {}
-    for span, gh in zip(spans, _riemann_hurwitz(d, n, spans)):
-        sub = frozenset(map(divisor.__getitem__, span))
-        table[sub] = sub, span, gh
+    for read, gh in zip(readers, _riemann_hurwitz(d, n, readers)):
+        sub = frozenset(read(divisor))
+        table[sub] = sub, gh
     return table
 
 
@@ -173,10 +200,10 @@ def fixed_point_count(d: int, n: int, m: int) -> int:
     return _fixed_point_table(d, n)[_involution_mask(d, n, m)]
 
 
-def _riemann_hurwitz(d: int, n: int, spans) -> list[int]:
-    """Genus g_H of the quotient of X_0^D(N) by each subgroup H whose
-    masks (0 included) are one of spans: every w_m is an involution, so
-    all ramification is tame of order 2 and
+def _riemann_hurwitz(d: int, n: int, readers) -> list[int]:
+    """Genus g_H of the quotient of X_0^D(N) by each subgroup H, given
+    as the reader of its span, 0 included (_reader): every w_m is an
+    involution, so all ramification is tame of order 2 and
     2g - 2 = |H| (2 g_H - 2) + sum of #fixed(w_m) over the table.  Each
     g_H must be a nonnegative integer, or IntegralityError names H.  The
     one copy of the formula, for the subgroup table and for every
@@ -184,22 +211,23 @@ def _riemann_hurwitz(d: int, n: int, spans) -> list[int]:
     table = _fixed_point_table(d, n)
     twice = 2 * genus(d, n) - 2
     out = []
-    for span in spans:
-        num = twice - sum(map(table.__getitem__, span))
-        gh, rest = divmod(num, 2 * len(span))
+    for read in readers:
+        fixed = read(table)
+        num = twice - sum(fixed)
+        gh, rest = divmod(num, 2 * len(fixed))
         if rest or gh < -1:
-            divisor = _hall_index(d, n)[1]
-            subgroup = sorted(divisor[x] for x in span)
+            subgroup = sorted(read(_hall_index(d, n)[1]))
             raise IntegralityError(
                 f"quotient genus of ({d}, {n}) by {subgroup}"
-                f": {num}/{2 * len(span)} + 1 is not a nonnegative integer")
+                f": {num}/{2 * len(fixed)} + 1 is not a nonnegative integer")
         out.append(gh + 1)
     return out
 
 
 def quotient_genus(d: int, n: int, m: int) -> int:
     """Genus of X_0^D(N)/<w_m>: (2g + 2 - #fixed)/4."""
-    return _riemann_hurwitz(d, n, [(0, _involution_mask(d, n, m))])[0]
+    return _riemann_hurwitz(
+        d, n, [itemgetter(0, _involution_mask(d, n, m))])[0]
 
 
 def subgroup_quotient_genus(d: int, n: int, gens) -> int:
@@ -212,5 +240,5 @@ def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     if isinstance(gens, frozenset):
         kept = _subgroup_table(d, n).get(gens)
         if kept and kept[0] is gens:
-            return kept[2]
-    return _riemann_hurwitz(d, n, [_span(gens, d, n)])[0]
+            return kept[1]
+    return _riemann_hurwitz(d, n, [_reader(_span(gens, d, n))])[0]

@@ -81,7 +81,7 @@ def test_all_subgroups_counts():
 def test_subgroup_genus_any_form(monkeypatch):
     # omega(DN) = 2..5 (an indefinite D has at least two primes): every
     # subgroup gives one genus as the frozenset all_subgroups returned,
-    # which is read off its kept span, as a tuple and as a basis, which
+    # which is read off the pair's table, as a tuple and as a basis, which
     # are spanned again
     spanned = []
 
@@ -145,13 +145,26 @@ def test_stored_genera_match_oracle():
     # every genus the subgroup table stores, and the same subgroup
     # spanned again from a tuple, against Riemann--Hurwitz summed one
     # fixed_point_count at a time
-    for d, n in [*_pairs(39), (6, 385)]:
+    for d, n in [*_pairs(39), (6, 385), (6, 5005)]:
         subs = all_subgroups(d, n)
         for sub in subs:
             gh = per_subgroup_genus(d, n, sub)
             assert atkinlehner._subgroup_table(d, n)[sub][0] is sub
             assert subgroup_quotient_genus(d, n, sub) == gh, (d, n, sub)
             assert subgroup_quotient_genus(d, n, tuple(sub)) == gh, (d, n, sub)
+
+
+@pytest.mark.parametrize("w", range(1, 7))
+def test_subgroup_readers_read_their_spans(w):
+    # every reader the subgroup table uses, the trivial span's included,
+    # takes from the masks themselves exactly its span's masks, as a tuple
+    masks = list(range(2 ** w))
+    spans = atkinlehner._subgroup_spans(w)
+    readers = atkinlehner._subgroup_readers(w)
+    assert list(map(len, readers)) == list(map(len, spans))
+    for group, reads in zip(spans, readers):
+        for span, read in zip(group, reads):
+            assert read(masks) == span, (w, span)
 
 
 def test_subgroup_table_checks_riemann_hurwitz(monkeypatch):
