@@ -154,9 +154,9 @@ def _half_period(m: int) -> tuple[bool, list[int], list[int]]:
     middle of the period, which lemma (b) of the quadorders module
     docstring locates.  The convergent p_(k-1)/q_(k-1) has
     p^2 - m q^2 = (-1)^k Q_k."""
+    if type(m) is not int or m < 2 or isqrt(m) ** 2 == m:
+        raise DomainError(f"m = {m!r} is not a nonsquare integer > 1")
     a0 = isqrt(m)
-    if a0 * a0 == m:
-        raise DomainError(f"{m} is a perfect square")
     P, Q, a = 0, 1, a0
     quotients, qs = [], []
     while True:
@@ -201,8 +201,8 @@ def pell_pm2_solvable(m: int) -> bool:
     a period are a palindrome, so the half of _half_period holds them
     all.
     """
-    if m <= 0 or isqrt(m) ** 2 == m:
-        raise DomainError(f"pell_pm2_solvable wants positive nonsquare m, got {m}")
+    if type(m) is not int or m <= 0 or isqrt(m) ** 2 == m:
+        raise DomainError(f"pell_pm2_solvable wants nonsquare m > 0, got {m!r}")
     if m < 5:
         # sqrt(m) too small for the convergent argument; m in {2, 3} and
         # both work: 2^2 - 2*1^2 = 2, 1^2 - 3*1^2 = -2.

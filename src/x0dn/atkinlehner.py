@@ -18,10 +18,11 @@ Hall divisors: elements are ints and subgroups are frozensets of Hall
 divisors containing 1.
 
 Fixed points of w_m are CM points by one or two explicit imaginary
-quadratic orders; their number is a class number times local embedding
-factors away from m.  The counts of every w_m of a pair are built at
-once, from the factorization of DN, into one per-pair table, which
-is the only copy of the rule that names the orders.
+quadratic orders, the orders of sqrt(-m) that quadorders._sqrt_orders
+names (and Z[i] too at m = 2); their number is a class number times
+local embedding factors away from m.  The counts of every w_m of a pair
+are built at once, from the factorization of DN, into one per-pair
+table.
 Each w_m's quotient genus is checked to be an integer when the table
 is built.  The genus of a quotient by a subgroup comes out of one
 Riemann--Hurwitz that sums the fixed-point counts its span's reader
@@ -36,6 +37,7 @@ from operator import itemgetter
 from .embeddings import _count_away
 from .errors import IntegralityError
 from .genus import _hall_index, _involution_mask, check_pair, genus
+from .quadorders import _sqrt_orders
 
 
 def _subgroup_spans(w: int) -> list[list[tuple[int, ...]]]:
@@ -155,18 +157,14 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     """The number of fixed points of every w_m of a valid pair, indexed
     by the mask of m (0 at the identity's mask).
 
-    The fixed points of w_m are CM points by imaginary quadratic orders:
-    both orders of Q(i) and Q(sqrt(-2)) for m = 2, the orders of
-    discriminant -m and -4m for m = 3 mod 4, and only Z[sqrt(-m)]
-    otherwise.  With m = s t^2, s squarefree, read off the factorization
-    of DN (genus._hall_index), these are the orders of discriminant -4
-    and -8 for m = 2; -s t^2 and -s (2t)^2 for m = 3 mod 4; otherwise
-    -4m, whose field discriminant is -s with conductor 2t when s = 3
-    mod 4 and -4s with conductor t when not.  These field discriminants
-    are fundamental by construction, so the orders are built unchecked.  Each order counts
-    h(R) times its local embedding numbers at the primes of DN prime to
-    m, and h(R) is asked only when their product is nonzero.  A per-pair
-    table (genus._hall_index).
+    The fixed points of w_m are CM points by the imaginary quadratic
+    orders of sqrt(-m): Z[sqrt(-m)], and Z[(1 + sqrt(-m))/2] too when
+    m = 3 mod 4, which quadorders._sqrt_orders names from m = s t^2, s
+    squarefree, as genus._hall_index reads it off the factorization of
+    DN.  The one exception is m = 2, which also takes Z[i]: 1 + i has
+    norm 2.  Each order counts h(R) times its local embedding numbers at
+    the primes of DN prime to m, and h(R) is asked only when their
+    product is nonzero.  A per-pair table (genus._hall_index).
 
     Riemann--Hurwitz is checked here, once per table, whoever reads it:
     X/<w_m> has genus (2g + 2 - F)/4 for F fixed points, which must be
@@ -174,14 +172,9 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     bound = 2 * genus(d, n) + 2
     table = [0]
     for m, s, t, away in _hall_index(d, n)[3][1:]:
+        orders = _sqrt_orders(-s, t)
         if m == 2:
-            orders = ((-4, 1), (-8, 1))
-        elif m % 4 == 3:
-            orders = ((-s, t), (-s, 2 * t))
-        elif s % 4 == 3:
-            orders = ((-s, 2 * t),)
-        else:
-            orders = ((-4 * s, t),)
+            orders += ((-4, 1),)
         fix = _count_away(orders, d, n, away)
         if fix > bound or (bound - fix) % 4:
             raise IntegralityError(

@@ -161,14 +161,15 @@ def locally_embeds(order: QuadOrder, d: int, n: int,
                    skip: tuple[int, ...] = ()) -> bool:
     """Whether every local embedding number (_nu) of R is positive, i.e.
     whether R optimally embeds into some Eichler order of level n in the
-    algebra of discriminant d (any class).  A real order never embeds in
-    a definite algebra: B tensor R is then Hamilton's quaternions, which
-    contain no R x R."""
+    algebra of discriminant d (any class).  Every factor is at least 0,
+    so that is whether their _local_product is.  A real order never
+    embeds in a definite algebra: B tensor R is then Hamilton's
+    quaternions, which contain no R x R."""
     check_algebra(d, n)
     if order.discriminant > 0 and is_definite(d):
         return False
-    return all(_nu(p, *_order_type(order, p), d, n) > 0
-               for p in prime_divisors(d * n) if p not in skip)
+    return _local_product(order, d, n, [p for p in prime_divisors(d * n)
+                                        if p not in skip]) > 0
 
 
 def element_embeds(radicand: int, d: int, n: int) -> bool:

@@ -120,8 +120,8 @@ def e_k(d: int, n: int, k: int) -> int:
     """Number of elliptic points of order 2 (k = 4) or 3 (k = 3): the
     product of _elliptic_factor over the primes of D and of N, read off
     the factorization of DN that the pair's index holds."""
-    if k not in (3, 4):
-        raise DomainError(f"e_k wants k in (3, 4), got {k}")
+    if type(k) is not int or k not in (3, 4):
+        raise DomainError(f"e_k wants k in (3, 4), got k = {k!r}")
     out = 1
     for p, e in _hall_index(d, n)[2]:
         out *= _elliptic_factor(k, p, 0 if d % p == 0 else e)

@@ -35,7 +35,7 @@ from .embeddings import (_count_away, _local_product, element_embeds,
                          locally_embeds)
 from .errors import DomainError, IntegralityError
 from .genus import _hall_index, _involution_mask, check_pair
-from .quadorders import QuadOrder, order_from_discriminant
+from .quadorders import QuadOrder, _split, _sqrt_orders
 
 EMPTY = "empty"
 NONEMPTY = "nonempty"
@@ -45,9 +45,8 @@ SOURCE_REAL = "real_components"
 SOURCE_PADIC = "ogg85"
 SOURCE_PRIME_LEVEL = "clark03"
 
-# Z[i] and Z[zeta_3], whose embeddings into the definite algebra decide
-# two of the p-adic criteria
-_GAUSSIAN = QuadOrder(-4)
+# Z[zeta_3], whose embeddings into the definite algebra decide one of
+# the p-adic criteria
 _EISENSTEIN = QuadOrder(-3)
 
 
@@ -61,24 +60,15 @@ def _check_prime(p: int) -> None:
         raise DomainError(f"p = {p!r} is not a prime")
 
 
-def _real_orders(m: int, s: int, t: int) -> tuple[tuple[int, int], ...]:
+def _real_orders(s: int, t: int) -> tuple[tuple[int, int], ...]:
     """The real quadratic orders (d0, f) whose optimal embeddings give
     the real points of X_0^D(N)/<w_m>, with m = s t^2, s squarefree, as
-    genus._hall_index reads it off the factorization of DN.
-
-    For square m (s = 1, including m = 1) there is none: the quotient
-    of an arithmetic Fuchsian group with D > 1 then has no real points
-    at all.  Otherwise: Z[sqrt(m)], of discriminant 4m, which is the order
-    of conductor 2t in the field of discriminant s when s = 1 mod 4, and
-    of conductor t in the field of discriminant 4s when not; and, when
-    m = 1 mod 4 (so t is odd and s = 1 mod 4), Z[(1 + sqrt(m))/2], of
-    discriminant m, the order of conductor t in the field of
-    discriminant s.  These field discriminants are fundamental by
-    construction, so the orders are built unchecked."""
-    if s == 1:
-        return ()
-    orders = ((s, 2 * t) if s % 4 == 1 else (4 * s, t),)
-    return orders + ((s, t),) if m % 4 == 1 else orders
+    genus._hall_index reads it off the factorization of DN: the orders
+    of sqrt(m) that quadorders._sqrt_orders names, Z[sqrt(m)] and, when
+    m = 1 mod 4, Z[(1 + sqrt(m))/2].  For square m (s = 1, including
+    m = 1) there is none: the quotient of an arithmetic Fuchsian group
+    with D > 1 then has no real points at all."""
+    return () if s == 1 else _sqrt_orders(s, t)
 
 
 def real_component_count(d: int, n: int, m: int) -> int:
@@ -94,7 +84,7 @@ def real_component_count(d: int, n: int, m: int) -> int:
     x^2 - m y^2 = +-2 is solvable."""
     index = _hall_index(d, n)
     _, s, t, away = index[3][check_pair(d, n, m)]
-    nu = _count_away(_real_orders(m, s, t), d, n, away)
+    nu = _count_away(_real_orders(s, t), d, n, away)
     dn = d * n
     if (nu and dn % 4 == 2 and m in (dn // 2, dn)
             and element_embeds(-1, d, n) and pell_pm2_solvable(m)):
@@ -143,19 +133,24 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
 
     Clark03 applies to m = D when D = pq is a product of two primes and N
     is prime: the quotient has Q_p-points iff N is not inert in
-    Q(sqrt(-q)); otherwise the entry is NOT_APPLICABLE.  A per-pair
+    Q(sqrt(-q)), whose field discriminant is the d0 that quadorders._split
+    gives -q 2^2.  Otherwise the entry is NOT_APPLICABLE.  A per-pair
     table (genus._hall_index).
 
     Every embedding question here reads the local types of the
     embeddings module: _local_product for the real orders, and
     element_embeds and locally_embeds for the p-adic clauses, which
     answer from the q-adic data of the radicand or order at each q | DN,
-    with no radicand factored."""
+    with no radicand factored.  "Z[i] embeds" is asked as "i lies in an
+    Eichler order", element_embeds(-1, ...): the orders that contain i
+    are those of conductor dividing F, 4 (-1) = -4 F^2, so F = 1 and Z[i]
+    is the only one.  Z[zeta_3] keeps locally_embeds, as sqrt(-3) lies
+    in Z[sqrt(-3)] as well."""
     _, divisor, factors, parts = _hall_index(d, n)
     real = [EMPTY]
     for m, s, t, away in parts[1:]:
         real.append(NONEMPTY if any(_local_product(order, d, n, away)
-                                    for order in _real_orders(m, s, t))
+                                    for order in _real_orders(s, t))
                     else EMPTY)
     clark_applies = omega(d) == 2 and is_prime(n)
     padic = {}
@@ -169,7 +164,7 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
         for m in divisor[1:]:
             if m == p:
                 found = (element_embeds(-p, dbar, n)
-                         or locally_embeds(_GAUSSIAN, dbar, n)
+                         or element_embeds(-1, dbar, n)
                          or locally_embeds(_EISENSTEIN, dbar, n))
             elif curve:
                 found = True
@@ -180,7 +175,7 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
                         and element_embeds(-p, d, n)
                         and (dn_over_p == m or n % 2 == 1
                              or (p + 1) * (m + 1) % 8 == 0))
-                    or (p % 4 == 1 and locally_embeds(_GAUSSIAN, dbar, n)
+                    or (p % 4 == 1 and element_embeds(-1, dbar, n)
                         and element_embeds(-p * m, d, n)))
             else:
                 mm = m // p
@@ -189,8 +184,8 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
             verdicts.append(found)
         clark = NOT_APPLICABLE
         if clark_applies:
-            dk = order_from_discriminant(-4 * dbar).fundamental_discriminant
-            clark = EMPTY if kronecker(dk, n) == -1 else NONEMPTY
+            clark = (EMPTY if kronecker(_split(-dbar, 2)[0], n) == -1
+                     else NONEMPTY)
         padic[p] = (tuple(NONEMPTY if v else EMPTY for v in verdicts), clark)
     return tuple(real), padic
 

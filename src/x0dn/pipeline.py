@@ -92,8 +92,8 @@ def dn_cutoff(gmax: int) -> int:
     and 2^w by 2, so phi(P_w) - 7 * 2^w at least doubles.  The per-w
     bounds grow with w, so the last one before that point is the
     cutoff."""
-    if gmax < 1:
-        raise DomainError(f"dn_cutoff wants gmax >= 1, got {gmax}")
+    if type(gmax) is not int or gmax < 1:
+        raise DomainError(f"dn_cutoff wants an integer gmax >= 1, got {gmax!r}")
     budget = 12 * (gmax - 1)
     cutoff, prod, phi, p = 0, 2, 1, 2
     for w in count(2):

@@ -114,16 +114,18 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 class QuadOrder(namedtuple("QuadOrder", "fundamental_discriminant conductor")):
     """The order of conductor f in the quadratic field of discriminant d0.
-    The constructor checks both; orders valid by construction are built
-    with QuadOrder._make, which does not."""
+    The constructor checks both, which must be of type int (a bool is
+    not); orders valid by construction are built with QuadOrder._make,
+    which does not."""
     __slots__ = ()
 
     def __new__(cls, fundamental_discriminant: int, conductor: int = 1):
-        if not is_fundamental_discriminant(fundamental_discriminant):
+        if (type(fundamental_discriminant) is not int
+                or not is_fundamental_discriminant(fundamental_discriminant)):
             raise DomainError(
-                f"{fundamental_discriminant} is not a fundamental discriminant")
-        if conductor < 1:
-            raise DomainError(f"conductor must be >= 1, got {conductor}")
+                f"{fundamental_discriminant!r} is not a fundamental discriminant")
+        if type(conductor) is not int or conductor < 1:
+            raise DomainError(f"conductor {conductor!r} is not an int >= 1")
         return super().__new__(cls, fundamental_discriminant, conductor)
 
     @property
@@ -136,24 +138,42 @@ class QuadOrder(namedtuple("QuadOrder", "fundamental_discriminant conductor")):
         return f"QuadOrder({self.fundamental_discriminant}, f={self.conductor})"
 
 
-def _split(disc: int, factors) -> QuadOrder:
-    """The order of discriminant disc, given the prime powers of |disc|.
-    With disc = s t^2, s squarefree: for s = 1 mod 4, d0 = s; otherwise
-    t is even (an odd t would give disc = s = 2, 3 mod 4) and d0 = 4s.
-    Either way disc / d0 is a square and d0 is fundamental, so the order
-    is built unchecked."""
+def _split(s: int, t: int) -> tuple[int, int]:
+    """(d0, f) of the discriminant s t^2, s squarefree, d0 fundamental:
+    (s, t) for s = 1 mod 4, and (4s, t/2) otherwise, as then t is even
+    (an odd t would give s t^2 = s = 2, 3 mod 4).  Either way
+    s t^2 = d0 f^2 with d0 fundamental, so the order is built unchecked.
+    The one copy of the rule: class numbers and orders from
+    discriminants (_order_of), the orders of sqrt(r) (_sqrt_orders) and
+    the field of Clark03's criterion (localpoints._local_table) all
+    split through it."""
+    return (s, t) if s % 4 == 1 else (4 * s, t // 2)
+
+
+def _sqrt_orders(s: int, t: int) -> tuple[tuple[int, int], ...]:
+    """The orders (d0, f) of discriminant 4r and, when r = 1 mod 4, r,
+    for r = s t^2 not a square, s squarefree: Z[sqrt(r)] and
+    Z[(1 + sqrt(r))/2], split by _split.  At r = -m they carry the
+    fixed points of w_m (atkinlehner._fixed_point_table), at r = m the
+    real points of X/<w_m> (localpoints._real_orders)."""
+    orders = (_split(s, 2 * t),)
+    return orders + (_split(s, t),) if s * t * t % 4 == 1 else orders
+
+
+def _order_of(disc: int, factors) -> QuadOrder:
+    """The order of discriminant disc, given the prime powers of |disc|:
+    disc = s t^2 with s squarefree, split by _split."""
     s = -1 if disc < 0 else 1
     for p, e in factors:
         s *= p ** (e % 2)
-    d0 = s if s % 4 == 1 else 4 * s
-    return QuadOrder._make((d0, isqrt(disc // d0)))
+    return QuadOrder._make(_split(s, isqrt(disc // s)))
 
 
 def order_from_discriminant(disc: int) -> QuadOrder:
-    """Split disc as d0 * f^2 with d0 fundamental (_split)."""
+    """Split disc as d0 * f^2 with d0 fundamental (_order_of)."""
     if not is_discriminant(disc):
         raise DomainError(f"{disc} is not a quadratic discriminant")
-    return _split(disc, factorize(abs(disc)))
+    return _order_of(disc, factorize(abs(disc)))
 
 
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
@@ -308,8 +328,8 @@ def unit_norm(disc: int) -> int:
     Z[sqrt(disc)] with odd unit index (1 or 3), so the norm sign is the
     same as for the radicand disc itself.
     """
-    if disc <= 0 or disc % 4 not in (0, 1):
-        raise DomainError(f"unit_norm wants a positive discriminant, got {disc}")
+    if type(disc) is not int or disc <= 0 or disc % 4 not in (0, 1):
+        raise DomainError(f"unit_norm wants a discriminant > 0, got {disc!r}")
     m = disc // 4 if disc % 4 == 0 else disc
     if isqrt(m) ** 2 == m:
         raise DomainError(f"square discriminant {disc}")
@@ -442,7 +462,7 @@ def class_number(disc: int) -> int:
         raise DomainError(f"{disc} is not a quadratic discriminant")
     # the memo of class_number keeps the answer; a one-off discriminant
     # would only crowd the memo of factorize
-    d0, f = _split(disc, _trial_division(abs(disc)))
+    d0, f = _order_of(disc, _trial_division(abs(disc)))
     if f > 1:
         h = class_number(d0)
         for p, e in factorize(f):

@@ -418,23 +418,32 @@ def element_embeds_by_orders(radicand: int, d: int, n: int) -> bool:
                for f in range(1, conductor + 1) if conductor % f == 0)
 
 
+def real_orders(m: int):
+    """The real quadratic orders whose optimal embeddings give the real
+    points of X_0^D(N)/<w_m>: none for square m; otherwise the orders of
+    discriminant 4m and, when m = 1 mod 4, m.  The reference for
+    localpoints._real_orders, which reads the same orders off the
+    factorization of DN."""
+    from x0dn.quadorders import order_from_discriminant
+    if isqrt(m) ** 2 == m:
+        return ()
+    discs = (4 * m, m) if m % 4 == 1 else (4 * m,)
+    return tuple(map(order_from_discriminant, discs))
+
+
 def per_m_real_component_count(d: int, n: int, m: int) -> int:
     """Real components of X_0^D(N)/<w_m>, one m at a time: 0 for square
-    m; otherwise optimal embeddings of the orders of discriminant 4m and,
-    when m = 1 mod 4, m, counted away from the primes of m, plus the
-    exceptional term, halved.  The reference for real_component_count,
-    which reads the same orders off the factorization of DN."""
+    m; otherwise optimal embeddings of the real_orders of m, counted
+    away from the primes of m, plus the exceptional term, halved.  The
+    reference for real_component_count."""
     from x0dn.arith import omega, pell_pm2_solvable, prime_divisors
     from x0dn.embeddings import element_embeds, embedding_count
     from x0dn.errors import IntegralityError
     from x0dn.genus import check_pair
-    from x0dn.quadorders import order_from_discriminant
     check_pair(d, n, m)
-    if isqrt(m) ** 2 == m:
+    orders = real_orders(m)
+    if not orders:
         return 0
-    orders = [order_from_discriminant(4 * m)]
-    if m % 4 == 1:
-        orders.append(order_from_discriminant(m))
     skip = prime_divisors(m)
     nu = sum(embedding_count(order, d, n, skip=skip) for order in orders)
     if nu == 0:

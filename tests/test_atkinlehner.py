@@ -14,9 +14,11 @@ from x0dn.errors import DomainError, IntegralityError
 from x0dn.fixtures import load_fixtures
 from x0dn.genus import _hall_index, genus
 from x0dn.pipeline import _pairs, bielliptic_candidates, trigonal_candidates
-from x0dn.quadorders import class_number
+from x0dn.localpoints import _real_orders
+from x0dn.quadorders import _sqrt_orders, class_number
 
-from _oracles import bfs_subgroups, fixed_point_orders, per_subgroup_genus
+from _oracles import (bfs_subgroups, fixed_point_orders, per_subgroup_genus,
+                      real_orders)
 
 
 def _generated(gens, d, n):
@@ -192,6 +194,25 @@ def test_fixed_point_orders():
     assert [o.discriminant for o in fixed_point_orders(150)] == [-600]
     with pytest.raises(DomainError):
         fixed_point_orders(1)
+
+
+def test_sqrt_orders_are_the_fixed_point_and_real_orders():
+    # the orders of sqrt(-m), with Z[i] at m = 2, are those of the
+    # fixed-point oracle, and the orders of sqrt(m), none at square m,
+    # those of the real-component oracle, for every Hall divisor m of
+    # the pairs of genus <= 39, as the pair's index splits m = s t^2
+    divisors = 0
+    for d, n in _pairs(39):
+        for m, s, t, _ in _hall_index(d, n)[3]:
+            assert sorted(_real_orders(s, t)) == sorted(
+                map(tuple, real_orders(m))), (d, n, m)
+            divisors += 1
+            if m == 1:
+                continue
+            fixed = _sqrt_orders(-s, t) + (((-4, 1),) if m == 2 else ())
+            assert sorted(fixed) == sorted(
+                map(tuple, fixed_point_orders(m))), (d, n, m)
+    assert divisors == 4808
 
 
 def test_fixed_point_counts_14_3():

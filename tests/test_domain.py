@@ -6,7 +6,8 @@ calls its input invalid, and a valid input raises nothing."""
 import pytest
 
 from _oracles import valid_algebra, valid_index, valid_pair
-from x0dn.arith import factorize, valuation
+from x0dn.arith import (continued_fraction_sqrt, factorize, pell_pm2_solvable,
+                        valuation)
 from x0dn.atkinlehner import (_fixed_point_table, _subgroup_table,
                               fixed_point_count, group_elements,
                               quotient_genus, subgroup_quotient_genus)
@@ -16,7 +17,8 @@ from x0dn.genus import _hall_index, check_algebra, check_pair, e_k, genus
 from x0dn.localpoints import (_local_table, local_obstructions,
                               prime_level_quotient_points, qp_curve_points,
                               qp_quotient_points, real_component_count)
-from x0dn.quadorders import QuadOrder, class_number
+from x0dn.pipeline import dn_cutoff
+from x0dn.quadorders import QuadOrder, class_number, unit_norm
 
 D_RANGE = range(-3, 50)
 N_RANGE = range(-2, 14)
@@ -129,3 +131,30 @@ def test_memos_are_bounded(memo):
     run holds a bounded number of entries."""
     size = memo.cache_info().maxsize
     assert size is not None and size > 0
+
+
+# (function, good arguments, the same with a float, a bool or a negative
+# where a positive int belongs, the name the error must give)
+BAD_SCALARS = [
+    (dn_cutoff, (2,), (2.5,), "gmax"),
+    (dn_cutoff, (1,), (True,), "gmax"),
+    (unit_norm, (8,), (8.0,), "discriminant"),
+    (pell_pm2_solvable, (2,), (2.0,), "m"),
+    (continued_fraction_sqrt, (2,), (2.0,), "m"),
+    (continued_fraction_sqrt, (2,), (-2,), "m"),
+    (e_k, (6, 5, 4), (6, 5, 4.0), "k"),
+    (QuadOrder, (-4, 2), (-4, 1.5), "conductor"),
+    (QuadOrder, (-4, 1), (-4, True), "conductor"),
+    (QuadOrder, (-4,), (-4.0,), "fundamental discriminant"),
+]
+
+
+@pytest.mark.parametrize("call, good, bad, name", BAD_SCALARS,
+                         ids=[f"{c.__name__}{b}" for c, _, b, _ in BAD_SCALARS])
+def test_bad_scalars_are_refused_by_name(call, good, bad, name):
+    """An argument that must be a positive int is refused when it is a
+    float, a bool or negative, by a DomainError that names it, not by a
+    TypeError or ValueError from deeper down, nor by an answer."""
+    call(*good)
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        call(*bad)

@@ -177,3 +177,21 @@ def test_every_reader_of_the_case_split_agrees_with_local_nu():
                     assert locally_embeds(order, d, n, skip=skip) == (
                         all(nu > 0 for nu in kept) and not real_in_definite), (
                         order, d, n, skip)
+
+
+def test_gaussian_order_is_the_element_i():
+    """Z[i] is the only order that contains i (4 (-1) = -4 F^2 gives
+    F = 1), so "Z[i] embeds" and "i lies in an Eichler order" are one
+    question: the local verdicts ask it as element_embeds(-1, ...)."""
+    verdicts = set()
+    for d in range(2, 100):
+        if any(d % (p * p) == 0 for p in (2, 3, 5, 7)):
+            continue
+        for n in range(1, 31):
+            if gcd(d, n) != 1:
+                continue
+            found = element_embeds(-1, d, n)
+            assert found == locally_embeds(QuadOrder(-4), d, n), (d, n)
+            verdicts.add((is_definite(d), found))
+    assert verdicts == {(False, False), (False, True), (True, False),
+                        (True, True)}

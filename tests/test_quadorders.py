@@ -10,7 +10,8 @@ from x0dn.arith import smallest_prime_factors
 from x0dn.errors import DomainError
 from x0dn.quadorders import (QuadOrder, _imaginary_count, _prime_power_roots,
                              _real_count, _real_unit_index, _root_counts,
-                             _roots, _sieve, class_number, is_discriminant,
+                             _roots, _sieve, _split, class_number,
+                             is_discriminant,
                              is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
@@ -60,6 +61,29 @@ def test_unchecked_splits_pass_the_checks():
             order = order_from_discriminant(disc)
             assert QuadOrder(*order) == order, disc
             assert order.discriminant == disc, disc
+
+
+def test_split_is_order_from_discriminant():
+    # the one copy of the d0 f^2 split of s t^2, for every squarefree s
+    # with 1 < |s| <= 200, of either sign, and 1 <= t <= 12: the checking
+    # constructor accepts (d0, f), which gives back s t^2, so d0 is the
+    # one fundamental discriminant with s t^2 / d0 a square, and it is
+    # the order that order_from_discriminant finds by factoring s t^2.
+    # s t^2 is a discriminant except at s = 2, 3 mod 4 with t odd
+    checked = 0
+    for a in range(2, 201):
+        if any(a % (k * k) == 0 for k in range(2, isqrt(a) + 1)):
+            continue
+        for s in (a, -a):
+            for t in range(1, 13):
+                if not is_discriminant(s * t * t):
+                    assert s % 4 in (2, 3) and t % 2, (s, t)
+                    continue
+                order = QuadOrder(*_split(s, t))
+                assert order.discriminant == s * t * t, (s, t)
+                assert order == order_from_discriminant(s * t * t), (s, t)
+                checked += 1
+    assert checked == 1932
 
 
 # anchors: classical values, the kind every table of imaginary quadratic
