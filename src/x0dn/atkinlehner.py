@@ -18,11 +18,11 @@ Hall divisors: elements are ints and subgroups are frozensets of Hall
 divisors containing 1.
 
 Fixed points of w_m are CM points by one or two explicit imaginary
-quadratic orders, the orders of sqrt(-m) that quadorders._sqrt_orders
-names (and Z[i] too at m = 2); their number is a class number times
-local embedding factors away from m.  The counts of every w_m of a pair
-are built at once, from the factorization of DN, into one per-pair
-table.
+quadratic orders, the orders of sqrt(-m) whose discriminants
+quadorders._sqrt_orders names (and Z[i], of discriminant -4, too at
+m = 2); their number is a class number times local embedding factors
+away from m.  The counts of every w_m of a pair are built at once, from
+the factorization of DN, into one per-pair table.
 Each w_m's quotient genus is checked to be an integer when the table
 is built.  The genus of a quotient by a subgroup comes out of one
 Riemann--Hurwitz that sums the fixed-point counts its span's reader
@@ -159,23 +159,23 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
 
     The fixed points of w_m are CM points by the imaginary quadratic
     orders of sqrt(-m): Z[sqrt(-m)], and Z[(1 + sqrt(-m))/2] too when
-    m = 3 mod 4, which quadorders._sqrt_orders names from m = s t^2, s
-    squarefree, as genus._hall_index reads it off the factorization of
-    DN.  The one exception is m = 2, which also takes Z[i]: 1 + i has
-    norm 2.  Each order counts h(R) times its local embedding numbers at
-    the primes of DN prime to m, and h(R) is asked only when their
-    product is nonzero.  A per-pair table (genus._hall_index).
+    m = 3 mod 4, whose discriminants -4m and -m quadorders._sqrt_orders
+    names.  The one exception is m = 2, which also takes Z[i], of
+    discriminant -4: 1 + i has norm 2.  Each order counts h(R) times its
+    local embedding numbers at the primes of DN prime to m, and h(R) is
+    asked only when their product is nonzero.  A per-pair table
+    (genus._hall_index).
 
     Riemann--Hurwitz is checked here, once per table, whoever reads it:
     X/<w_m> has genus (2g + 2 - F)/4 for F fixed points, which must be
     a nonnegative integer, or IntegralityError is raised."""
     bound = 2 * genus(d, n) + 2
     table = [0]
-    for m, s, t, away in _hall_index(d, n)[3][1:]:
-        orders = _sqrt_orders(-s, t)
+    for m, _, away in _hall_index(d, n)[3][1:]:
+        discs = _sqrt_orders(-m)
         if m == 2:
-            orders += ((-4, 1),)
-        fix = _count_away(orders, d, n, away)
+            discs += (-4,)
+        fix = _count_away(discs, d, n, away)
         if fix > bound or (bound - fix) % 4:
             raise IntegralityError(
                 f"quotient genus of ({d}, {n}) by w_{m}"

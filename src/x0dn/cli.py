@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 domain/usage error, 2 integrality failure.
 import argparse
 import sys
 
-from .arith import is_prime, is_squarefree
+from .arith import is_squarefree
 from .atkinlehner import fixed_point_count, subgroup_quotient_genus
 from .embeddings import embedding_count, locally_embeds
 from .errors import DomainError, FixtureError, IntegralityError, PipelineError
@@ -14,7 +14,7 @@ from .fixtures import load_fixtures
 from .genus import check_algebra, genus, is_definite
 from .pipeline import (airr2_report, bielliptic_candidates, classify_bielliptic,
                        classify_trigonal, trigonal_candidates)
-from .quadorders import class_number, order_from_discriminant
+from .quadorders import class_number
 
 # pipeline.TableRow's fields in order, so a table row is its own cells
 BIELLIPTIC_HEADER = ("D", "N", "m", "genus", "quotient_genus",
@@ -113,17 +113,13 @@ def _cmd_class_number(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    order = order_from_discriminant(args.disc)
     skip = tuple(args.exclude_p or ())
-    for p in skip:
-        if not is_prime(p):
-            raise DomainError(f"--exclude-p wants a prime, got {p}")
     check_algebra(args.d, args.n)
     if is_definite(args.d):
-        print("embeds" if locally_embeds(order, args.d, args.n, skip=skip)
+        print("embeds" if locally_embeds(args.disc, args.d, args.n, skip=skip)
               else "does not embed")
     else:
-        print(embedding_count(order, args.d, args.n, skip=skip))
+        print(embedding_count(args.disc, args.d, args.n, skip=skip))
     return 0
 
 

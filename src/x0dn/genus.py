@@ -69,15 +69,16 @@ def _involution_mask(d: int, n: int, m: int) -> int:
 @lru_cache(maxsize=1, typed=True)
 def _hall_index(d: int, n: int) -> tuple[
         dict[int, int], tuple[int, ...], tuple[tuple[int, int], ...],
-        tuple[tuple[int, int, int, tuple[int, ...]], ...]]:
+        tuple[tuple[int, int, tuple[int, ...]], ...]]:
     """The one validator of a pair: DomainError unless (D, N) passes
     check_algebra and D has an even number of primes.  For a valid pair:
     the mask of each Hall divisor m of DN (bit i is set when the i-th
     prime power of DN divides m), the Hall divisor of each mask, the
     factorization of DN whose i-th prime power is bit i, and the parts
-    of each mask: its Hall divisor m, m = s t^2 with s squarefree read
-    off the prime powers of DN, and the primes of DN that do not divide
-    m, ascending.  Divisors and parts come from one doubling over the
+    of each mask: its Hall divisor m, the squarefree part s of m read
+    off the prime powers of DN (s = 1 exactly when m is a square, the
+    real place's test), and the primes of DN that do not divide m,
+    ascending.  Divisors and parts come from one doubling over the
     prime powers of DN.
 
     Callers work through one pair at a time, so this index and every
@@ -89,11 +90,11 @@ def _hall_index(d: int, n: int) -> tuple[
         raise DomainError(
             f"D = {d} has an odd number of prime factors (definite algebra)")
     factors = factorize(d * n)
-    parts = [(1, 1, 1, ())]
+    parts = [(1, 1, ())]
     for p, e in factors:
-        q, sp, tp = p ** e, p ** (e % 2), p ** (e // 2)
-        parts = ([(m, s, t, away + (p,)) for m, s, t, away in parts]
-                 + [(m * q, s * sp, t * tp, away) for m, s, t, away in parts])
+        q, sp = p ** e, p ** (e % 2)
+        parts = ([(m, s, away + (p,)) for m, s, away in parts]
+                 + [(m * q, s * sp, away) for m, s, away in parts])
     divisor = tuple(part[0] for part in parts)
     return ({m: mask for mask, m in enumerate(divisor)}, divisor, factors,
             tuple(parts))

@@ -17,9 +17,11 @@ collects every applicable verdict.
 Every verdict is decided for every w_m of a pair at once, into one
 per-pair table (_local_table), as the Atkin--Lehner module does for
 fixed points; the table's docstring is the only copy of its rules, and
-the public functions validate their arguments and look up.  The number
-of real components, which needs the class numbers of the real orders,
-is computed for its one m by real_component_count.
+the public functions validate their arguments and look up.  An order
+is named by its discriminant, whose local types every embedding
+question reads (embeddings._disc_type).  The number of real
+components, which needs the class numbers of the real orders, is
+computed for its one m by real_component_count.
 """
 
 from collections import namedtuple
@@ -31,11 +33,11 @@ from .arith import (
     omega,
     pell_pm2_solvable,
 )
-from .embeddings import (_count_away, _local_product, element_embeds,
-                         locally_embeds)
-from .errors import DomainError, IntegralityError
+from .embeddings import (_check_prime, _count_away, _disc_type,
+                         _local_product, element_embeds, locally_embeds)
+from .errors import IntegralityError
 from .genus import _hall_index, _involution_mask, check_pair
-from .quadorders import QuadOrder, _split, _sqrt_orders
+from .quadorders import _sqrt_orders
 
 EMPTY = "empty"
 NONEMPTY = "nonempty"
@@ -45,9 +47,9 @@ SOURCE_REAL = "real_components"
 SOURCE_PADIC = "ogg85"
 SOURCE_PRIME_LEVEL = "clark03"
 
-# Z[zeta_3], whose embeddings into the definite algebra decide one of
-# the p-adic criteria
-_EISENSTEIN = QuadOrder(-3)
+# the discriminant of Z[zeta_3], whose embeddings into the definite
+# algebra decide one of the p-adic criteria
+_EISENSTEIN = -3
 
 
 # place: "real" or a prime written in decimal; status: EMPTY / NONEMPTY;
@@ -55,20 +57,16 @@ _EISENSTEIN = QuadOrder(-3)
 LocalVerdict = namedtuple("LocalVerdict", "place status source")
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise DomainError(f"p = {p!r} is not a prime")
-
-
-def _real_orders(s: int, t: int) -> tuple[tuple[int, int], ...]:
-    """The real quadratic orders (d0, f) whose optimal embeddings give
-    the real points of X_0^D(N)/<w_m>, with m = s t^2, s squarefree, as
-    genus._hall_index reads it off the factorization of DN: the orders
-    of sqrt(m) that quadorders._sqrt_orders names, Z[sqrt(m)] and, when
-    m = 1 mod 4, Z[(1 + sqrt(m))/2].  For square m (s = 1, including
-    m = 1) there is none: the quotient of an arithmetic Fuchsian group
-    with D > 1 then has no real points at all."""
-    return () if s == 1 else _sqrt_orders(s, t)
+def _real_orders(m: int, s: int) -> tuple[int, ...]:
+    """The discriminants of the real quadratic orders whose optimal
+    embeddings give the real points of X_0^D(N)/<w_m>, with s the
+    squarefree part of m that genus._hall_index reads off the
+    factorization of DN: the orders of sqrt(m) that
+    quadorders._sqrt_orders names, Z[sqrt(m)] and, when m = 1 mod 4,
+    Z[(1 + sqrt(m))/2].  For square m (s = 1, including m = 1) there is
+    none: the quotient of an arithmetic Fuchsian group with D > 1 then
+    has no real points at all."""
+    return () if s == 1 else _sqrt_orders(m)
 
 
 def real_component_count(d: int, n: int, m: int) -> int:
@@ -83,8 +81,8 @@ def real_component_count(d: int, n: int, m: int) -> int:
     m is DN or DN/2, sqrt(-1) lies in an Eichler order of level N and
     x^2 - m y^2 = +-2 is solvable."""
     index = _hall_index(d, n)
-    _, s, t, away = index[3][check_pair(d, n, m)]
-    nu = _count_away(_real_orders(s, t), d, n, away)
+    _, s, away = index[3][check_pair(d, n, m)]
+    nu = _count_away(_real_orders(m, s), d, n, away)
     dn = d * n
     if (nu and dn % 4 == 2 and m in (dn // 2, dn)
             and element_embeds(-1, d, n) and pell_pm2_solvable(m)):
@@ -133,24 +131,25 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
 
     Clark03 applies to m = D when D = pq is a product of two primes and N
     is prime: the quotient has Q_p-points iff N is not inert in
-    Q(sqrt(-q)), whose field discriminant is the d0 that quadorders._split
-    gives -q 2^2.  Otherwise the entry is NOT_APPLICABLE.  A per-pair
-    table (genus._hall_index).
+    Q(sqrt(-q)), that is iff the symbol (d0/N) of its field discriminant
+    d0 is not -1, which is the symbol of the local type of -4q at N
+    (embeddings._disc_type).  Otherwise the entry is NOT_APPLICABLE.  A
+    per-pair table (genus._hall_index).
 
-    Every embedding question here reads the local types of the
-    embeddings module: _local_product for the real orders, and
-    element_embeds and locally_embeds for the p-adic clauses, which
-    answer from the q-adic data of the radicand or order at each q | DN,
-    with no radicand factored.  "Z[i] embeds" is asked as "i lies in an
-    Eichler order", element_embeds(-1, ...): the orders that contain i
-    are those of conductor dividing F, 4 (-1) = -4 F^2, so F = 1 and Z[i]
-    is the only one.  Z[zeta_3] keeps locally_embeds, as sqrt(-3) lies
-    in Z[sqrt(-3)] as well."""
+    Every embedding question here reads the local types that
+    embeddings._disc_type reads off a discriminant: _local_product for
+    the real orders, and element_embeds and locally_embeds for the
+    p-adic clauses, at each q | DN, with no discriminant factored.
+    "Z[i] embeds" is asked as "i lies in an Eichler order",
+    element_embeds(-1, ...): the orders that contain i are those of
+    conductor dividing F, 4 (-1) = -4 F^2, so F = 1 and Z[i] is the only
+    one.  Z[zeta_3], of discriminant -3, keeps locally_embeds, as
+    sqrt(-3) lies in Z[sqrt(-3)] as well."""
     _, divisor, factors, parts = _hall_index(d, n)
     real = [EMPTY]
-    for m, s, t, away in parts[1:]:
-        real.append(NONEMPTY if any(_local_product(order, d, n, away)
-                                    for order in _real_orders(s, t))
+    for m, s, away in parts[1:]:
+        real.append(NONEMPTY if any(_local_product(disc, d, n, away)
+                                    for disc in _real_orders(m, s))
                     else EMPTY)
     clark_applies = omega(d) == 2 and is_prime(n)
     padic = {}
@@ -184,7 +183,7 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
             verdicts.append(found)
         clark = NOT_APPLICABLE
         if clark_applies:
-            clark = (EMPTY if kronecker(_split(-dbar, 2)[0], n) == -1
+            clark = (EMPTY if _disc_type(-4 * dbar, n)[1] == -1
                      else NONEMPTY)
         padic[p] = (tuple(NONEMPTY if v else EMPTY for v in verdicts), clark)
     return tuple(real), padic

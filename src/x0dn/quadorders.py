@@ -1,8 +1,10 @@
 """Quadratic orders and their class numbers, both signatures, exact.
 
-A discriminant disc = d0 f^2 with d0 fundamental takes one of two
-routes.  For f > 1, Dedekind's formula for orders (Cox, Primes of the
-form x^2 + ny^2, Thm 7.24) gives
+The package names every order by its discriminant disc = d0 f^2, d0
+fundamental; only this module splits it into (d0, f) (_split), for the
+conductor formula and for order_from_discriminant.  A class number
+takes one of two routes.  For f > 1, Dedekind's formula for orders
+(Cox, Primes of the form x^2 + ny^2, Thm 7.24) gives
 
     h(disc) = h(d0) * prod_{p^e || f} p^(e-1) (p - (d0/p)) / k,
 
@@ -81,7 +83,6 @@ roots:
     the a up to there are built.
 """
 
-from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -92,6 +93,8 @@ from .errors import DomainError, IntegralityError
 
 def is_discriminant(d: int) -> bool:
     """Discriminant of some quadratic order: 0,1 mod 4, not a square."""
+    if type(d) is not int:
+        raise DomainError(f"is_discriminant wants an integer, got {d!r}")
     if d % 4 not in (0, 1):
         return False
     if d < 0:
@@ -99,9 +102,21 @@ def is_discriminant(d: int) -> bool:
     return d > 1 and isqrt(d) ** 2 != d
 
 
+def _check_discriminant(disc: int, name: str) -> None:
+    """The one validator of an order, which is named by its
+    discriminant: DomainError, naming the function asked, unless disc is
+    of type int (a bool is not) and a discriminant."""
+    if type(disc) is not int or not is_discriminant(disc):
+        raise DomainError(
+            f"{name} wants a quadratic discriminant, got {disc!r}")
+
+
 def is_fundamental_discriminant(d: int) -> bool:
     """Field discriminants: d = 1 mod 4 squarefree, or 4s with s = 2, 3
     mod 4 squarefree.  1 itself is excluded."""
+    if type(d) is not int:
+        raise DomainError(f"is_fundamental_discriminant wants an integer, "
+                          f"got {d!r}")
     if d in (0, 1):
         return False
     if d % 4 == 1:
@@ -112,67 +127,38 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-class QuadOrder(namedtuple("QuadOrder", "fundamental_discriminant conductor")):
-    """The order of conductor f in the quadratic field of discriminant d0.
-    The constructor checks both, which must be of type int (a bool is
-    not); orders valid by construction are built with QuadOrder._make,
-    which does not."""
-    __slots__ = ()
-
-    def __new__(cls, fundamental_discriminant: int, conductor: int = 1):
-        if (type(fundamental_discriminant) is not int
-                or not is_fundamental_discriminant(fundamental_discriminant)):
-            raise DomainError(
-                f"{fundamental_discriminant!r} is not a fundamental discriminant")
-        if type(conductor) is not int or conductor < 1:
-            raise DomainError(f"conductor {conductor!r} is not an int >= 1")
-        return super().__new__(cls, fundamental_discriminant, conductor)
-
-    @property
-    def discriminant(self) -> int:
-        return self.fundamental_discriminant * self.conductor ** 2
-
-    def __repr__(self):
-        if self.conductor == 1:
-            return f"QuadOrder({self.fundamental_discriminant})"
-        return f"QuadOrder({self.fundamental_discriminant}, f={self.conductor})"
-
-
 def _split(s: int, t: int) -> tuple[int, int]:
     """(d0, f) of the discriminant s t^2, s squarefree, d0 fundamental:
     (s, t) for s = 1 mod 4, and (4s, t/2) otherwise, as then t is even
     (an odd t would give s t^2 = s = 2, 3 mod 4).  Either way
-    s t^2 = d0 f^2 with d0 fundamental, so the order is built unchecked.
-    The one copy of the rule: class numbers and orders from
-    discriminants (_order_of), the orders of sqrt(r) (_sqrt_orders) and
-    the field of Clark03's criterion (localpoints._local_table) all
-    split through it."""
+    s t^2 = d0 f^2 with d0 fundamental.  Its one reader is _order_of,
+    for the conductor formula of class_number and for
+    order_from_discriminant; every other order is named by its
+    discriminant alone."""
     return (s, t) if s % 4 == 1 else (4 * s, t // 2)
 
 
-def _sqrt_orders(s: int, t: int) -> tuple[tuple[int, int], ...]:
-    """The orders (d0, f) of discriminant 4r and, when r = 1 mod 4, r,
-    for r = s t^2 not a square, s squarefree: Z[sqrt(r)] and
-    Z[(1 + sqrt(r))/2], split by _split.  At r = -m they carry the
-    fixed points of w_m (atkinlehner._fixed_point_table), at r = m the
-    real points of X/<w_m> (localpoints._real_orders)."""
-    orders = (_split(s, 2 * t),)
-    return orders + (_split(s, t),) if s * t * t % 4 == 1 else orders
+def _sqrt_orders(r: int) -> tuple[int, ...]:
+    """The discriminants of the orders of sqrt(r), r not a square:
+    4r, of Z[sqrt(r)], and, when r = 1 mod 4, r, of Z[(1 + sqrt(r))/2].
+    At r = -m they carry the fixed points of w_m
+    (atkinlehner._fixed_point_table), at r = m the real points of
+    X/<w_m> (localpoints._real_orders)."""
+    return (4 * r, r) if r % 4 == 1 else (4 * r,)
 
 
-def _order_of(disc: int, factors) -> QuadOrder:
-    """The order of discriminant disc, given the prime powers of |disc|:
-    disc = s t^2 with s squarefree, split by _split."""
+def _order_of(disc: int, factors) -> tuple[int, int]:
+    """(d0, f) of the discriminant disc, given the prime powers of
+    |disc|: disc = s t^2 with s squarefree, split by _split."""
     s = -1 if disc < 0 else 1
     for p, e in factors:
         s *= p ** (e % 2)
-    return QuadOrder._make(_split(s, isqrt(disc // s)))
+    return _split(s, isqrt(disc // s))
 
 
-def order_from_discriminant(disc: int) -> QuadOrder:
+def order_from_discriminant(disc: int) -> tuple[int, int]:
     """Split disc as d0 * f^2 with d0 fundamental (_order_of)."""
-    if not is_discriminant(disc):
-        raise DomainError(f"{disc} is not a quadratic discriminant")
+    _check_discriminant(disc, "order_from_discriminant")
     return _order_of(disc, factorize(abs(disc)))
 
 
@@ -456,10 +442,7 @@ def class_number(disc: int) -> int:
     every one of them is met (_real_count); every step and every cycle's
     parity is checked against the unit norm, read off half a continued
     fraction period (lemma (b)), and the final count against lemma (d)."""
-    if type(disc) is not int:
-        raise DomainError(f"class_number wants an integer, got {disc!r}")
-    if not is_discriminant(disc):
-        raise DomainError(f"{disc} is not a quadratic discriminant")
+    _check_discriminant(disc, "class_number")
     # the memo of class_number keeps the answer; a one-off discriminant
     # would only crowd the memo of factorize
     d0, f = _order_of(disc, _trial_division(abs(disc)))

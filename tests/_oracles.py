@@ -335,14 +335,12 @@ def fixed_point_orders(m: int):
     """The imaginary quadratic orders whose CM points are the fixed
     points of w_m: both orders of Q(i) and Q(sqrt(-2)) for m = 2, the
     orders of discriminant -m and -4m for m = 3 mod 4, and only
-    Z[sqrt(-m)] otherwise.  The reference for the program's fixed-point
-    table, which reads the same orders off the factorization of DN."""
+    Z[sqrt(-m)] otherwise, each named by its discriminant.  The
+    reference for the program's fixed-point table."""
     from x0dn.errors import DomainError
-    from x0dn.quadorders import order_from_discriminant
     if m < 2:
         raise DomainError(f"fixed_point_orders wants m >= 2, got {m}")
-    discs = (-4, -8) if m == 2 else (-m, -4 * m) if m % 4 == 3 else (-4 * m,)
-    return tuple(map(order_from_discriminant, discs))
+    return (-4, -8) if m == 2 else (-m, -4 * m) if m % 4 == 3 else (-4 * m,)
 
 
 def per_m_fixed_point_counts(d: int, n: int) -> dict[int, int]:
@@ -407,28 +405,25 @@ def element_embeds_by_orders(radicand: int, d: int, n: int) -> bool:
     from x0dn.embeddings import locally_embeds
     from x0dn.errors import DomainError
     from x0dn.genus import check_algebra
-    from x0dn.quadorders import QuadOrder, order_from_discriminant
+    from x0dn.quadorders import order_from_discriminant
     check_algebra(d, n)
     if radicand == 0:
         raise DomainError("element_embeds wants a nonzero radicand")
     if radicand > 0 and isqrt(radicand) ** 2 == radicand:
         raise DomainError(f"radicand {radicand} is a perfect square")
     d0, conductor = order_from_discriminant(4 * radicand)
-    return any(locally_embeds(QuadOrder._make((d0, f)), d, n)
+    return any(locally_embeds(d0 * f * f, d, n)
                for f in range(1, conductor + 1) if conductor % f == 0)
 
 
 def real_orders(m: int):
     """The real quadratic orders whose optimal embeddings give the real
     points of X_0^D(N)/<w_m>: none for square m; otherwise the orders of
-    discriminant 4m and, when m = 1 mod 4, m.  The reference for
-    localpoints._real_orders, which reads the same orders off the
-    factorization of DN."""
-    from x0dn.quadorders import order_from_discriminant
+    discriminant 4m and, when m = 1 mod 4, m, each named by its
+    discriminant.  The reference for localpoints._real_orders."""
     if isqrt(m) ** 2 == m:
         return ()
-    discs = (4 * m, m) if m % 4 == 1 else (4 * m,)
-    return tuple(map(order_from_discriminant, discs))
+    return (4 * m, m) if m % 4 == 1 else (4 * m,)
 
 
 def per_m_real_component_count(d: int, n: int, m: int) -> int:
@@ -495,8 +490,7 @@ def _qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     from x0dn.arith import kronecker
     from x0dn.embeddings import element_embeds, locally_embeds
     from x0dn.localpoints import EMPTY, NONEMPTY, NOT_APPLICABLE
-    from x0dn.quadorders import QuadOrder
-    gaussian, eisenstein = QuadOrder(-4), QuadOrder(-3)
+    gaussian, eisenstein = -4, -3        # Z[i] and Z[zeta_3]
     if d % p != 0:
         return NOT_APPLICABLE
     if m == p:
@@ -555,7 +549,7 @@ def _prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
     if omega(d) != 2 or m != d or not is_prime(n) or d % p != 0:
         return NOT_APPLICABLE
     q = d // p
-    dk = order_from_discriminant(-4 * q).fundamental_discriminant
+    dk, _ = order_from_discriminant(-4 * q)
     return EMPTY if kronecker(dk, n) == -1 else NONEMPTY
 
 

@@ -185,13 +185,13 @@ def test_subgroup_table_checks_riemann_hurwitz(monkeypatch):
 
 
 def test_fixed_point_orders():
-    assert [o.discriminant for o in fixed_point_orders(2)] == [-4, -8]
-    assert [o.discriminant for o in fixed_point_orders(3)] == [-3, -12]
-    assert [o.discriminant for o in fixed_point_orders(7)] == [-7, -28]
-    assert [o.discriminant for o in fixed_point_orders(27)] == [-27, -108]
-    assert [o.discriminant for o in fixed_point_orders(6)] == [-24]
-    assert [o.discriminant for o in fixed_point_orders(25)] == [-100]
-    assert [o.discriminant for o in fixed_point_orders(150)] == [-600]
+    assert fixed_point_orders(2) == (-4, -8)
+    assert fixed_point_orders(3) == (-3, -12)
+    assert fixed_point_orders(7) == (-7, -28)
+    assert fixed_point_orders(27) == (-27, -108)
+    assert fixed_point_orders(6) == (-24,)
+    assert fixed_point_orders(25) == (-100,)
+    assert fixed_point_orders(150) == (-600,)
     with pytest.raises(DomainError):
         fixed_point_orders(1)
 
@@ -200,18 +200,18 @@ def test_sqrt_orders_are_the_fixed_point_and_real_orders():
     # the orders of sqrt(-m), with Z[i] at m = 2, are those of the
     # fixed-point oracle, and the orders of sqrt(m), none at square m,
     # those of the real-component oracle, for every Hall divisor m of
-    # the pairs of genus <= 39, as the pair's index splits m = s t^2
+    # the pairs of genus <= 39, each order named by its discriminant,
+    # with the squarefree part s of m that the pair's index reads
     divisors = 0
     for d, n in _pairs(39):
-        for m, s, t, _ in _hall_index(d, n)[3]:
-            assert sorted(_real_orders(s, t)) == sorted(
-                map(tuple, real_orders(m))), (d, n, m)
+        for m, s, _ in _hall_index(d, n)[3]:
+            assert sorted(_real_orders(m, s)) == sorted(real_orders(m)), (
+                d, n, m)
             divisors += 1
             if m == 1:
                 continue
-            fixed = _sqrt_orders(-s, t) + (((-4, 1),) if m == 2 else ())
-            assert sorted(fixed) == sorted(
-                map(tuple, fixed_point_orders(m))), (d, n, m)
+            fixed = _sqrt_orders(-m) + ((-4,) if m == 2 else ())
+            assert sorted(fixed) == sorted(fixed_point_orders(m)), (d, n, m)
     assert divisors == 4808
 
 

@@ -13,7 +13,6 @@ from x0dn.embeddings import embedding_count
 from x0dn.errors import DomainError, IntegralityError
 from x0dn.genus import is_definite
 from x0dn.pipeline import TableRow
-from x0dn.quadorders import QuadOrder
 
 ROOT = Path(__file__).resolve().parents[1]
 # the benchmark's reference outputs of the paper's three runs; read only
@@ -325,7 +324,7 @@ def test_embed_rejects_definite_and_composite_exclusions(capsys):
                        "--n", "1")
     assert (code, out) == (0, "does not embed\n")
     with pytest.raises(DomainError, match="definite"):
-        embedding_count(QuadOrder(5), 3, 1)
+        embedding_count(5, 3, 1)
     code, out, err = run(capsys, "embed", "--disc", "-107", "--d", "214",
                          "--n", "1", "--exclude-p", "4")
     assert (code, out) == (1, "")

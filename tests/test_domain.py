@@ -11,19 +11,22 @@ from x0dn.arith import (continued_fraction_sqrt, factorize, pell_pm2_solvable,
 from x0dn.atkinlehner import (_fixed_point_table, _subgroup_table,
                               fixed_point_count, group_elements,
                               quotient_genus, subgroup_quotient_genus)
-from x0dn.embeddings import element_embeds, embedding_count, locally_embeds
+from x0dn.embeddings import (element_embeds, embedding_count, local_nu,
+                             locally_embeds)
 from x0dn.errors import DomainError
 from x0dn.genus import _hall_index, check_algebra, check_pair, e_k, genus
 from x0dn.localpoints import (_local_table, local_obstructions,
                               prime_level_quotient_points, qp_curve_points,
                               qp_quotient_points, real_component_count)
 from x0dn.pipeline import dn_cutoff
-from x0dn.quadorders import QuadOrder, class_number, unit_norm
+from x0dn.quadorders import (class_number, is_discriminant,
+                             is_fundamental_discriminant,
+                             order_from_discriminant, unit_norm)
 
 D_RANGE = range(-3, 50)
 N_RANGE = range(-2, 14)
 M_VALUES = (-6, 0, 1, 2, 3, 4, 5, 6, 7, 10, 14, 15, 30)
-ORDERS = (QuadOrder(-4), QuadOrder(-3), QuadOrder(-20), QuadOrder(5))
+ORDERS = (-4, -3, -20, 5)                # each order by its discriminant
 RADICANDS = (-3, -1, 0, 2, 4)
 # the p axis: a place p, over a small sample of levels and indices
 P_VALUES = (-3, -1, 0, 1, 2, 3, 4, 5, 6, 7)
@@ -55,6 +58,7 @@ def _grid():
             for order in ORDERS:
                 yield embedding_count, (order, d, n), pair
                 yield locally_embeds, (order, d, n), algebra
+                yield local_nu, (order, 5, d, n), algebra
             for r in RADICANDS:
                 yield element_embeds, (r, d, n), algebra and r not in (0, 4)
             for m in M_VALUES:
@@ -80,7 +84,7 @@ def test_boundary_grid():
     for call, args, valid in _grid():
         assert _raises(call, *args) != valid, (call.__name__, args)
         calls += 1
-    assert calls == (53 * 16 * (2 + 3 + 2 * len(ORDERS) + len(RADICANDS)
+    assert calls == (53 * 16 * (2 + 3 + 3 * len(ORDERS) + len(RADICANDS)
                                 + 5 * len(M_VALUES))
                      + len(P_PAIRS) * len(P_VALUES) * (2 + 2 * len(P_M_VALUES)))
 
@@ -143,9 +147,11 @@ BAD_SCALARS = [
     (continued_fraction_sqrt, (2,), (2.0,), "m"),
     (continued_fraction_sqrt, (2,), (-2,), "m"),
     (e_k, (6, 5, 4), (6, 5, 4.0), "k"),
-    (QuadOrder, (-4, 2), (-4, 1.5), "conductor"),
-    (QuadOrder, (-4, 1), (-4, True), "conductor"),
-    (QuadOrder, (-4,), (-4.0,), "fundamental discriminant"),
+    (is_discriminant, (-4,), (-4.0,), "is_discriminant"),
+    (is_discriminant, (5,), (5.0,), "is_discriminant"),
+    (is_fundamental_discriminant, (5,), (5.0,), "is_fundamental_discriminant"),
+    (order_from_discriminant, (-4,), (-4.0,), "order_from_discriminant"),
+    (order_from_discriminant, (-4,), (True,), "order_from_discriminant"),
 ]
 
 

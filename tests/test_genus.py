@@ -1,4 +1,4 @@
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -100,7 +100,7 @@ def test_check_pair_index():
     with pytest.raises(DomainError):
         check_pair(30, 1)
     # on every pair of genus <= 39, each mask's parts against factorize:
-    # its Hall divisor m, the squarefree s and t with m = s t^2, and the
+    # its Hall divisor m, the squarefree s with m / s a square, and the
     # primes of DN prime to m; check_pair returns the mask of m, and
     # _involution_mask raises exactly at m = 1
     from x0dn.pipeline import _pairs
@@ -109,11 +109,11 @@ def test_check_pair_index():
         factors = factorize(d * n)
         parts = _hall_index(d, n)[3]
         assert len(parts) == 2 ** len(factors), (d, n)
-        for mask, (m, s, t, away) in enumerate(parts):
+        for mask, (m, s, away) in enumerate(parts):
             assert m == prod(p ** e for i, (p, e) in enumerate(factors)
                              if mask >> i & 1), (d, n, mask)
             assert s == prod(p for p, e in factorize(m) if e % 2), (d, n, m)
-            assert t == prod(p ** (e // 2) for p, e in factorize(m)), (d, n, m)
+            assert isqrt(m // s) ** 2 * s == m, (d, n, m)
             assert away == tuple(p for p, _ in factors if m % p), (d, n, m)
             assert check_pair(d, n, m) == mask, (d, n, m)
             if m == 1:

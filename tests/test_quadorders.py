@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from x0dn import quadorders
 from x0dn.arith import smallest_prime_factors
 from x0dn.errors import DomainError
-from x0dn.quadorders import (QuadOrder, _imaginary_count, _prime_power_roots,
+from x0dn.quadorders import (_imaginary_count, _prime_power_roots,
                              _real_count, _real_unit_index, _root_counts,
                              _roots, _sieve, _split, class_number,
                              is_discriminant,
@@ -38,37 +38,35 @@ def test_discriminant_predicates():
 
 
 def test_order_splitting():
-    o = order_from_discriminant(-28)
-    assert (o.fundamental_discriminant, o.conductor) == (-7, 2)
-    o = order_from_discriminant(-360)
-    assert (o.fundamental_discriminant, o.conductor) == (-40, 3)
-    o = order_from_discriminant(-4)
-    assert (o.fundamental_discriminant, o.conductor) == (-4, 1)
-    o = order_from_discriminant(45)
-    assert (o.fundamental_discriminant, o.conductor) == (5, 3)
-    assert o.discriminant == 45
+    assert order_from_discriminant(-28) == (-7, 2)
+    assert order_from_discriminant(-360) == (-40, 3)
+    assert order_from_discriminant(-4) == (-4, 1)
+    d0, f = order_from_discriminant(45)
+    assert (d0, f) == (5, 3)
+    assert d0 * f * f == 45
     with pytest.raises(DomainError):
         order_from_discriminant(-6)
     with pytest.raises(DomainError):
-        QuadOrder(-28)
+        order_from_discriminant(16)
 
 
 def test_unchecked_splits_pass_the_checks():
-    # order_from_discriminant builds its orders unchecked: each must be
-    # one the checking constructor accepts, with the discriminant asked for
+    # order_from_discriminant splits unchecked: each (d0, f) must have a
+    # fundamental d0 and a conductor f >= 1, and give back the
+    # discriminant asked for
     for disc in range(-3000, 3000):
         if is_discriminant(disc):
-            order = order_from_discriminant(disc)
-            assert QuadOrder(*order) == order, disc
-            assert order.discriminant == disc, disc
+            d0, f = order_from_discriminant(disc)
+            assert is_fundamental_discriminant(d0) and f >= 1, disc
+            assert d0 * f * f == disc, disc
 
 
 def test_split_is_order_from_discriminant():
     # the one copy of the d0 f^2 split of s t^2, for every squarefree s
-    # with 1 < |s| <= 200, of either sign, and 1 <= t <= 12: the checking
-    # constructor accepts (d0, f), which gives back s t^2, so d0 is the
-    # one fundamental discriminant with s t^2 / d0 a square, and it is
-    # the order that order_from_discriminant finds by factoring s t^2.
+    # with 1 < |s| <= 200, of either sign, and 1 <= t <= 12: d0 is
+    # fundamental, f >= 1 and d0 f^2 gives back s t^2, so d0 is the
+    # one fundamental discriminant with s t^2 / d0 a square, and (d0, f)
+    # is the split that order_from_discriminant finds by factoring s t^2.
     # s t^2 is a discriminant except at s = 2, 3 mod 4 with t odd
     checked = 0
     for a in range(2, 201):
@@ -79,9 +77,10 @@ def test_split_is_order_from_discriminant():
                 if not is_discriminant(s * t * t):
                     assert s % 4 in (2, 3) and t % 2, (s, t)
                     continue
-                order = QuadOrder(*_split(s, t))
-                assert order.discriminant == s * t * t, (s, t)
-                assert order == order_from_discriminant(s * t * t), (s, t)
+                d0, f = _split(s, t)
+                assert is_fundamental_discriminant(d0) and f >= 1, (s, t)
+                assert d0 * f * f == s * t * t, (s, t)
+                assert (d0, f) == order_from_discriminant(s * t * t), (s, t)
                 checked += 1
     assert checked == 1932
 
@@ -135,7 +134,7 @@ def test_conductor_formula_imaginary():
             continue
         want = brute_imaginary_class_number(disc)
         assert class_number(disc) == want, disc
-        fields.add(order_from_discriminant(disc).fundamental_discriminant)
+        fields.add(order_from_discriminant(disc)[0])
         cases += 1
     assert {-3, -4} <= fields
     assert cases == 2940
@@ -446,8 +445,8 @@ def test_narrow_class_count_divisible_by_genus_number(disc):
     if disc % 4 not in (0, 1) or not is_discriminant(disc):
         return
     h_plus = narrow_cycle_count(disc)
-    d0 = order_from_discriminant(disc).fundamental_discriminant
-    if order_from_discriminant(disc).conductor == 1:
+    d0, f = order_from_discriminant(disc)
+    if f == 1:
         mu = omega(abs(d0))
         assert h_plus % 2 ** (mu - 1) == 0
     assert h_plus == class_number(disc) * (1 if unit_norm(disc) == -1 else 2)
