@@ -85,6 +85,8 @@ def omega(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    if type(n) is not int:
+        raise DomainError(f"is_prime wants an integer, got {n!r}")
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
@@ -105,6 +107,9 @@ def valuation(n: int, p: int) -> int:
 def smallest_prime_factors(limit: int) -> list[int]:
     """The smallest prime factor of every 2 <= x <= limit, as a list
     indexed by x (0 and 1 map to themselves), from one sieve."""
+    if type(limit) is not int or limit < 0:
+        raise DomainError(f"smallest_prime_factors wants an integer limit"
+                          f" >= 0, got {limit!r}")
     spf = list(range(limit + 1))
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == p:
@@ -115,7 +120,10 @@ def smallest_prime_factors(limit: int) -> list[int]:
 
 
 def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), defined for all integers."""
+    """Kronecker symbol (a/n), defined for all integers (a bool is not
+    one)."""
+    if type(a) is not int or type(n) is not int:
+        raise DomainError(f"kronecker wants integers, got {a!r} and {n!r}")
     if n == 0:
         return 1 if a in (1, -1) else 0
     sign = 1

@@ -208,12 +208,10 @@ def element_embeds(radicand: int, d: int, n: int) -> bool:
     local type of 4*radicand (_disc_type), which is never factored.
     """
     check_algebra(d, n)
-    if type(radicand) is not int:
-        raise DomainError(f"radicand must be an integer, got {radicand!r}")
-    if radicand == 0:
-        raise DomainError("element_embeds wants a nonzero radicand")
-    if radicand > 0 and isqrt(radicand) ** 2 == radicand:
-        raise DomainError(f"radicand {radicand} is a perfect square")
+    if (type(radicand) is not int or radicand == 0
+            or radicand > 0 and isqrt(radicand) ** 2 == radicand):
+        raise DomainError(f"element_embeds wants a nonzero nonsquare integer"
+                          f" radicand, got {radicand!r}")
     if radicand > 0 and is_definite(d):
         return False
     for q, _ in factorize(d * n):

@@ -11,7 +11,7 @@ All arithmetic is over the integers: 12(g - 1) is computed exactly and
 must be divisible by 12, or IntegralityError is raised.  The local
 factors of the elliptic point counts e_4 and e_3 (the rules for (-4/p)
 and (-3/p) at p | D, p || N and p^2 | N) live in _elliptic_factor, which
-e_k and the pipeline's enumeration sieve share.
+e_k reads; genus is the one place that assembles 12(g - 1).
 """
 
 from functools import lru_cache
@@ -105,7 +105,8 @@ def _elliptic_factor(k: int, p: int, e: int) -> int:
     e = 0), 1 + (-k/p) for p || N (e = 1), and for p^e || N with e >= 2,
     2 or 0 according to whether (-k/p) = 1.  (-4/p) is 0 at p = 2, else
     1 or -1 as p = 1 or 3 mod 4; (-3/p) is 0 at p = 3, else 1 or -1 as
-    p = 1 or 2 mod 3."""
+    p = 1 or 2 mod 3.  Every factor is at most 2, the bound that the
+    pipeline's genus floor rests on."""
     if k == 4:
         s = 0 if p == 2 else 1 if p % 4 == 1 else -1
     else:

@@ -10,9 +10,10 @@ whose curve has infinitely many quadratic points.
 
 Everything is exact integer arithmetic, including where the
 enumerations stop: one pair generator runs up to a certified bound on
-DN, proved from an integer lower bound for the genus.  It reads each
-pair's 12(g - 1) from one smallest-prime-factor sieve of local data up
-to that bound, and the genus formula confirms every pair it yields.
+DN, proved from an integer lower bound for the genus.  One
+smallest-prime-factor sieve of local data up to that bound gives each
+pair the same lower bound, and the genus formula decides every pair
+the bound lets through.
 """
 
 from collections import namedtuple
@@ -27,9 +28,9 @@ from .atkinlehner import (
     quotient_genus,
     subgroup_quotient_genus,
 )
-from .errors import DomainError, IntegralityError, PipelineError
+from .errors import DomainError, PipelineError
 from .fixtures import FixtureSet
-from .genus import _elliptic_factor, _hall_index, e_k, genus
+from .genus import _hall_index, e_k, genus
 
 # Genus caps.  Abramovich's bound (Abramovich 1996, "A linear lower bound
 # on the gonality of modular curves") reads gamma_C >= (lambda_1 / 24)
@@ -106,16 +107,13 @@ def dn_cutoff(gmax: int) -> int:
 
 def _sieve(limit: int) -> tuple[list, ...]:
     """Local data of every 0 < x <= limit, from one smallest-prime-factor
-    sieve, as seven lists indexed by x: phi(x), psi(x), the Moebius
-    mu(x) (1 exactly when x is squarefree with an even number of primes),
-    then the products of genus._elliptic_factor over the primes of x for
-    k = 4 and k = 3 with x as a discriminant, and for k = 4 and k = 3
-    with x as a level.  With x = p^e r, p the smallest prime of x and r
-    prime to p, every value at x is its value at p^e times its value at
-    r, so no x is factored on its own."""
+    sieve, as four lists indexed by x: phi(x), psi(x), the Moebius mu(x)
+    (1 exactly when x is squarefree with an even number of primes) and
+    2^omega(x).  With x = p^e r, p the smallest prime of x and r prime to
+    p, every value at x is its value at p^e times its value at r, so no
+    x is factored on its own."""
     spf = smallest_prime_factors(limit)
-    phi, psi, mu = [0, 1], [0, 1], [0, 1]
-    e4d, e3d, e4n, e3n = [0, 1], [0, 1], [0, 1], [0, 1]
+    phi, psi, mu, two_omega = [0, 1], [0, 1], [0, 1], [0, 1]
     for x in range(2, limit + 1):
         p = spf[x]
         q, r, e = p, x // p, 1
@@ -125,35 +123,33 @@ def _sieve(limit: int) -> tuple[list, ...]:
             phi.append(q // p * (p - 1))
             psi.append(q // p * (p + 1))
             mu.append(-1 if e == 1 else 0)
-            e4d.append(_elliptic_factor(4, p, 0))
-            e3d.append(_elliptic_factor(3, p, 0))
-            e4n.append(_elliptic_factor(4, p, e))
-            e3n.append(_elliptic_factor(3, p, e))
+            two_omega.append(2)
         else:
             phi.append(phi[q] * phi[r])
             psi.append(psi[q] * psi[r])
             mu.append(mu[q] * mu[r])
-            e4d.append(e4d[q] * e4d[r])
-            e3d.append(e3d[q] * e3d[r])
-            e4n.append(e4n[q] * e4n[r])
-            e3n.append(e3n[q] * e3n[r])
-    return phi, psi, mu, e4d, e3d, e4n, e3n
+            two_omega.append(2 * two_omega[r])
+    return phi, psi, mu, two_omega
 
 
 def _pair_values(tables, discs):
-    """(D, N, 12(g - 1)) for every D in discs and every N prime to D with
-    DN within the tables of _sieve, read as
-    phi(D) psi(N) - 3 e_4 - 4 e_3 with e_k the product of its local
-    factors at D and at N.  A D beyond the tables carries no pair."""
-    phi, psi, _, e4d, e3d, e4n, e3n = tables
+    """(D, N, phi(D) psi(N) - 7 * 2^omega(D) 2^omega(N)) for every D in
+    discs and every N prime to D with DN within the tables of _sieve; a D
+    beyond the tables carries no pair.
+
+    The value is at most 12(g - 1): every local factor of e_4 and of e_3
+    is at most 2, so 3 e_4 + 4 e_3 <= 7 * 2^omega(DN), and
+    12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3 with omega(DN) =
+    omega(D) + omega(N) for N prime to D."""
+    phi, psi, _, two_omega = tables
     limit = len(phi) - 1
     for d in discs:
         if d > limit:
             continue
-        f, a4, a3 = phi[d], 3 * e4d[d], 4 * e3d[d]
+        f, w = phi[d], 7 * two_omega[d]
         for n in range(1, limit // d + 1):
             if gcd(d, n) == 1:
-                yield d, n, f * psi[n] - a4 * e4n[n] - a3 * e3n[n]
+                yield d, n, f * psi[n] - w * two_omega[n]
 
 
 def _pairs(gmax: int, discs=None):
@@ -161,22 +157,17 @@ def _pairs(gmax: int, discs=None):
     every quaternion discriminant).  No pair is missed: DN is at most
     dn_cutoff(gmax), and a D with genus_floor(D) > gmax carries none.
 
-    The genus of every pair under the cutoff is read from one _sieve
-    over 1..dn_cutoff(gmax); a value of 12(g - 1) off 12 raises
-    IntegralityError, and genus(D, N) confirms every pair yielded."""
+    One _sieve over 1..dn_cutoff(gmax) gives each pair under the cutoff
+    a lower bound for 12(g - 1) (_pair_values); genus(D, N) decides each
+    pair whose bound is at most 12(gmax - 1)."""
     cutoff = dn_cutoff(gmax)
     tables = _sieve(cutoff)
     if discs is None:
         discs = (d for d in range(2, cutoff + 1) if tables[2][d] == 1)
     discs = [d for d in discs if genus_floor(d) <= gmax]
-    for d, n, t in _pair_values(tables, discs):
-        g, rest = divmod(t + 12, 12)
-        if rest:
-            raise IntegralityError(f"genus({d}, {n}) = 1 + {t}/12 is not an integer")
-        if g <= gmax:
-            if genus(d, n) != g:
-                raise PipelineError(f"the sieve reads genus {g} for ({d}, {n}),"
-                                    f" the formula {genus(d, n)}")
+    budget = 12 * (gmax - 1)
+    for d, n, floor in _pair_values(tables, discs):
+        if floor <= budget and genus(d, n) <= gmax:
             yield d, n
 
 

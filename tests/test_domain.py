@@ -6,8 +6,8 @@ calls its input invalid, and a valid input raises nothing."""
 import pytest
 
 from _oracles import valid_algebra, valid_index, valid_pair
-from x0dn.arith import (continued_fraction_sqrt, factorize, pell_pm2_solvable,
-                        valuation)
+from x0dn.arith import (continued_fraction_sqrt, factorize, is_prime, kronecker,
+                        pell_pm2_solvable, smallest_prime_factors, valuation)
 from x0dn.atkinlehner import (_fixed_point_table, _subgroup_table,
                               fixed_point_count, group_elements,
                               quotient_genus, subgroup_quotient_genus)
@@ -137,8 +137,9 @@ def test_memos_are_bounded(memo):
     assert size is not None and size > 0
 
 
-# (function, good arguments, the same with a float, a bool or a negative
-# where a positive int belongs, the name the error must give)
+# (function, good arguments, the same with a float, a bool, a negative
+# where a positive int belongs, or a radicand that is zero or a square,
+# the name the error must give)
 BAD_SCALARS = [
     (dn_cutoff, (2,), (2.5,), "gmax"),
     (dn_cutoff, (1,), (True,), "gmax"),
@@ -152,15 +153,27 @@ BAD_SCALARS = [
     (is_fundamental_discriminant, (5,), (5.0,), "is_fundamental_discriminant"),
     (order_from_discriminant, (-4,), (-4.0,), "order_from_discriminant"),
     (order_from_discriminant, (-4,), (True,), "order_from_discriminant"),
+    (is_prime, (2,), (2.0,), "is_prime"),
+    (is_prime, (2,), (True,), "is_prime"),
+    (kronecker, (2, 3), (1.5, 3), "kronecker"),
+    (kronecker, (2, 3), (2, 3.0), "kronecker"),
+    (kronecker, (1, 3), (True, 3), "kronecker"),
+    (smallest_prime_factors, (10,), (10.0,), "smallest_prime_factors"),
+    (smallest_prime_factors, (10,), (-3,), "smallest_prime_factors"),
+    (element_embeds, (-1, 6, 1), (-1.0, 6, 1), "element_embeds"),
+    (element_embeds, (-1, 6, 1), (True, 6, 1), "element_embeds"),
+    (element_embeds, (-1, 6, 1), (0, 6, 1), "element_embeds"),
+    (element_embeds, (2, 6, 1), (4, 6, 1), "element_embeds"),
 ]
 
 
 @pytest.mark.parametrize("call, good, bad, name", BAD_SCALARS,
                          ids=[f"{c.__name__}{b}" for c, _, b, _ in BAD_SCALARS])
 def test_bad_scalars_are_refused_by_name(call, good, bad, name):
-    """An argument that must be a positive int is refused when it is a
-    float, a bool or negative, by a DomainError that names it, not by a
-    TypeError or ValueError from deeper down, nor by an answer."""
+    """An argument that must be an int (positive, or a radicand that is
+    neither zero nor a square) is refused when it is a float, a bool or
+    out of its range, by a DomainError that names it, not by a TypeError
+    or ValueError from deeper down, nor by an answer."""
     call(*good)
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         call(*bad)

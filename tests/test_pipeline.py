@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import (per_m_fixed_point_counts, per_m_fixed_point_screen,
                       per_m_genus1_quotients, per_m_schweizer_survivors)
-from x0dn import atkinlehner
+from x0dn import atkinlehner, pipeline
 from x0dn.arith import euler_phi, is_squarefree, omega, prime_divisors
 from x0dn.atkinlehner import fixed_point_count, group_elements
 from x0dn.errors import DomainError, IntegralityError
@@ -93,22 +93,25 @@ def test_genus_floor_bounds_genus(small_pairs):
 
 
 def test_enumerators_match_brute_force(small_pairs, fixtures):
-    # the sieve's 12(g - 1) is the genus formula's on every pair with DN
-    # up to four times the largest cutoff, far above every cap
+    # the sieve's floor is a lower bound for 12(g - 1) on every pair with
+    # DN up to four times the largest cutoff, far above every cap
     limit = 4 * dn_cutoff(39)
     tables = _sieve(limit)
-    phi, psi, mu = tables[:3]
+    phi, psi, mu, two_omega = tables
 
     def index(x):   # [PSL2(Z) : Gamma_0(x)] = x prod_{p | x} (1 + 1/p)
         primes = prime_divisors(x)
         return x * prod(p + 1 for p in primes) // prod(primes)
 
-    assert all((phi[x], psi[x], mu[x]) == (euler_phi(x), index(x),
-                                           is_squarefree(x) * (-1) ** omega(x))
+    assert all((phi[x], psi[x], mu[x], two_omega[x])
+               == (euler_phi(x), index(x),
+                   is_squarefree(x) * (-1) ** omega(x), 2 ** omega(x))
                for x in range(1, limit + 1))
     discs = sorted({d for d, _ in small_pairs})
-    values = {(d, n): t for d, n, t in _pair_values(tables, discs)}
-    assert values == {p: 12 * (g - 1) for p, g in small_pairs.items()}
+    values = [((d, n), t) for d, n, t in _pair_values(tables, discs)]
+    floors = dict(values)
+    assert len(floors) == len(values) and floors.keys() == small_pairs.keys()
+    assert all(floors[p] <= 12 * (g - 1) for p, g in small_pairs.items())
     allowed = set(allowed_discriminants(fixtures))
     assert trigonal_candidates() == sorted(
         p for p, g in small_pairs.items() if g <= 29)
@@ -119,6 +122,23 @@ def test_enumerators_match_brute_force(small_pairs, fixtures):
         p for p, g in small_pairs.items() if g <= 1)
     # genus(D, 1) <= genus(D, N): no low-genus pair needs the filter
     assert {d for d, _ in low_genus_pairs()} <= allowed
+
+
+def test_genus_floor_lets_few_pairs_through(small_pairs, monkeypatch):
+    """How tight the sieve's floor is: the pairs it lets through to
+    genus() at each cap (every discriminant), and the pairs kept."""
+    decided = []
+
+    def counted_genus(d, n):
+        decided.append((d, n))
+        return genus(d, n)
+
+    monkeypatch.setattr(pipeline, "genus", counted_genus)
+    for cap, through, kept in ((1, 37, 14), (29, 515, 455), (39, 703, 624)):
+        decided.clear()
+        pairs = list(_pairs(cap))
+        assert (len(decided), len(pairs)) == (through, kept)
+        assert pairs == [p for p in decided if small_pairs[p] <= cap]
 
 
 def test_level_one_bielliptic_records():
