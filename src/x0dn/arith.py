@@ -57,16 +57,22 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
+    if type(n) is not int:
+        raise DomainError(f"prime_divisors wants an integer, got {n!r}")
     return tuple(p for p, _ in factorize(n))
 
 
 def is_squarefree(n: int) -> bool:
+    if type(n) is not int:
+        raise DomainError(f"is_squarefree wants an integer, got {n!r}")
     if n == 0:
         return False
     return all(e == 1 for _, e in factorize(abs(n)))
 
 
 def euler_phi(n: int) -> int:
+    if type(n) is not int:
+        raise DomainError(f"euler_phi wants an integer, got {n!r}")
     out = 1
     for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
@@ -76,11 +82,15 @@ def euler_phi(n: int) -> int:
 def psi_p(p: int, e: int) -> int:
     """Local factor at p^e of the index psi(N) = [PSL2(Z) : Gamma_0(N)]
     = N prod_{p|N} (1 + 1/p): p^(e-1) * (p+1) for e >= 1, else 1."""
+    if type(p) is not int or type(e) is not int:
+        raise DomainError(f"psi_p wants integers, got {p!r} and {e!r}")
     return p ** (e - 1) * (p + 1) if e >= 1 else 1
 
 
 def omega(n: int) -> int:
     """Number of distinct prime divisors."""
+    if type(n) is not int:
+        raise DomainError(f"omega wants an integer, got {n!r}")
     return len(factorize(n))
 
 
@@ -91,7 +101,10 @@ def is_prime(n: int) -> bool:
 
 
 def valuation(n: int, p: int) -> int:
-    """ord_p(n) for n != 0 and p >= 2."""
+    """ord_p(n) for n != 0 and p >= 2, both of type int (a bool is
+    not)."""
+    if type(n) is not int or type(p) is not int:
+        raise DomainError(f"valuation wants integers, got {n!r} and {p!r}")
     if n == 0:
         raise DomainError("valuation(0, p)")
     if p < 2:

@@ -61,7 +61,7 @@ with nu_q(k, l) > 0".
 
 from math import isqrt
 
-from .arith import factorize, is_prime, prime_divisors, psi_p, valuation
+from .arith import factorize, is_prime, prime_divisors, psi_p
 from .errors import DomainError
 from .genus import check_algebra, check_pair, is_definite
 from .quadorders import _check_discriminant, class_number
@@ -76,10 +76,15 @@ def _check_prime(p: int) -> None:
 def _nu(q: int, k: int, ell: int, d: int, n: int) -> int:
     """Ogg's local embedding number at the prime q of an order of local
     type (k, ell), for an Eichler order of level n in the algebra of
-    discriminant d: the one copy of the case split."""
+    discriminant d: the one copy of the case split.  v_q(n) is read
+    inline, as _disc_type reads v_q(disc), so a local factor costs no
+    call to arith.valuation and its checks."""
     if d % q == 0:
         return 1 - (1 if k else ell)
-    e = valuation(n, q)
+    e = 0
+    while n % q == 0:
+        n //= q
+        e += 1
     if e == 0:
         return 1
     if e == 1:

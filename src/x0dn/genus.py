@@ -84,7 +84,12 @@ def _hall_index(d: int, n: int) -> tuple[
     Callers work through one pair at a time, so this index and every
     per-pair table (maxsize=1) keep only the last pair: a stream of
     curves holds one of each, not one per curve.  A pair gets a table
-    only where a workload reads every m of it."""
+    only where a workload reads every m of it.  The memos behind those
+    tables that outlive a pair are keyed only by what many pairs share:
+    the rank pattern of atkinlehner._sorted_readers, the residue mod p
+    of quadorders._sqrt_mod_prime, the discriminant of class_number.
+    Every memo that a stream of inputs keeps filling has a fixed
+    size."""
     check_algebra(d, n)
     if is_definite(d):
         raise DomainError(

@@ -17,11 +17,13 @@ collects every applicable verdict.
 Every verdict is decided for every w_m of a pair at once, into one
 per-pair table (_local_table), as the Atkin--Lehner module does for
 fixed points; the table's docstring is the only copy of its rules, and
-the public functions validate their arguments and look up.  An order
-is named by its discriminant, whose local types every embedding
-question reads (embeddings._disc_type).  The number of real
-components, which needs the class numbers of the real orders, is
-computed for its one m by real_component_count.
+the public functions validate their arguments and look up.  The table
+holds each m's finished tuple of verdicts too, built once per pair, so
+local_obstructions returns one entry of it.  An order is named by its
+discriminant, whose local types every embedding question reads
+(embeddings._disc_type).  The number of real components, which needs
+the class numbers of the real orders, is computed for its one m by
+real_component_count.
 """
 
 from collections import namedtuple
@@ -94,13 +96,25 @@ def real_component_count(d: int, n: int, m: int) -> int:
     return nu // 2
 
 
+def _column(place: str, source: str, statuses) -> map:
+    """The verdicts of one column of _local_table, one shared
+    LocalVerdict per (place, status, source)."""
+    record = {status: LocalVerdict(place, status, source)
+              for status in (EMPTY, NONEMPTY)}
+    return map(record.__getitem__, statuses)
+
+
 @lru_cache(maxsize=1, typed=True)
-def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
-                                          dict[int, tuple[tuple[str, ...], str]]]:
-    """Every local verdict of X_0^D(N)/<w_m> for a valid pair: the real
-    place for every m, indexed by the mask of m; and for each p | D,
-    ascending, the Q_p-verdict for every m, indexed by the mask of m
-    (Ogg85), with the Clark03 verdict for m = D.
+def _local_table(d: int, n: int) -> tuple[
+        dict[int, tuple[tuple[str, ...], str]],
+        tuple[tuple[LocalVerdict, ...], ...]]:
+    """Every local verdict of X_0^D(N)/<w_m> for a valid pair: for each
+    p | D, ascending, the Q_p-verdict for every m, indexed by the mask
+    of m (Ogg85), with the Clark03 verdict for m = D; and, indexed by
+    the mask of m, the finished tuple that local_obstructions returns,
+    the real place first and then each p | D, Ogg85 before Clark03.
+    Those tuples are zipped from one column per place (_column), so a
+    pair builds each distinct LocalVerdict once, not once per call.
 
     The real place (Ogg83): the numerator of the component count is a
     sum over the _real_orders R of m of h(R) times a product of local
@@ -145,7 +159,7 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
     conductor dividing F, 4 (-1) = -4 F^2, so F = 1 and Z[i] is the only
     one.  Z[zeta_3], of discriminant -3, keeps locally_embeds, as
     sqrt(-3) lies in Z[sqrt(-3)] as well."""
-    _, divisor, factors, parts = _hall_index(d, n)
+    mask_of, divisor, factors, parts = _hall_index(d, n)
     real = [EMPTY]
     for m, s, away in parts[1:]:
         real.append(NONEMPTY if any(_local_product(disc, d, n, away)
@@ -186,14 +200,23 @@ def _local_table(d: int, n: int) -> tuple[tuple[str, ...],
             clark = (EMPTY if _disc_type(-4 * dbar, n)[1] == -1
                      else NONEMPTY)
         padic[p] = (tuple(NONEMPTY if v else EMPTY for v in verdicts), clark)
-    return tuple(real), padic
+    rows = list(zip(_column("real", SOURCE_REAL, real),
+                    *(_column(str(p), SOURCE_PADIC, quotients)
+                      for p, (quotients, _) in padic.items())))
+    if clark_applies:
+        mask = mask_of[d]
+        row = list(rows[mask][:1])
+        for ogg, (p, (_, clark)) in zip(rows[mask][1:], padic.items()):
+            row += ogg, LocalVerdict(str(p), clark, SOURCE_PRIME_LEVEL)
+        rows[mask] = tuple(row)
+    return padic, tuple(rows)
 
 
 def qp_curve_points(d: int, n: int, p: int) -> str:
     """Does X_0^D(N) have Q_p-points, for p | D?  (_local_table)"""
     check_pair(d, n)
     _check_prime(p)
-    row = _local_table(d, n)[1].get(p)
+    row = _local_table(d, n)[0].get(p)
     return row[0][0] if row else NOT_APPLICABLE
 
 
@@ -202,7 +225,7 @@ def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     (_local_table)"""
     mask = _involution_mask(d, n, m)
     _check_prime(p)
-    row = _local_table(d, n)[1].get(p)
+    row = _local_table(d, n)[0].get(p)
     return row[0][mask] if row else NOT_APPLICABLE
 
 
@@ -211,19 +234,13 @@ def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
     Q_p (_local_table); NOT_APPLICABLE unless m = D."""
     check_pair(d, n, m)
     _check_prime(p)
-    row = _local_table(d, n)[1].get(p)
+    row = _local_table(d, n)[0].get(p)
     return row[1] if row and m == d else NOT_APPLICABLE
 
 
 def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
     """All applicable local verdicts for X_0^D(N)/<w_m>: the real place
     first, then each p | D in order, p-adic criterion before the
-    prime-level one, read off the pair's _local_table."""
+    prime-level one, the pair's _local_table entry at the mask of m."""
     mask = _involution_mask(d, n, m)
-    real, padic = _local_table(d, n)
-    verdicts = [LocalVerdict("real", real[mask], SOURCE_REAL)]
-    for p, (quotients, clark) in padic.items():
-        verdicts.append(LocalVerdict(str(p), quotients[mask], SOURCE_PADIC))
-        if m == d and clark != NOT_APPLICABLE:
-            verdicts.append(LocalVerdict(str(p), clark, SOURCE_PRIME_LEVEL))
-    return tuple(verdicts)
+    return _local_table(d, n)[1][mask]

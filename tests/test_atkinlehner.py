@@ -156,6 +156,27 @@ def test_stored_genera_match_oracle():
             assert subgroup_quotient_genus(d, n, tuple(sub)) == gh, (d, n, sub)
 
 
+def test_subgroup_order_is_shared_by_rank_pattern():
+    # pairs whose Hall divisors sort alike read their subgroup order off
+    # one entry of the order memo; every pair, served from the memo or
+    # not, keeps the breadth-first oracle's order
+    memo = atkinlehner._sorted_readers
+    memo.cache_clear()
+    atkinlehner._subgroup_table.cache_clear()
+    pairs = [*_pairs(39), (6, 385), (6, 5005)]
+    patterns = set()
+    for d, n in pairs:
+        divisor = _hall_index(d, n)[1]
+        pattern = tuple(sorted(range(len(divisor)), key=divisor.__getitem__))
+        hits = memo.cache_info().hits
+        assert list(all_subgroups(d, n)) == bfs_subgroups(d, n), (d, n)
+        assert memo.cache_info().hits == hits + (pattern in patterns), (d, n)
+        patterns.add(pattern)
+    info = memo.cache_info()
+    assert info.misses == len(patterns) <= info.maxsize
+    assert info.hits == len(pairs) - len(patterns) > 0
+
+
 @pytest.mark.parametrize("w", range(1, 7))
 def test_subgroup_readers_read_their_spans(w):
     # every reader the subgroup table uses, the trivial span's included,

@@ -42,3 +42,56 @@ def test_per_layer_functions_exist():
         assert fn.__module__ == mod.__name__, label
         if "misses" in stats:
             assert hasattr(fn, "cache_info"), label
+
+
+ROOT = BENCHMARK.parent
+ENTRY_KEYS = {"change", "date", "parent_commit", "change_src_sha256", "seed",
+              "seconds", "pairs", "metrics", "record"}
+HEX = set("0123456789abcdef")
+
+
+def test_bench_trajectory_schema():
+    """Each workload has its committed trajectory, BENCH_<workload>.json
+    at the repository root: entries of alternating parent/change pairs,
+    oldest first, each naming only metrics of BENCHMARK.json.  The
+    numbers themselves are not checked."""
+    spec = json.loads(BENCHMARK.read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    better = {m["name"]: m["better"]
+              for m in spec["end_to_end"] + spec["per_layer"]}
+    files = {p.name for p in ROOT.glob("BENCH_*.json")}
+    assert files == {f"BENCH_{w}.json" for w in workloads}
+    for workload in workloads:
+        doc = json.loads((ROOT / f"BENCH_{workload}.json").read_text())
+        assert doc["workload"] == workload
+        entries = doc["entries"]
+        assert entries
+        dates = [entry["date"] for entry in entries]
+        assert dates == sorted(dates), workload
+        parents = [entry["parent_commit"] for entry in entries]
+        assert len(set(parents)) == len(parents), workload
+        for entry in entries:
+            assert set(entry) == ENTRY_KEYS, workload
+            assert len(entry["parent_commit"]) == 40
+            assert set(entry["parent_commit"]) <= HEX
+            assert len(entry["change_src_sha256"]) == 64
+            assert set(entry["change_src_sha256"]) <= HEX
+            pairs = entry["pairs"]
+            assert type(pairs) is int and pairs >= 1
+            assert entry["metrics"]
+            for name, value in entry["metrics"].items():
+                assert name in better, (workload, name)
+                assert set(value) == {"parent", "change", "won"}
+                for side in ("parent", "change"):
+                    q1, median, q3 = value[side]
+                    assert q1 <= median <= q3, (workload, name, side)
+                assert type(value["won"]) is int
+                assert 0 <= value["won"] <= pairs, (workload, name)
+            record = entry["record"]
+            assert set(record) == {"parent", "change"}
+            for side in record.values():
+                assert side["workload"] == workload
+                assert side["seed"] == entry["seed"]
+                assert side["seconds"] == entry["seconds"]
+            assert (record["change"]["src_sha256"]
+                    == entry["change_src_sha256"])

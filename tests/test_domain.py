@@ -6,11 +6,14 @@ calls its input invalid, and a valid input raises nothing."""
 import pytest
 
 from _oracles import valid_algebra, valid_index, valid_pair
-from x0dn.arith import (continued_fraction_sqrt, factorize, is_prime, kronecker,
-                        pell_pm2_solvable, smallest_prime_factors, valuation)
-from x0dn.atkinlehner import (_fixed_point_table, _subgroup_table,
-                              fixed_point_count, group_elements,
-                              quotient_genus, subgroup_quotient_genus)
+from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
+                        is_prime, is_squarefree, kronecker, omega,
+                        pell_pm2_solvable, prime_divisors, psi_p,
+                        smallest_prime_factors, valuation)
+from x0dn.atkinlehner import (_fixed_point_table, _sorted_readers,
+                              _subgroup_table, fixed_point_count,
+                              group_elements, quotient_genus,
+                              subgroup_quotient_genus)
 from x0dn.embeddings import (element_embeds, embedding_count, local_nu,
                              locally_embeds)
 from x0dn.errors import DomainError
@@ -19,7 +22,7 @@ from x0dn.localpoints import (_local_table, local_obstructions,
                               prime_level_quotient_points, qp_curve_points,
                               qp_quotient_points, real_component_count)
 from x0dn.pipeline import dn_cutoff
-from x0dn.quadorders import (class_number, is_discriminant,
+from x0dn.quadorders import (_sqrt_mod_prime, class_number, is_discriminant,
                              is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
 
@@ -128,7 +131,8 @@ def test_memos_are_typed(call, good, bad):
         call(*bad)
 
 
-@pytest.mark.parametrize("memo", [factorize, genus, class_number],
+@pytest.mark.parametrize("memo", [factorize, genus, class_number,
+                                  _sorted_readers, _sqrt_mod_prime],
                          ids=lambda memo: memo.__name__)
 def test_memos_are_bounded(memo):
     """The memos a stream of curves fills have a finite size, so a long
@@ -164,6 +168,16 @@ BAD_SCALARS = [
     (element_embeds, (-1, 6, 1), (True, 6, 1), "element_embeds"),
     (element_embeds, (-1, 6, 1), (0, 6, 1), "element_embeds"),
     (element_embeds, (2, 6, 1), (4, 6, 1), "element_embeds"),
+    (valuation, (4, 2), (4.0, 2), "valuation"),
+    (valuation, (8, 2), (8, 2.0), "valuation"),
+    (valuation, (1, 2), (True, 2), "valuation"),
+    (valuation, (4, 2), (4.5, 2), "valuation"),
+    (euler_phi, (6,), (6.0,), "euler_phi"),
+    (is_squarefree, (6,), (6.0,), "is_squarefree"),
+    (prime_divisors, (6,), (6.0,), "prime_divisors"),
+    (omega, (1,), (True,), "omega"),
+    (psi_p, (2, 1), (2.0, 1), "psi_p"),
+    (psi_p, (2, 1), (2, 1.0), "psi_p"),
 ]
 
 
