@@ -57,8 +57,8 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
-    if type(n) is not int:
-        raise DomainError(f"prime_divisors wants an integer, got {n!r}")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"prime_divisors wants an integer n >= 1, got {n!r}")
     return tuple(p for p, _ in factorize(n))
 
 
@@ -71,8 +71,8 @@ def is_squarefree(n: int) -> bool:
 
 
 def euler_phi(n: int) -> int:
-    if type(n) is not int:
-        raise DomainError(f"euler_phi wants an integer, got {n!r}")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"euler_phi wants an integer n >= 1, got {n!r}")
     out = 1
     for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
@@ -89,8 +89,8 @@ def psi_p(p: int, e: int) -> int:
 
 def omega(n: int) -> int:
     """Number of distinct prime divisors."""
-    if type(n) is not int:
-        raise DomainError(f"omega wants an integer, got {n!r}")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"omega wants an integer n >= 1, got {n!r}")
     return len(factorize(n))
 
 

@@ -220,8 +220,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("airr2",
-                       help="pairs with infinitely many degree-2 points "
-                            "over real quadratic fields")
+                       help="pairs with infinitely many degree-2 points, "
+                            "all over imaginary quadratic fields")
     p.add_argument("--fixtures", help="fixture file or directory")
     p.set_defaults(func=_cmd_airr2)
 

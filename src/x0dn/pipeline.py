@@ -280,7 +280,7 @@ def _cs_subgroup_search(d: int, n: int, min_gh: int) -> bool:
 def bkx_degree_screen(d: int, n: int) -> bool:
     """True when a quotient by some subgroup H with genus g_H >= 2
     satisfies 2g - 2 > |H| (2 g_H + 2), which rules out geometric
-    biellipticity for curves of genus >= 6.
+    biellipticity.
 
     This is Castelnuovo--Severi for a bielliptic double cover X -> E
     against X -> X/H.  A bielliptic involution inside H would make E
@@ -291,8 +291,13 @@ def bkx_degree_screen(d: int, n: int) -> bool:
     over h != 1 in H, so the condition is equivalent to sum fix > 4|H|.
     For |H| = 2 that asks for an involution with more than 8 fixed
     points, which the fixed-point screen has already ruled out on every
-    pair that reaches this one."""
-    return genus(d, n) >= 6 and _cs_subgroup_search(d, n, 2)
+    pair that reaches this one.
+
+    The published screen asks g >= 6 as well; that never decides.
+    Lemma: the screen fires only at g >= 8.  With |H| >= 2 and
+    g_H >= 2, cs_bound(|H|, g_H, 2, 1) >= 2 + 2 * 2 + 1 = 7, and g must
+    exceed it."""
+    return _cs_subgroup_search(d, n, 2)
 
 
 def _settle(fx: FixtureSet, d: int, n: int, g: int, quots) -> tuple[str, str]:
@@ -417,21 +422,23 @@ def trigonal_candidates() -> list[tuple[int, int]]:
 
 
 def schweizer_survivors() -> list[tuple[int, int]]:
-    """Trigonal candidates of genus >= 2 passing both involution tests:
-    genus not 1 mod 4 (the Atkin--Lehner group always contains a Klein
-    four-group), and every involution's fixed-point count equal to 4 for
-    odd genus or in {2, 6} for even genus."""
-    out = []
-    for d, n in trigonal_candidates():
-        g = genus(d, n)
-        if g < 2 or g % 4 == 1:
-            continue
-        counts = set(_fixed_point_table(d, n)[1:])
-        if g % 2 == 1 and counts <= {4}:
-            out.append((d, n))
-        elif g % 2 == 0 and counts <= {2, 6}:
-            out.append((d, n))
-    return out
+    """Trigonal candidates of genus >= 2 whose every involution w_m has
+    2, 4 or 6 fixed points.
+
+    Schweizer's published test has two branches and a skip: genus not
+    1 mod 4 (the Atkin--Lehner group always contains a Klein
+    four-group), and every count equal to 4 at odd genus or in {2, 6}
+    at even genus.  Lemma: the one set {2, 4, 6} says the same.  An
+    involution with F fixed points and quotient genus g' has
+    F = 2g + 2 - 4g' (Riemann--Hurwitz), so F = 2g + 2 mod 4: {2, 4, 6}
+    leaves {4} at odd g and {2, 6} at even g.  If every count is 4, take
+    a Klein four-group V of Atkin--Lehner involutions.  The stabilizer
+    of a point is cyclic, so no point is fixed by two elements of V,
+    and Riemann--Hurwitz for V gives 2g - 2 = 4(2 g_V - 2) + 3 * 4: then
+    g = 4 g_V + 3 is not 1 mod 4."""
+    return [(d, n) for d, n in trigonal_candidates()
+            if genus(d, n) >= 2
+            and set(_fixed_point_table(d, n)[1:]) <= {2, 4, 6}]
 
 
 def trigonal_exclusion_genera() -> tuple[int, int]:

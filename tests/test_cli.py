@@ -207,6 +207,11 @@ def test_airr2_command(capsys):
     assert code == 0
     assert len(out.splitlines()) == 73
     assert "6 17\n" in out
+    # X_0^D(N) with D > 1 has no real points, so neither has any quotient
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    shown = " ".join(capsys.readouterr().out.split())
+    assert "degree-2 points, all over imaginary quadratic fields" in shown
 
 
 def test_bielliptic_header_is_table_row():

@@ -141,8 +141,8 @@ def test_memos_are_bounded(memo):
     assert size is not None and size > 0
 
 
-# (function, good arguments, the same with a float, a bool, a negative
-# where a positive int belongs, or a radicand that is zero or a square,
+# (function, good arguments, the same with a float, a bool, a zero or a
+# negative where a positive int belongs, or a radicand that is zero or a square,
 # the name the error must give)
 BAD_SCALARS = [
     (dn_cutoff, (2,), (2.5,), "gmax"),
@@ -173,9 +173,13 @@ BAD_SCALARS = [
     (valuation, (1, 2), (True, 2), "valuation"),
     (valuation, (4, 2), (4.5, 2), "valuation"),
     (euler_phi, (6,), (6.0,), "euler_phi"),
+    (euler_phi, (6,), (0,), "euler_phi"),
+    (euler_phi, (6,), (-6,), "euler_phi"),
     (is_squarefree, (6,), (6.0,), "is_squarefree"),
     (prime_divisors, (6,), (6.0,), "prime_divisors"),
+    (prime_divisors, (6,), (-6,), "prime_divisors"),
     (omega, (1,), (True,), "omega"),
+    (omega, (1,), (0,), "omega"),
     (psi_p, (2, 1), (2.0, 1), "psi_p"),
     (psi_p, (2, 1), (2, 1.0), "psi_p"),
 ]

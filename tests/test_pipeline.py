@@ -8,7 +8,7 @@ from _oracles import (per_m_fixed_point_counts, per_m_fixed_point_screen,
 from x0dn import atkinlehner, pipeline
 from x0dn.arith import euler_phi, is_squarefree, omega, prime_divisors
 from x0dn.atkinlehner import fixed_point_count, group_elements
-from x0dn.errors import DomainError, IntegralityError
+from x0dn.errors import DomainError, IntegralityError, PipelineError
 from x0dn.fixtures import load_fixtures
 from x0dn.genus import genus
 from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, GENUS_CAP_BIELLIPTIC,
@@ -229,7 +229,7 @@ def test_genus1_al_quotients_examples():
     assert genus1_al_quotients(39, 4) == [39]
 
 
-def test_sweeps_match_per_m_definitions(fixtures):
+def test_sweeps_match_per_m_definitions(fixtures, monkeypatch):
     # the sweeps read each pair's fixed-point table at once; the oracles
     # ask quotient_genus and fixed_point_count one m at a time
     bielliptic = bielliptic_candidates(fixtures)
@@ -243,7 +243,12 @@ def test_sweeps_match_per_m_definitions(fixtures):
     for d, n in trigonal:   # Schweizer's test reads the table's set
         assert (set(atkinlehner._fixed_point_table(d, n)[1:])
                 == set(per_m_fixed_point_counts(d, n).values())), (d, n)
-    assert schweizer_survivors() == per_m_schweizer_survivors(trigonal)
+    # the one set {2, 4, 6} against the published two branches and the
+    # 1 mod 4 skip, on every pair of genus <= 39, not only the candidates
+    pairs = sorted(_pairs(GENUS_CAP_BIELLIPTIC))
+    assert len(pairs) == 624
+    monkeypatch.setattr(pipeline, "trigonal_candidates", lambda: pairs)
+    assert schweizer_survivors() == per_m_schweizer_survivors(pairs)
 
 
 def test_table_build_checks_riemann_hurwitz(monkeypatch):
@@ -266,10 +271,23 @@ def test_table_build_checks_riemann_hurwitz(monkeypatch):
 def test_automorphism_status_examples():
     assert automorphism_status(6, 11) == ALL_AL
     assert automorphism_status(10, 19) == UNKNOWN
+    # genus 737: 13 is not inert for -4, but -4 splits at two primes of
+    # D, 5 and 17, so criterion (2) fails by one prime; (4) and (5) fail
+    assert automorphism_status(1870, 13) == UNKNOWN
     with pytest.raises(DomainError):
         automorphism_status(6, 25)  # non-squarefree level
     with pytest.raises(DomainError):
         automorphism_status(6, 5)  # genus 1
+
+
+def test_settle_refuses_low_genus_parity(fixtures, monkeypatch):
+    # _settle reads the genus it is handed: the parity corollary needs
+    # genus >= 6, so at g = 5 it refuses, though 5 is not 1 mod
+    # 2^(omega(DN) - 1) = 8 for (6, 175); the fixed-point screen is
+    # stubbed so that the pair reaches the corollary
+    monkeypatch.setattr(pipeline, "fixed_point_screen", lambda d, n: False)
+    with pytest.raises(PipelineError, match=r"\(6,175\) has non-squarefree"):
+        pipeline._settle(fixtures, 6, 175, 5, ())
 
 
 def test_exception_pairs(fixtures):
@@ -285,7 +303,8 @@ def test_bkx_screen_on_quotient_free_survivors():
     assert gone == [(62, 5), (94, 3)]
     assert not bkx_degree_screen(34, 7)
     assert not bkx_degree_screen(14, 11)  # genus 7 < the sum/genus threshold
-    assert not bkx_degree_screen(6, 5)  # genus < 6: screen inapplicable
+    # genus 1: no H has g_H >= 2, and the screen fires only at genus >= 8
+    assert not bkx_degree_screen(6, 5)
 
 
 def test_cs_bound_values():
