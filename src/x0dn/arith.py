@@ -81,9 +81,18 @@ def euler_phi(n: int) -> int:
 
 def psi_p(p: int, e: int) -> int:
     """Local factor at p^e of the index psi(N) = [PSL2(Z) : Gamma_0(N)]
-    = N prod_{p|N} (1 + 1/p): p^(e-1) * (p+1) for e >= 1, else 1."""
-    if type(p) is not int or type(e) is not int:
-        raise DomainError(f"psi_p wants integers, got {p!r} and {e!r}")
+    = N prod_{p|N} (1 + 1/p): p^(e-1) * (p+1) for e >= 1, else 1, for a
+    prime p and an e >= 0, both of type int (a bool is not)."""
+    if (type(p) is not int or type(e) is not int or not is_prime(p)
+            or e < 0):
+        raise DomainError(
+            f"psi_p wants a prime p and an integer e >= 0, got {p!r} and {e!r}")
+    return _psi_p(p, e)
+
+
+def _psi_p(p: int, e: int) -> int:
+    """psi_p without its checks, for callers that pass a prime of a
+    factorization and an exponent >= 0 (genus.genus, embeddings._nu)."""
     return p ** (e - 1) * (p + 1) if e >= 1 else 1
 
 

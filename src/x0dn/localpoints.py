@@ -18,8 +18,9 @@ Every verdict is decided for every w_m of a pair at once, into one
 per-pair table (_local_table), as the Atkin--Lehner module does for
 fixed points; the table's docstring is the only copy of its rules, and
 the public functions validate their arguments and look up.  The table
-holds each m's finished tuple of verdicts too, built once per pair, so
-local_obstructions returns one entry of it.  An order is named by its
+is its rows, each m's finished tuple of verdicts, built once per pair:
+local_obstructions returns one row, and the p-adic lookups read one
+verdict off a row (_status).  An order is named by its
 discriminant, whose local types every embedding question reads
 (embeddings._disc_type).  The number of real components, which needs
 the class numbers of the real orders, is computed for its one m by
@@ -112,25 +113,26 @@ def real_component_count(d: int, n: int, m: int) -> int:
     return nu // 2
 
 
-def _column(place: str, source: str, statuses) -> map:
+def _column(place: str, source: str, found) -> map:
     """The verdicts of one column of _local_table, one shared
-    LocalVerdict per (place, status, source)."""
-    record = {status: LocalVerdict(place, status, source)
-              for status in (EMPTY, NONEMPTY)}
-    return map(record.__getitem__, statuses)
+    LocalVerdict per (place, status, source): EMPTY where found is
+    false, NONEMPTY where it is true."""
+    record = (LocalVerdict(place, EMPTY, source),
+              LocalVerdict(place, NONEMPTY, source))
+    return map(record.__getitem__, found)
 
 
 @lru_cache(maxsize=1, typed=True)
-def _local_table(d: int, n: int) -> tuple[
-        dict[int, tuple[tuple[str, ...], str]],
-        tuple[tuple[LocalVerdict, ...], ...]]:
-    """Every local verdict of X_0^D(N)/<w_m> for a valid pair: for each
-    p | D, ascending, the Q_p-verdict for every m, indexed by the mask
-    of m (Ogg85), with the Clark03 verdict for m = D; and, indexed by
-    the mask of m, the finished tuple that local_obstructions returns,
-    the real place first and then each p | D, Ogg85 before Clark03.
-    Those tuples are zipped from one column per place (_column), so a
-    pair builds each distinct LocalVerdict once, not once per call.
+def _local_table(d: int, n: int) -> tuple[tuple[LocalVerdict, ...], ...]:
+    """Every local verdict of X_0^D(N)/<w_m> for a valid pair, as one row
+    per m indexed by the mask of m: the finished tuple that
+    local_obstructions returns, the real place first and then each
+    p | D, ascending, Ogg85 before Clark03.  Each place is one column of
+    bools, one per mask, that _column turns into shared LocalVerdicts,
+    and the rows are the columns zipped; the Clark03 verdicts, one per
+    p | D, are spliced after their Ogg85 verdicts in the row of m = D.
+    So a pair builds each distinct LocalVerdict once, and the p-adic
+    readers take theirs off a row (_status).
 
     The real place (Ogg83): the numerator of the component count is a
     sum over the _real_orders R of m of h(R) times a product of local
@@ -138,7 +140,7 @@ def _local_table(d: int, n: int) -> tuple[
     is nonzero (real_component_count).  Every h(R) is at least 1 and
     every local factor at least 0.  So the quotient has real points
     exactly when some R has a nonzero _local_product, and no class
-    number is asked; at square m there is no R.
+    number is asked; at square m, m = 1 included, there is no R.
 
     The curve itself stands at the identity's mask: it has Q_p-points
     exactly when p = 2 and sqrt(-1) lies in some Eichler order of level N
@@ -185,8 +187,7 @@ def _local_table(d: int, n: int) -> tuple[
     is prime: the quotient has Q_p-points iff N is not inert in
     Q(sqrt(-q)), that is iff the symbol (d0/N) of its field discriminant
     d0 is not -1, which is the symbol of the local type of -4q at N
-    (embeddings._disc_type).  Otherwise the entry is NOT_APPLICABLE.  A
-    per-pair table (genus._hall_index).
+    (embeddings._disc_type).  Elsewhere no row has a Clark03 verdict.
 
     Every embedding question here reads the local types that
     embeddings._disc_type reads off a discriminant: _local_product for
@@ -198,13 +199,12 @@ def _local_table(d: int, n: int) -> tuple[
     one.  Z[zeta_3], of discriminant -3, keeps locally_embeds, as
     sqrt(-3) lies in Z[sqrt(-3)] as well."""
     mask_of, divisor, factors, parts = _hall_index(d, n)
-    real = [EMPTY]
-    for m, s, away in parts[1:]:
-        real.append(NONEMPTY if any(_local_product(disc, d, n, away)
-                                    for disc in _real_orders(m, s))
-                    else EMPTY)
+    columns = [_column("real", SOURCE_REAL,
+                       [any(_local_product(disc, d, n, away)
+                            for disc in _real_orders(m, s))
+                        for m, s, away in parts])]
     clark_applies = omega(d) == 2 and is_prime(n)
-    padic = {}
+    clark = []
     for p, _ in factors:
         if d % p:
             continue
@@ -231,52 +231,49 @@ def _local_table(d: int, n: int) -> tuple[
                 found = (element_embeds(-mm, dbar, n)
                          or (mm == 2 and element_embeds(-1, dbar, n)))
             verdicts.append(found)
-        clark = NOT_APPLICABLE
+        columns.append(_column(str(p), SOURCE_PADIC, verdicts))
         if clark_applies:
-            clark = (EMPTY if _disc_type(-4 * dbar, n)[1] == -1
-                     else NONEMPTY)
-        padic[p] = (tuple(NONEMPTY if v else EMPTY for v in verdicts), clark)
-    rows = list(zip(_column("real", SOURCE_REAL, real),
-                    *(_column(str(p), SOURCE_PADIC, quotients)
-                      for p, (quotients, _) in padic.items())))
-    if clark_applies:
-        mask = mask_of[d]
-        row = list(rows[mask][:1])
-        for ogg, (p, (_, clark)) in zip(rows[mask][1:], padic.items()):
-            row += ogg, LocalVerdict(str(p), clark, SOURCE_PRIME_LEVEL)
-        rows[mask] = tuple(row)
-    return padic, tuple(rows)
+            clark.append(LocalVerdict(
+                str(p), EMPTY if _disc_type(-4 * dbar, n)[1] == -1
+                else NONEMPTY, SOURCE_PRIME_LEVEL))
+    rows = list(zip(*columns))
+    if clark:
+        row = rows[mask_of[d]]
+        rows[mask_of[d]] = row[:1] + sum(zip(row[1:], clark), ())
+    return tuple(rows)
+
+
+def _status(d: int, n: int, mask: int, p: int, source: str) -> str:
+    """The status of the verdict at Q_p from `source` in the row of
+    _local_table at the mask of m, which the caller has checked;
+    NOT_APPLICABLE when the row has none.  p is checked here."""
+    _check_prime(p)
+    place = str(p)
+    for verdict in _local_table(d, n)[mask]:
+        if verdict.place == place and verdict.source == source:
+            return verdict.status
+    return NOT_APPLICABLE
 
 
 def qp_curve_points(d: int, n: int, p: int) -> str:
     """Does X_0^D(N) have Q_p-points, for p | D?  (_local_table)"""
-    check_pair(d, n)
-    _check_prime(p)
-    row = _local_table(d, n)[0].get(p)
-    return row[0][0] if row else NOT_APPLICABLE
+    return _status(d, n, check_pair(d, n), p, SOURCE_PADIC)
 
 
 def qp_quotient_points(d: int, n: int, m: int, p: int) -> str:
     """Does X_0^D(N)/<w_m> have Q_p-points, for p | D and m || DN, m > 1?
     (_local_table)"""
-    mask = _involution_mask(d, n, m)
-    _check_prime(p)
-    row = _local_table(d, n)[0].get(p)
-    return row[0][mask] if row else NOT_APPLICABLE
+    return _status(d, n, _involution_mask(d, n, m), p, SOURCE_PADIC)
 
 
 def prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
     """Clark03's criterion for the full quotient X_0^{pq}(N)/<w_{pq}> at
     Q_p (_local_table); NOT_APPLICABLE unless m = D."""
-    check_pair(d, n, m)
-    _check_prime(p)
-    row = _local_table(d, n)[0].get(p)
-    return row[1] if row and m == d else NOT_APPLICABLE
+    return _status(d, n, check_pair(d, n, m), p, SOURCE_PRIME_LEVEL)
 
 
 def local_obstructions(d: int, n: int, m: int) -> tuple[LocalVerdict, ...]:
     """All applicable local verdicts for X_0^D(N)/<w_m>: the real place
     first, then each p | D in order, p-adic criterion before the
-    prime-level one, the pair's _local_table entry at the mask of m."""
-    mask = _involution_mask(d, n, m)
-    return _local_table(d, n)[1][mask]
+    prime-level one: the pair's _local_table row at the mask of m."""
+    return _local_table(d, n)[_involution_mask(d, n, m)]

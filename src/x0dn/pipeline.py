@@ -256,7 +256,12 @@ def genus1_al_quotients(d: int, n: int) -> list[int]:
 def cs_bound(d1: int, g1: int, d2: int, g2: int) -> int:
     """Castelnuovo--Severi bound: the largest genus a curve can have
     while carrying independent covers of degrees d1, d2 onto curves of
-    genera g1, g2."""
+    genera g1, g2: degrees at least 1 and genera at least 0, of type
+    int (a bool is not)."""
+    if (any(type(v) is not int for v in (d1, g1, d2, g2))
+            or min(d1, d2) < 1 or min(g1, g2) < 0):
+        raise DomainError(f"cs_bound wants integer degrees >= 1 and genera"
+                          f" >= 0, got {(d1, g1, d2, g2)!r}")
     return d1 * g1 + d2 * g2 + (d1 - 1) * (d2 - 1)
 
 
@@ -435,9 +440,10 @@ def schweizer_survivors() -> list[tuple[int, int]]:
     a Klein four-group V of Atkin--Lehner involutions.  The stabilizer
     of a point is cyclic, so no point is fixed by two elements of V,
     and Riemann--Hurwitz for V gives 2g - 2 = 4(2 g_V - 2) + 3 * 4: then
-    g = 4 g_V + 3 is not 1 mod 4."""
+    g = 4 g_V + 3 is not 1 mod 4.  So the genus, read first, spares the
+    candidates of genus 1 mod 4 their fixed-point tables."""
     return [(d, n) for d, n in trigonal_candidates()
-            if genus(d, n) >= 2
+            if (g := genus(d, n)) >= 2 and g % 4 != 1
             and set(_fixed_point_table(d, n)[1:]) <= {2, 4, 6}]
 
 

@@ -1,7 +1,11 @@
 """The boundary of every public entry point that takes a level: a call
 raises DomainError exactly when an independent predicate of the
 definitions (`_oracles.valid_algebra`, `valid_pair`, `valid_index`)
-calls its input invalid, and a valid input raises nothing."""
+calls its input invalid, and a valid input raises nothing.  And the
+program decides over the integers: its source holds no float."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +21,12 @@ from x0dn.atkinlehner import (_fixed_point_table, _sorted_readers,
 from x0dn.embeddings import (element_embeds, embedding_count, local_nu,
                              locally_embeds)
 from x0dn.errors import DomainError
-from x0dn.genus import _hall_index, check_algebra, check_pair, e_k, genus
+from x0dn.genus import (_hall_index, check_algebra, check_pair, e_k, genus,
+                        is_definite)
 from x0dn.localpoints import (_local_table, local_obstructions,
                               prime_level_quotient_points, qp_curve_points,
                               qp_quotient_points, real_component_count)
-from x0dn.pipeline import dn_cutoff
+from x0dn.pipeline import cs_bound, dn_cutoff
 from x0dn.quadorders import (_sqrt_mod_prime, class_number, is_discriminant,
                              is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
@@ -142,8 +147,9 @@ def test_memos_are_bounded(memo):
 
 
 # (function, good arguments, the same with a float, a bool, a zero or a
-# negative where a positive int belongs, or a radicand that is zero or a square,
-# the name the error must give)
+# negative where a positive int belongs, a composite where a prime belongs,
+# a square where a squarefree int belongs, or a radicand that is zero or a
+# square, the name the error must give)
 BAD_SCALARS = [
     (dn_cutoff, (2,), (2.5,), "gmax"),
     (dn_cutoff, (1,), (True,), "gmax"),
@@ -182,16 +188,76 @@ BAD_SCALARS = [
     (omega, (1,), (0,), "omega"),
     (psi_p, (2, 1), (2.0, 1), "psi_p"),
     (psi_p, (2, 1), (2, 1.0), "psi_p"),
+    (psi_p, (2, 1), (4, 1), "psi_p"),
+    (psi_p, (2, 0), (2, -1), "psi_p"),
+    (is_definite, (6,), (0,), "is_definite"),
+    (is_definite, (3,), (4,), "is_definite"),
+    (is_definite, (3,), (3.0,), "is_definite"),
+    (is_definite, (6,), (True,), "is_definite"),
+    (cs_bound, (2, 1, 2, 1), (2.0, 1, 2, 1), "cs_bound"),
+    (cs_bound, (2, 1, 2, 1), (2, 1, True, 1), "cs_bound"),
+    (cs_bound, (2, 0, 2, 1), (-1, 0, 2, 1), "cs_bound"),
+    (cs_bound, (2, 0, 1, 1), (2, 0, 0, 1), "cs_bound"),
+    (cs_bound, (2, 0, 2, 0), (2, -1, 2, 0), "cs_bound"),
 ]
 
 
 @pytest.mark.parametrize("call, good, bad, name", BAD_SCALARS,
                          ids=[f"{c.__name__}{b}" for c, _, b, _ in BAD_SCALARS])
 def test_bad_scalars_are_refused_by_name(call, good, bad, name):
-    """An argument that must be an int (positive, or a radicand that is
-    neither zero nor a square) is refused when it is a float, a bool or
-    out of its range, by a DomainError that names it, not by a TypeError
+    """An argument that must be an int (positive, prime, squarefree, or a
+    radicand that is neither zero nor a square) is refused when it is a
+    float, a bool or out of its range, by a DomainError that names it, not by a TypeError
     or ValueError from deeper down, nor by an answer."""
     call(*good)
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         call(*bad)
+
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "x0dn"
+
+
+def _float_uses(tree: ast.AST) -> list[str]:
+    """What in a module's syntax tree is a float or makes one: a float or
+    complex literal, true division, a call of float, math.sqrt or
+    math.log, and an import of fractions or of those math functions."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(f"{where}: literal {node.value!r}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{where}: true division")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"{where}: float()")
+        elif (isinstance(node, ast.Attribute) and node.attr in ("sqrt", "log")
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.append(f"{where}: math.{node.attr}")
+        elif isinstance(node, ast.Import) and any(
+                alias.name == "fractions" for alias in node.names):
+            found.append(f"{where}: import fractions")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module == "fractions" or node.module == "math" and any(
+                    alias.name in ("sqrt", "log") for alias in node.names)):
+            found.append(f"{where}: from {node.module} import")
+    return found
+
+
+def test_source_has_no_floats():
+    """Every decision runs over the integers: no module of the program
+    holds a float literal, a true division, float(), math.sqrt,
+    math.log or fractions.  A division is written // or as a checked
+    integrality."""
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    found = {path.name: uses for path in files
+             if (uses := _float_uses(ast.parse(path.read_text())))}
+    assert not found, found
+    # the check itself sees each form
+    assert sorted(_float_uses(ast.parse(
+        "from math import sqrt\nx = 1 / 2.0\ny = float(x) + math.log(x)\n"
+        "import fractions\n"))) == [
+        "line 1: from math import", "line 2: literal 2.0",
+        "line 2: true division", "line 3: float()", "line 3: math.log",
+        "line 4: import fractions"]
