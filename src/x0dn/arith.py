@@ -85,8 +85,8 @@ def psi_p(p: int, e: int) -> int:
     prime p and an e >= 0, both of type int (a bool is not)."""
     if (type(p) is not int or type(e) is not int or not is_prime(p)
             or e < 0):
-        raise DomainError(
-            f"psi_p wants a prime p and an integer e >= 0, got {p!r} and {e!r}")
+        raise DomainError(f"psi_p wants a prime p and an integer e >= 0,"
+                          f" got {p!r} and {e!r}")
     return _psi_p(p, e)
 
 

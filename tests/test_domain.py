@@ -207,8 +207,8 @@ BAD_SCALARS = [
 def test_bad_scalars_are_refused_by_name(call, good, bad, name):
     """An argument that must be an int (positive, prime, squarefree, or a
     radicand that is neither zero nor a square) is refused when it is a
-    float, a bool or out of its range, by a DomainError that names it, not by a TypeError
-    or ValueError from deeper down, nor by an answer."""
+    float, a bool or out of its range, by a DomainError that names it,
+    not by a TypeError or ValueError from deeper down, nor by an answer."""
     call(*good)
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         call(*bad)
