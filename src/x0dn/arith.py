@@ -87,12 +87,6 @@ def psi_p(p: int, e: int) -> int:
             or e < 0):
         raise DomainError(f"psi_p wants a prime p and an integer e >= 0,"
                           f" got {p!r} and {e!r}")
-    return _psi_p(p, e)
-
-
-def _psi_p(p: int, e: int) -> int:
-    """psi_p without its checks, for callers that pass a prime of a
-    factorization and an exponent >= 0 (genus.genus, embeddings._nu)."""
     return p ** (e - 1) * (p + 1) if e >= 1 else 1
 
 

@@ -61,7 +61,7 @@ with nu_q(k, l) > 0".
 
 from math import isqrt
 
-from .arith import _psi_p, factorize, is_prime, prime_divisors
+from .arith import factorize, is_prime, prime_divisors, psi_p
 from .errors import DomainError
 from .genus import check_algebra, check_pair, is_definite
 from .quadorders import _check_discriminant, class_number
@@ -91,10 +91,10 @@ def _nu(q: int, k: int, ell: int, d: int, n: int) -> int:
         return 1 + (1 if k else ell)
     # q^2 | N: everything is controlled by e against 2k
     if e >= 2 * k + 2:
-        return 2 * _psi_p(q, k) if ell == 1 else 0
+        return 2 * psi_p(q, k) if ell == 1 else 0
     if e == 2 * k + 1:
         if ell == 1:
-            return 2 * _psi_p(q, k)
+            return 2 * psi_p(q, k)
         if ell == 0:
             return q ** k
         return 0

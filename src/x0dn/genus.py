@@ -17,7 +17,7 @@ e_k reads; genus is the one place that assembles 12(g - 1).
 from functools import lru_cache
 from math import gcd
 
-from .arith import MEMO_SIZE, _psi_p, factorize, is_squarefree, omega
+from .arith import MEMO_SIZE, factorize, is_squarefree, omega, psi_p
 from .errors import DomainError, IntegralityError
 
 # One curve visits its own level and the definite levels D/p that its
@@ -148,7 +148,7 @@ def genus(d: int, n: int) -> int:
     e4 = e_k(d, n, 4)          # validates the pair
     t = 1
     for p, e in _hall_index(d, n)[2]:
-        t *= p - 1 if d % p == 0 else _psi_p(p, e)
+        t *= p - 1 if d % p == 0 else psi_p(p, e)
     t -= 3 * e4 + 4 * e_k(d, n, 3)
     if t % 12 != 0:
         raise IntegralityError(f"genus({d}, {n}) = 1 + {t}/12 is not an integer")
