@@ -63,6 +63,10 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 
 def is_squarefree(n: int) -> bool:
+    """Whether no square of a prime divides the int n (a bool is not
+    one).  The sign is ignored, so -6 is squarefree, as
+    quadorders.is_fundamental_discriminant needs of a negative
+    discriminant; 0, which every square divides, is not."""
     if type(n) is not int:
         raise DomainError(f"is_squarefree wants an integer, got {n!r}")
     if n == 0:
@@ -104,14 +108,14 @@ def is_prime(n: int) -> bool:
 
 
 def valuation(n: int, p: int) -> int:
-    """ord_p(n) for n != 0 and p >= 2, both of type int (a bool is
+    """ord_p(n) for n != 0 and a prime p, both of type int (a bool is
     not)."""
     if type(n) is not int or type(p) is not int:
         raise DomainError(f"valuation wants integers, got {n!r} and {p!r}")
     if n == 0:
         raise DomainError("valuation(0, p)")
-    if p < 2:
-        raise DomainError(f"valuation wants p >= 2, got {p}")
+    if not is_prime(p):
+        raise DomainError(f"valuation wants a prime p, got {p}")
     n = abs(n)
     v = 0
     while n % p == 0:

@@ -24,7 +24,8 @@ quadratic orders, the orders of sqrt(-m) whose discriminants
 quadorders._sqrt_orders names (and Z[i], of discriminant -4, too at
 m = 2); their number is a class number times local embedding factors
 away from m.  The counts of every w_m of a pair are built at once, from
-the factorization of DN, into one per-pair table.
+the local data of DN that the pair's index holds, into one per-pair
+table.
 Each w_m's quotient genus is checked to be an integer when the table
 is built.  The genus of a quotient by a subgroup comes out of one
 Riemann--Hurwitz that sums the fixed-point counts its span's reader
@@ -191,9 +192,10 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
     m = 3 mod 4, whose discriminants -4m and -m quadorders._sqrt_orders
     names.  The one exception is m = 2, which also takes Z[i], of
     discriminant -4: 1 + i has norm 2.  Each order counts h(R) times its
-    local embedding numbers at the primes of DN prime to m, and h(R) is
-    asked only when their product is nonzero.  A per-pair table
-    (genus._hall_index).
+    local embedding numbers at the primes of DN prime to m, whose local
+    data the index holds with m's mask, and h(R) is asked only when
+    their product is nonzero (embeddings._count_away, one call per m).
+    A per-pair table (genus._hall_index).
 
     Riemann--Hurwitz is checked here, once per table, whoever reads it:
     X/<w_m> has genus (2g + 2 - F)/4 for F fixed points, which must be
@@ -204,7 +206,7 @@ def _fixed_point_table(d: int, n: int) -> tuple[int, ...]:
         discs = _sqrt_orders(-m)
         if m == 2:
             discs += (-4,)
-        fix = _count_away(discs, d, n, away)
+        fix = _count_away(discs, away)
         if fix > bound or (bound - fix) % 4:
             raise IntegralityError(
                 f"quotient genus of ({d}, {n}) by w_{m}"

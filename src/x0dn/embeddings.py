@@ -12,10 +12,15 @@ embeds into at least one of them, provided R is imaginary.
 
 Local types.  An order is named by its discriminant disc = d0 f^2, d0
 fundamental.  At a prime q it has the local type (k, l), with
-k = v_q(f) and l the Kronecker symbol (d0/q); the algebra has the local
-data q | D or q^e || N.  Ogg's number nu_q(R) depends on R only through
-(k, l), on the pair only through its local data, and is 1 at q prime to
-DN.
+k = v_q(f) and l the Kronecker symbol (d0/q).  At a prime q of DN the
+pair has the local datum (q, e): e = 0 for q | D and e = v_q(N) >= 1
+for q | N.  Ogg's number nu_q(R) depends on R only through (k, l), on
+the pair only through e, and is 1 at q prime to DN.  A level's data are
+read once (genus._local_data): genus._hall_index holds a pair's, each
+mask with those of the primes prime to m, and the public functions
+read theirs, so no embedding question re-reads d % q or v_q(N) per
+prime.
+The data of D/p at level N, for p | D, are those of (D, N) less p.
 
 Lemma 1.  The local type of disc at q is read off disc (_disc_type):
   * at odd q, with v = v_q(disc), it is (floor(v/2), 0) when v is odd,
@@ -44,7 +49,9 @@ local type of the discriminant 4r at q (Lemma 1).  An element x with
 x^2 = r lies in an Eichler order of level N (of some class, when the
 algebra is definite) exactly when r < 0 or the algebra is indefinite,
 and at every q | DN some 0 <= k <= K has nu_q(k, l) > 0.  So no radicand
-is factored and no order is built per divisor of the conductor.
+is factored and no order is built per divisor of the conductor.  The
+test (_embeds) asks k = 0 first, Z[sqrt(r)] localized, and the deeper
+k only when that factor is 0 and K >= 1.
 
 Proof.  x lies in an Eichler order O exactly when Q(x) meets O in an
 order R containing Z[x] = Z[sqrt(r)], and then R embeds optimally; so
@@ -61,9 +68,9 @@ with nu_q(k, l) > 0".
 
 from math import isqrt
 
-from .arith import factorize, is_prime, prime_divisors, psi_p
+from .arith import is_prime, psi_p
 from .errors import DomainError
-from .genus import check_algebra, check_pair, is_definite
+from .genus import _local_data, check_algebra, check_pair, is_definite
 from .quadorders import _check_discriminant, class_number
 
 
@@ -73,20 +80,12 @@ def _check_prime(p: int) -> None:
         raise DomainError(f"p = {p!r} is not a prime")
 
 
-def _nu(q: int, k: int, ell: int, d: int, n: int) -> int:
-    """Ogg's local embedding number at the prime q of an order of local
-    type (k, ell), for an Eichler order of level n in the algebra of
-    discriminant d: the one copy of the case split.  v_q(n) is read
-    inline, as _disc_type reads v_q(disc), so a local factor costs no
-    call to arith.valuation and its checks."""
-    if d % q == 0:
+def _nu(q: int, e: int, k: int, ell: int) -> int:
+    """Ogg's local embedding number at the prime q of DN, with the
+    pair's local datum e there (0 for q | D, v_q(N) for q | N), of an
+    order of local type (k, ell): the one copy of the case split."""
+    if not e:
         return 1 - (1 if k else ell)
-    e = 0
-    while n % q == 0:
-        n //= q
-        e += 1
-    if e == 0:
-        return 1
     if e == 1:
         return 1 + (1 if k else ell)
     # q^2 | N: everything is controlled by e against 2k
@@ -127,47 +126,72 @@ def _disc_type(disc: int, q: int) -> tuple[int, int]:
 def local_nu(disc: int, p: int, d: int, n: int) -> int:
     """Number of local optimal embedding classes at the prime p of the
     order of discriminant disc, for an Eichler order of level n in the
-    algebra of discriminant d: _nu of its local type at p (_disc_type).
-    Primes away from d*n contribute 1."""
+    algebra of discriminant d: _nu of its local type at p (_disc_type)
+    and the algebra's local datum there.  Primes away from d*n
+    contribute 1."""
     _check_discriminant(disc, "local_nu")
     _check_prime(p)
     check_algebra(d, n)
-    return _nu(p, *_disc_type(disc, p), d, n)
+    for q, e in _local_data(d, n):
+        if q == p:
+            return _nu(q, e, *_disc_type(disc, q))
+    return 1
 
 
-def _local_product(disc: int, d: int, n: int, away) -> int:
+def _local_product(disc: int, local) -> int:
     """The local embedding numbers (_nu) of the order of discriminant
-    disc, valid by construction, multiplied over the primes in away; the
-    product stops at its first zero factor.  Every factor is at least
-    0."""
+    disc, valid by construction, multiplied over the local data (q, e)
+    in local; the product stops at its first zero factor.  Every factor
+    is at least 0."""
     nu = 1
-    for q in away:
-        nu *= _nu(q, *_disc_type(disc, q), d, n)
+    for q, e in local:
+        nu *= _nu(q, e, *_disc_type(disc, q))
         if not nu:
             break
     return nu
 
 
-def _count_away(discs, d: int, n: int, away) -> int:
+def _count_away(discs, local) -> int:
     """Sum over the orders of the discriminants discs of h(R) times their
-    _local_product, with h(R) asked only when the product is nonzero.
-    embedding_count and the per-pair tables of fixed points and of real
-    components count their orders with it."""
+    _local_product over local, with h(R) asked only when the product is
+    nonzero.  embedding_count and the per-pair tables of fixed points
+    and of real components count their orders with it."""
     count = 0
     for disc in discs:
-        nu = _local_product(disc, d, n, away)
+        nu = _local_product(disc, local)
         if nu:
             count += nu * class_number(disc)
     return count
 
 
-def _away(disc: int, d: int, n: int, skip, name: str) -> list[int]:
-    """The primes of dn not in skip, once disc is a discriminant and
-    every entry of skip a prime (DomainError otherwise)."""
+def _embeds(radicand: int, local) -> bool:
+    """Lemma 2 of the module docstring, prime by prime over the local
+    data (q, e) in local, for a radicand that is a nonzero nonsquare
+    (unchecked): at each q some 0 <= k <= K, where (K, ell) is the local
+    type of 4*radicand, has a positive _nu.  k = 0 is asked first; the
+    deeper k only when its factor is 0."""
+    disc = 4 * radicand
+    for q, e in local:
+        top, ell = _disc_type(disc, q)
+        if _nu(q, e, 0, ell):
+            continue
+        for k in range(1, top + 1):
+            if _nu(q, e, k, ell):
+                break
+        else:
+            return False
+    return True
+
+
+def _away(disc: int, d: int, n: int, skip, name: str):
+    """The local data of dn less the primes in skip (_local_data), once
+    disc is a discriminant and every entry of skip a prime (DomainError
+    otherwise)."""
     _check_discriminant(disc, name)
     for p in skip:
         _check_prime(p)
-    return [p for p in prime_divisors(d * n) if p not in skip]
+    return tuple(datum for datum in _local_data(d, n)
+                 if datum[0] not in skip)
 
 
 def embedding_count(disc: int, d: int, n: int,
@@ -181,8 +205,7 @@ def embedding_count(disc: int, d: int, n: int,
     counts arise.
     """
     check_pair(d, n)
-    return _count_away((disc,), d, n,
-                       _away(disc, d, n, skip, "embedding_count"))
+    return _count_away((disc,), _away(disc, d, n, skip, "embedding_count"))
 
 
 def locally_embeds(disc: int, d: int, n: int,
@@ -198,7 +221,7 @@ def locally_embeds(disc: int, d: int, n: int,
     away = _away(disc, d, n, skip, "locally_embeds")
     if disc > 0 and is_definite(d):
         return False
-    return _local_product(disc, d, n, away) > 0
+    return _local_product(disc, away) > 0
 
 
 def element_embeds(radicand: int, d: int, n: int) -> bool:
@@ -208,7 +231,7 @@ def element_embeds(radicand: int, d: int, n: int) -> bool:
     Such an element generates Z[sqrt(radicand)], so the question is
     whether any order containing it, of conductor f dividing the
     conductor F of 4*radicand, embeds.  By Lemma 2 of the module
-    docstring that splits prime by prime: at each q | dn, some
+    docstring that splits prime by prime (_embeds): at each q | dn, some
     0 <= k <= v_q(F) must have a positive _nu, and (v_q(F), ell) is the
     local type of 4*radicand (_disc_type), which is never factored.
     """
@@ -219,8 +242,4 @@ def element_embeds(radicand: int, d: int, n: int) -> bool:
                           f" radicand, got {radicand!r}")
     if radicand > 0 and is_definite(d):
         return False
-    for q, _ in factorize(d * n):
-        top, ell = _disc_type(4 * radicand, q)
-        if not any(_nu(q, k, ell, d, n) for k in range(top + 1)):
-            return False
-    return True
+    return _embeds(radicand, _local_data(d, n))

@@ -5,7 +5,9 @@ makes an algebra definite, and the index of the Atkin--Lehner
 involutions w_m by the Hall divisors m of DN.  The index is the one
 validator of a pair and the one walk over its masks: it checks the pair
 once, on a miss, and check_pair, e_k and the per-pair tables read it, so
-a level already checked costs a lookup.
+a level already checked costs a lookup.  It also holds the local datum
+(q, e) of each prime of DN, e = 0 for q | D and e = v_q(N) for q | N,
+which genus, e_k and every embedding question of the tables read.
 
 All arithmetic is over the integers: 12(g - 1) is computed exactly and
 must be divisible by 12, or IntegralityError is raised.  The local
@@ -70,20 +72,31 @@ def _involution_mask(d: int, n: int, m: int) -> int:
     return mask
 
 
+def _local_data(d: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The local datum (q, e) of each prime q of dn, q ascending: e = 0
+    for q | d and e = v_q(n) for q | n, the convention of
+    _elliptic_factor and embeddings._nu, applied here only: the pair's
+    index holds these, and the public embedding functions, which take
+    definite algebras too, ask here."""
+    return tuple((q, 0 if d % q == 0 else e) for q, e in factorize(d * n))
+
+
 @lru_cache(maxsize=1, typed=True)
 def _hall_index(d: int, n: int) -> tuple[
         dict[int, int], tuple[int, ...], tuple[tuple[int, int], ...],
-        tuple[tuple[int, int, tuple[int, ...]], ...]]:
+        tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
     """The one validator of a pair: DomainError unless (D, N) passes
     check_algebra and D has an even number of primes.  For a valid pair:
     the mask of each Hall divisor m of DN (bit i is set when the i-th
     prime power of DN divides m), the Hall divisor of each mask, the
-    factorization of DN whose i-th prime power is bit i, and the parts
-    of each mask: its Hall divisor m, the squarefree part s of m read
-    off the prime powers of DN (s = 1 exactly when m is a square, the
-    real place's test), and the primes of DN that do not divide m,
-    ascending.  Divisors and parts come from one doubling over the
-    prime powers of DN.
+    local datum (q, e) of each prime q of DN (_local_data), whose i-th
+    entry is bit i, and the parts of each mask: its Hall divisor m, the
+    squarefree part s of m read off the prime powers of DN (s = 1
+    exactly when m is a square, the real place's test), and the local
+    data of the primes of DN that do not divide m, ascending.  Divisors
+    and parts come from one doubling over the prime powers of DN, so
+    every embedding question of a pair's tables takes its data from
+    here and none re-derives them per prime.
 
     Callers work through one pair at a time, so this index and every
     per-pair table (maxsize=1) keep only the last pair: a stream of
@@ -98,14 +111,14 @@ def _hall_index(d: int, n: int) -> tuple[
     if is_definite(d):
         raise DomainError(
             f"D = {d} has an odd number of prime factors (definite algebra)")
-    factors = factorize(d * n)
+    local = _local_data(d, n)
     parts = [(1, 1, ())]
-    for p, e in factors:
+    for (p, e), datum in zip(factorize(d * n), local):
         q, sp = p ** e, p ** (e % 2)
-        parts = ([(m, s, away + (p,)) for m, s, away in parts]
+        parts = ([(m, s, away + (datum,)) for m, s, away in parts]
                  + [(m * q, s * sp, away) for m, s, away in parts])
     divisor = tuple(part[0] for part in parts)
-    return ({m: mask for mask, m in enumerate(divisor)}, divisor, factors,
+    return ({m: mask for mask, m in enumerate(divisor)}, divisor, local,
             tuple(parts))
 
 
@@ -130,12 +143,12 @@ def _elliptic_factor(k: int, p: int, e: int) -> int:
 def e_k(d: int, n: int, k: int) -> int:
     """Number of elliptic points of order 2 (k = 4) or 3 (k = 3): the
     product of _elliptic_factor over the primes of D and of N, read off
-    the factorization of DN that the pair's index holds."""
+    the local data of DN that the pair's index holds."""
     if type(k) is not int or k not in (3, 4):
         raise DomainError(f"e_k wants k in (3, 4), got k = {k!r}")
     out = 1
     for p, e in _hall_index(d, n)[2]:
-        out *= _elliptic_factor(k, p, 0 if d % p == 0 else e)
+        out *= _elliptic_factor(k, p, e)
     return out
 
 
@@ -143,12 +156,12 @@ def e_k(d: int, n: int, k: int) -> int:
 def genus(d: int, n: int) -> int:
     """g = 1 + phi(D) psi(N) / 12 - e_4/4 - e_3/3, computed as
     12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3.  phi(D) psi(N) is read
-    off the factorization of DN that the pair's index holds: p - 1 for
-    each p | D and p^(e-1) (p + 1) for each p^e || N."""
+    off the local data of DN that the pair's index holds: p - 1 for
+    each p | D (e = 0) and p^(e-1) (p + 1) for each p^e || N."""
     e4 = e_k(d, n, 4)          # validates the pair
     t = 1
     for p, e in _hall_index(d, n)[2]:
-        t *= p - 1 if d % p == 0 else psi_p(p, e)
+        t *= psi_p(p, e) if e else p - 1
     t -= 3 * e4 + 4 * e_k(d, n, 3)
     if t % 12 != 0:
         raise IntegralityError(f"genus({d}, {n}) = 1 + {t}/12 is not an integer")

@@ -36,8 +36,8 @@ from .arith import (
     omega,
     pell_pm2_solvable,
 )
-from .embeddings import (_check_prime, _count_away, _disc_type,
-                         _local_product, element_embeds, locally_embeds)
+from .embeddings import (_check_prime, _count_away, _disc_type, _embeds,
+                         _local_product)
 from .errors import IntegralityError
 from .genus import _hall_index, _involution_mask, check_pair
 from .quadorders import _sqrt_orders
@@ -101,10 +101,10 @@ def real_component_count(d: int, n: int, m: int) -> int:
     m = DN/2 = 1 mod 8."""
     index = _hall_index(d, n)
     _, s, away = index[3][check_pair(d, n, m)]
-    nu = _count_away(_real_orders(m, s), d, n, away)
+    nu = _count_away(_real_orders(m, s), away)
     dn = d * n
     if (dn % 4 == 2 and m in (dn // 2, dn)
-            and element_embeds(-1, d, n) and pell_pm2_solvable(m)):
+            and _embeds(-1, index[2]) and pell_pm2_solvable(m)):
         nu += 2 ** (len(index[2]) - 2)
     if nu % 2:
         raise IntegralityError(
@@ -190,46 +190,56 @@ def _local_table(d: int, n: int) -> tuple[tuple[LocalVerdict, ...], ...]:
     (embeddings._disc_type).  Elsewhere no row has a Clark03 verdict.
 
     Every embedding question here reads the local types that
-    embeddings._disc_type reads off a discriminant: _local_product for
-    the real orders, and element_embeds and locally_embeds for the
-    p-adic clauses, at each q | DN, with no discriminant factored.
+    embeddings._disc_type reads off a discriminant, against the local
+    data (q, e) that the pair's index holds, with no discriminant
+    factored and nothing validated again: _local_product for the real
+    orders, over the data of the primes prime to m, and Lemma 2's
+    embeddings._embeds for the p-adic clauses.  A clause about the
+    algebra D reads the pair's data; one about D/p reads them less p,
+    as D/p at level N has the datum of (D, N) at every other prime.
     "Z[i] embeds" is asked as "i lies in an Eichler order",
-    element_embeds(-1, ...): the orders that contain i are those of
-    conductor dividing F, 4 (-1) = -4 F^2, so F = 1 and Z[i] is the only
-    one.  Z[zeta_3], of discriminant -3, keeps locally_embeds, as
-    sqrt(-3) lies in Z[sqrt(-3)] as well."""
-    mask_of, divisor, factors, parts = _hall_index(d, n)
-    columns = [_column("real", SOURCE_REAL,
-                       [any(_local_product(disc, d, n, away)
-                            for disc in _real_orders(m, s))
-                        for m, s, away in parts])]
+    _embeds(-1, ...): the orders that contain i are those of conductor
+    dividing F, 4 (-1) = -4 F^2, so F = 1 and Z[i] is the only one.
+    Z[zeta_3], of discriminant -3, is asked of its own order, as
+    _local_product(-3, ...) > 0, since sqrt(-3) lies in Z[sqrt(-3)] as
+    well."""
+    mask_of, divisor, local, parts = _hall_index(d, n)
+    real = []
+    for m, s, away in parts:
+        for disc in _real_orders(m, s):
+            if _local_product(disc, away):
+                real.append(True)
+                break
+        else:
+            real.append(False)
+    columns = [_column("real", SOURCE_REAL, real)]
     clark_applies = omega(d) == 2 and is_prime(n)
     clark = []
-    for p, _ in factors:
-        if d % p:
+    for p, e in local:
+        if e:
             continue
         dbar, dn_over_p = d // p, d * n // p
-        curve = ((p == 2 and element_embeds(-1, d, n))
+        # the data of D/p at level N: those of (D, N) less p
+        rest = tuple(datum for datum in local if datum[0] != p)
+        curve = ((p == 2 and _embeds(-1, local))
                  or (p % 4 == 1 and n == 1 and d == 2 * p))
         verdicts = [curve]
         for m in divisor[1:]:
             if m == p:
-                found = (element_embeds(-p, dbar, n)
-                         or element_embeds(-1, dbar, n)
-                         or locally_embeds(_EISENSTEIN, dbar, n))
+                found = (_embeds(-p, rest) or _embeds(-1, rest)
+                         or _local_product(_EISENSTEIN, rest) > 0)
             elif curve:
                 found = True
             elif m % p:
                 found = dn_over_p in (m, 2 * m) and (
-                    (p == 2 and element_embeds(-2, d, n))
+                    (p == 2 and _embeds(-2, local))
                     or (p > 2 and kronecker(-m, p) == 1
-                        and element_embeds(-p, d, n))
-                    or (p % 4 == 1 and element_embeds(-1, dbar, n)
-                        and element_embeds(-p * m, d, n)))
+                        and _embeds(-p, local))
+                    or (p % 4 == 1 and _embeds(-1, rest)
+                        and _embeds(-p * m, local)))
             else:
                 mm = m // p
-                found = (element_embeds(-mm, dbar, n)
-                         or (mm == 2 and element_embeds(-1, dbar, n)))
+                found = _embeds(-mm, rest) or (mm == 2 and _embeds(-1, rest))
             verdicts.append(found)
         columns.append(_column(str(p), SOURCE_PADIC, verdicts))
         if clark_applies:

@@ -79,7 +79,7 @@ def _grid():
     for d, n in P_PAIRS:
         for p in P_VALUES:
             prime = _is_prime(p)
-            yield valuation, (d, p), d != 0 and p >= 2
+            yield valuation, (d, p), d != 0 and prime
             yield qp_curve_points, (d, n, p), valid_pair(d, n) and prime
             for m in P_M_VALUES:
                 index = valid_index(d, n, m)
@@ -178,6 +178,8 @@ BAD_SCALARS = [
     (valuation, (8, 2), (8, 2.0), "valuation"),
     (valuation, (1, 2), (True, 2), "valuation"),
     (valuation, (4, 2), (4.5, 2), "valuation"),
+    (valuation, (8, 2), (8, 4), "valuation"),
+    (valuation, (9, 3), (9, 1), "valuation"),
     (euler_phi, (6,), (6.0,), "euler_phi"),
     (euler_phi, (6,), (0,), "euler_phi"),
     (euler_phi, (6,), (-6,), "euler_phi"),
@@ -212,6 +214,19 @@ def test_bad_scalars_are_refused_by_name(call, good, bad, name):
     call(*good)
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         call(*bad)
+
+
+def test_squarefree_ignores_the_sign():
+    """is_squarefree reads |n|, so a negative int is in its domain: -6 is
+    squarefree, as is_fundamental_discriminant needs of -24 = 4 (-6) and
+    of -15, and 0 is not.  A composite p is refused by valuation, which
+    reads a prime only."""
+    assert is_squarefree(-6) is True and is_squarefree(-15) is True
+    assert is_squarefree(-12) is False and is_squarefree(0) is False
+    assert is_fundamental_discriminant(-24)
+    assert is_fundamental_discriminant(-15)
+    with pytest.raises(DomainError, match=r"\bvaluation\b"):
+        valuation(8, 4)
 
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "x0dn"

@@ -5,11 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import element_embeds_by_orders
 from x0dn.arith import is_prime, kronecker, prime_divisors, valuation
-from x0dn.embeddings import (_disc_type, _local_product, element_embeds,
-                             embedding_count, is_definite, local_nu,
-                             locally_embeds)
+from x0dn.embeddings import (_disc_type, _embeds, _local_product,
+                             element_embeds, embedding_count, is_definite,
+                             local_nu, locally_embeds)
 from x0dn.errors import DomainError
-from x0dn.genus import check_algebra, e_k
+from x0dn.genus import _hall_index, _local_data, check_algebra, e_k
 from x0dn.quadorders import is_discriminant, order_from_discriminant
 
 
@@ -171,13 +171,42 @@ def test_every_reader_of_the_case_split_agrees_with_local_nu():
             primes = prime_divisors(d * n)
             for order in OWNER_ORDERS:
                 nus = [local_nu(order, p, d, n) for p in primes]
-                assert _local_product(order, d, n, primes) == prod(nus)
+                assert _local_product(order, _local_data(d, n)) == prod(nus)
                 for skip in ((), primes[:1]):
                     kept = [nu for p, nu in zip(primes, nus) if p not in skip]
                     real_in_definite = order > 0 and is_definite(d)
                     assert locally_embeds(order, d, n, skip=skip) == (
                         all(nu > 0 for nu in kept) and not real_in_definite), (
                         order, d, n, skip)
+
+
+def test_local_table_questions_read_the_pair_data():
+    """On every pair of genus <= 39 and at each p | D, every radicand the
+    Ogg85 clauses ask (-1, -2, -p, -m/p for p | m, -pm for p prime to m)
+    gets from _embeds on the pair's local data the answer of
+    element_embeds(r, D, N), and on the data less p that of
+    element_embeds(r, D/p, N); Z[zeta_3] too, through _local_product
+    against locally_embeds."""
+    from x0dn.pipeline import _pairs
+    asked = 0
+    for d, n in _pairs(39):
+        _, divisor, local, _ = _hall_index(d, n)
+        for p, e in local:
+            if e:
+                continue
+            rest = tuple(datum for datum in local if datum[0] != p)
+            radicands = {-1, -2, -p}
+            radicands |= {-(m // p) if m % p == 0 else -p * m
+                          for m in divisor}
+            for r in sorted(radicands):
+                assert _embeds(r, local) == element_embeds(r, d, n), (
+                    r, d, n)
+                assert _embeds(r, rest) == element_embeds(r, d // p, n), (
+                    r, d, n, p)
+                asked += 1
+            assert (_local_product(-3, rest) > 0) == locally_embeds(
+                -3, d // p, n), (d, n, p)
+    assert asked == 11_058
 
 
 def test_gaussian_order_is_the_element_i():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import classical_genus, fraction_genus, jacquet_langlands_genus
-from x0dn.arith import factorize, is_prime, kronecker
+from x0dn.arith import factorize, is_prime, kronecker, valuation
 from x0dn.errors import DomainError
 from x0dn.genus import (_elliptic_factor, _hall_index, _involution_mask,
                         check_algebra, check_pair, e_k, genus)
@@ -114,7 +114,8 @@ def test_check_pair_index():
                              if mask >> i & 1), (d, n, mask)
             assert s == prod(p for p, e in factorize(m) if e % 2), (d, n, m)
             assert isqrt(m // s) ** 2 * s == m, (d, n, m)
-            assert away == tuple(p for p, _ in factors if m % p), (d, n, m)
+            assert tuple(q for q, _ in away) == tuple(
+                p for p, _ in factors if m % p), (d, n, m)
             assert check_pair(d, n, m) == mask, (d, n, m)
             if m == 1:
                 with pytest.raises(DomainError):
@@ -122,6 +123,22 @@ def test_check_pair_index():
             else:
                 assert _involution_mask(d, n, m) == mask, (d, n, m)
     assert len(pairs) == 624
+
+
+def test_index_holds_each_local_datum():
+    """On every pair of genus <= 39, the index's local datum of a prime q
+    of DN is (q, 0) for q | D and (q, v_q(N)) for q | N, against
+    factorize and valuation: in the level's data and in the away data
+    of every mask, which are those of the level at the primes prime
+    to m."""
+    from x0dn.pipeline import _pairs
+    for d, n in _pairs(39):
+        local = tuple((q, 0 if d % q == 0 else valuation(n, q))
+                      for q, _ in factorize(d * n))
+        index = _hall_index(d, n)
+        assert index[2] == local, (d, n)
+        for m, _, away in index[3]:
+            assert away == tuple(x for x in local if m % x[0]), (d, n, m)
 
 
 @given(st.sampled_from(QUATERNION_DISCS), st.integers(min_value=1, max_value=400))
