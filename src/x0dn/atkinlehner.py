@@ -6,8 +6,8 @@ form an elementary abelian 2-group of rank omega(DN), that is F_2^omega.
 Inside this module a Hall divisor is a bitmask over the prime-power
 factors q_0 < q_1 < ... of DN (bit i is set when q_i divides m), so the
 twisted product m1 * m2 / gcd(m1, m2)^2 is the XOR of masks.  The index
-of masks and Hall divisors belongs to `genus`, whose index is the one
-validator of a pair and is kept while the pair is in use.  Subgroups are
+of masks and Hall divisors belongs to `genus`, whose index is a
+per-pair table kept while the pair is in use.  Subgroups are
 spans of reduced echelon bases over F_2, built once for each omega,
 and each span is read through one operator.itemgetter of its masks,
 which takes the subgroup's entries of any mask-indexed sequence (rank
@@ -38,7 +38,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .embeddings import _count_away
-from .errors import IntegralityError
+from .errors import DomainError, IntegralityError
 from .genus import _hall_index, _involution_mask, check_pair, genus
 from .quadorders import _sqrt_orders
 
@@ -260,7 +260,12 @@ def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     returned (identity, not equality, so frozenset({1, 6.0}) is not it)
     is looked up in the pair's _subgroup_table, which holds its genus;
     any other gens are spanned and checked by _span, and their genus is
-    summed from the pair's fixed-point table by _riemann_hurwitz."""
+    summed from the pair's fixed-point table by _riemann_hurwitz.  gens
+    that are not an iterable, such as a bare int or None, raise
+    DomainError."""
+    if not hasattr(gens, "__iter__"):
+        raise DomainError(f"subgroup_quotient_genus wants an iterable of"
+                          f" Hall divisors, got {gens!r}")
     if isinstance(gens, frozenset):
         kept = _subgroup_table(d, n).get(gens)
         if kept and kept[0] is gens:

@@ -16,10 +16,11 @@ k = v_q(f) and l the Kronecker symbol (d0/q).  At a prime q of DN the
 pair has the local datum (q, e): e = 0 for q | D and e = v_q(N) >= 1
 for q | N.  Ogg's number nu_q(R) depends on R only through (k, l), on
 the pair only through e, and is 1 at q prime to DN.  A level's data are
-read once (genus._local_data): genus._hall_index holds a pair's, each
-mask with those of the primes prime to m, and the public functions
-read theirs, so no embedding question re-reads d % q or v_q(N) per
-prime.
+read once, by the validator that returns them (genus.check_algebra, or
+genus._level for a pair): the public functions ask it, and
+genus._hall_index, a per-pair table, holds each mask with the data of
+the primes prime to m, so no embedding question re-reads d % q or
+v_q(N) per prime.
 The data of D/p at level N, for p | D, are those of (D, N) less p.
 
 Lemma 1.  The local type of disc at q is read off disc (_disc_type):
@@ -70,7 +71,7 @@ from math import isqrt
 
 from .arith import is_prime, psi_p
 from .errors import DomainError
-from .genus import _local_data, check_algebra, check_pair, is_definite
+from .genus import _level, check_algebra, is_definite
 from .quadorders import _check_discriminant, class_number
 
 
@@ -131,8 +132,7 @@ def local_nu(disc: int, p: int, d: int, n: int) -> int:
     contribute 1."""
     _check_discriminant(disc, "local_nu")
     _check_prime(p)
-    check_algebra(d, n)
-    for q, e in _local_data(d, n):
+    for q, e in check_algebra(d, n):
         if q == p:
             return _nu(q, e, *_disc_type(disc, q))
     return 1
@@ -183,15 +183,14 @@ def _embeds(radicand: int, local) -> bool:
     return True
 
 
-def _away(disc: int, d: int, n: int, skip, name: str):
-    """The local data of dn less the primes in skip (_local_data), once
+def _away(disc: int, local, skip, name: str):
+    """The local data in local less those of the primes in skip, once
     disc is a discriminant and every entry of skip a prime (DomainError
     otherwise)."""
     _check_discriminant(disc, name)
     for p in skip:
         _check_prime(p)
-    return tuple(datum for datum in _local_data(d, n)
-                 if datum[0] not in skip)
+    return tuple(datum for datum in local if datum[0] not in skip)
 
 
 def embedding_count(disc: int, d: int, n: int,
@@ -204,8 +203,8 @@ def embedding_count(disc: int, d: int, n: int,
     local factors at a given set of primes, which is how fixed-point
     counts arise.
     """
-    check_pair(d, n)
-    return _count_away((disc,), _away(disc, d, n, skip, "embedding_count"))
+    away = _away(disc, _level(d, n), skip, "embedding_count")
+    return _count_away((disc,), away)
 
 
 def locally_embeds(disc: int, d: int, n: int,
@@ -217,8 +216,7 @@ def locally_embeds(disc: int, d: int, n: int,
     so that is whether their _local_product is.  A real order never
     embeds in a definite algebra: B tensor R is then Hamilton's
     quaternions, which contain no R x R."""
-    check_algebra(d, n)
-    away = _away(disc, d, n, skip, "locally_embeds")
+    away = _away(disc, check_algebra(d, n), skip, "locally_embeds")
     if disc > 0 and is_definite(d):
         return False
     return _local_product(disc, away) > 0
@@ -235,11 +233,11 @@ def element_embeds(radicand: int, d: int, n: int) -> bool:
     0 <= k <= v_q(F) must have a positive _nu, and (v_q(F), ell) is the
     local type of 4*radicand (_disc_type), which is never factored.
     """
-    check_algebra(d, n)
+    local = check_algebra(d, n)
     if (type(radicand) is not int or radicand == 0
             or radicand > 0 and isqrt(radicand) ** 2 == radicand):
         raise DomainError(f"element_embeds wants a nonzero nonsquare integer"
                           f" radicand, got {radicand!r}")
     if radicand > 0 and is_definite(d):
         return False
-    return _embeds(radicand, _local_data(d, n))
+    return _embeds(radicand, local)

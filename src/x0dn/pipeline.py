@@ -74,8 +74,8 @@ def genus_floor(dn: int) -> int:
     genus_floor(D) > gmax >= 1, no level N gives genus <= gmax, because
     psi(N) >= 2^omega(N) makes
     12(g - 1) >= 2^omega(N) (phi(D) - 7 * 2^omega(D)) > 12(gmax - 1)."""
-    if dn < 2:
-        raise DomainError(f"genus_floor wants DN >= 2, got {dn}")
+    if type(dn) is not int or dn < 2:
+        raise DomainError(f"genus_floor wants DN >= 2, got {dn!r}")
     return 1 - (7 * 2 ** omega(dn) - euler_phi(dn)) // 12
 
 

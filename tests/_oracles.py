@@ -635,6 +635,85 @@ def jacquet_langlands_genus(d: int, n: int) -> int:
     return total
 
 
+def _root_count(disc: int, q: int) -> int:
+    """The number of roots x mod 2q of x^2 = disc mod 4q: c_q of Lemma 1
+    of classical_fixed_points."""
+    return sum(1 for x in range(2 * q) if (x * x - disc) % (4 * q) == 0)
+
+
+def classical_fixed_points(level: int, m: int) -> int:
+    """Fixed points of w_m on the classical X_0(L), L = level squarefree
+    and m > 1 a divisor of it: the CM points by the orders R of
+    fixed_point_orders(m) (Ogg 1974, Hyperelliptic modular curves),
+    each counted h(R) times a local factor c_q(R) at every prime q of
+    L/m.  A CM point of X_0(L) is a pair of lattices M' in M, M/M'
+    cyclic of order L, up to homothety, and its order is End(M) meet
+    End(M'); so c_q(R) counts, for each class of M, the M' of index q
+    whose pair has order R.  The class numbers are
+    brute_imaginary_class_number; no local embedding number is used.
+
+    Lemma 1.  If q does not divide the conductor f of R, c_q(R) is the
+    number of roots x mod 2q of x^2 = disc mod 4q.  R is maximal at q,
+    so End(M) = R, and the M' are the lines of M/qM = R/qR stable under
+    R, one for each root y mod q of the minimal polynomial
+    y^2 - disc y + (disc^2 - disc)/4 of (disc + sqrt(disc))/2; and
+    y -> 2y - disc maps those roots onto the x above.
+
+    Lemma 2.  The one case with q | f here is q = 2 and disc = -4m with
+    m = 3 mod 4 (f = 2, R = Z[sqrt(-m)] inside O of discriminant -m);
+    there c_2(R) = 2, where the root count of Lemma 1 gives 1.  Pairs
+    with End(M) = R: sqrt(-m) acts on M/2M = F_2[t]/(t + 1)^2 with one
+    stable line, so each class of M gives one M'.  Pairs with
+    End(M) = O and End(M') = R: M' runs over the lines of M/2M = O/2O
+    that O does not fix, 2 - (-m/2) of them (O/2O is F_4 or
+    F_2 x F_2), up to the units of O beyond those of R; that is
+    h(O) (2 - (-m/2)) / [O^* : R^*] = h(R) pairs."""
+    total = 0
+    for disc in fixed_point_orders(m):
+        count = brute_imaginary_class_number(disc)
+        for q, _ in _prime_powers(level // m):
+            if q == 2 and disc == -4 * m and m % 4 == 3:
+                count *= 2
+            else:
+                count *= _root_count(disc, q)
+        total += count
+    return total
+
+
+def jacquet_langlands_fixed_points(d: int, n: int, m: int) -> int:
+    """Fixed points of w_m on X_0^D(N), squarefree N, from the classical
+    side alone.  An involution with F fixed points has trace 1 - F/2 on
+    S_2 (Lefschetz), and Jacquet--Langlands (Ribet 1990 at level N) makes
+    S_2(X_0^D(N)) the D-new part of S_2(Gamma_0(DN)), with the sign of
+    w_q flipped at each q | D.  That part is the sum over N' | N of
+    2^omega(N/N') copies of the newforms of level DN'; on a copy with a
+    prime of m outside DN', W_m swaps f(z) and f(qz) (Atkin--Lehner
+    1970) and has trace 0.  On the newforms of a squarefree level L,
+    W_m has trace the sum over m | L' | L of (-2)^omega(L/L') times its
+    trace on S_2(Gamma_0(L')), 1 - classical_fixed_points(L', m)/2.
+    Non-squarefree N, where W_q^e acts on old forms by Li's rules, is
+    not covered."""
+    n_all = [p for p, _ in _prime_powers(n)]
+    assert prod(n_all) == n, n
+    twice = 0                               # 2 tr(W_m | D-new S_2)
+    for new in _subsets(n_all):
+        if gcd(m, n // prod(new)) != 1:
+            continue
+        rest = [p for p, _ in _prime_powers(d * prod(new) // m)]
+        for kept in _subsets(rest):
+            twice += (2 ** (len(n_all) - len(new))
+                      * (-2) ** (len(rest) - len(kept))
+                      * (2 - classical_fixed_points(m * prod(kept), m)))
+    sign = (-1) ** len(_prime_powers(gcd(m, d)))
+    return 2 - sign * twice
+
+
+def _subsets(primes: list[int]) -> list[list[int]]:
+    """Every sublist of primes."""
+    return [[p for i, p in enumerate(primes) if bits >> i & 1]
+            for bits in range(1 << len(primes))]
+
+
 def bfs_subgroups(d: int, n: int) -> list[frozenset[int]]:
     """Every subgroup of the Atkin--Lehner group of DN, grown
     breadth-first from the trivial one under the twisted product

@@ -17,8 +17,9 @@ from x0dn.pipeline import _pairs, bielliptic_candidates, trigonal_candidates
 from x0dn.localpoints import _real_orders
 from x0dn.quadorders import _sqrt_orders, class_number
 
-from _oracles import (bfs_subgroups, fixed_point_orders, per_subgroup_genus,
-                      real_orders)
+from _oracles import (bfs_subgroups, classical_fixed_points,
+                      fixed_point_orders, jacquet_langlands_fixed_points,
+                      per_subgroup_genus, real_orders)
 
 
 def _generated(gens, d, n):
@@ -290,6 +291,30 @@ def test_fixed_point_table_matches_per_m_formula():
         seen.add(f"omega {omega(d * n)}")
     assert {"m = 2", "3 mod 4, square part", "3 mod 4", "s = 3 mod 4",
             "other", "p^2 | N", "omega 7"} <= seen
+
+
+def test_fixed_point_tables_match_the_classical_side():
+    """Every fixed-point count of the squarefree-N pairs of genus <= 39
+    equals the one Jacquet--Langlands carries over from the classical
+    X_0(L): no quaternion-side rule, no away data of the index and no
+    table assembly is read.  classical_fixed_points is anchored on
+    curves of genus 0, 1 and 2: w_2 and w_6 on X_0(6) and w_3 on X_0(3)
+    (2 each, on genus 0), w_11 on X_0(11) (4) and w_37 on X_0(37) (2),
+    and w_3 on X_0(6), where Lemma 2 of its docstring gives 2 and the
+    bare root count would give 1.  Non-squarefree N is not checked."""
+    assert [classical_fixed_points(level, m) for level, m in (
+        (6, 2), (6, 6), (3, 3), (11, 11), (37, 37), (6, 3))] == [
+        2, 2, 2, 4, 2, 2]
+    pairs = [(d, n) for d, n in _pairs(39)
+             if all(e == 1 for _, e in factorize(n))]
+    assert len(pairs) == 566
+    checked = 0
+    for d, n in pairs:
+        for m in group_elements(d, n)[1:]:
+            assert fixed_point_count(d, n, m) == (
+                jacquet_langlands_fixed_points(d, n, m)), (d, n, m)
+            checked += 1
+    assert checked == 3746
 
 
 def test_214_level_one():

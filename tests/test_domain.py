@@ -21,12 +21,12 @@ from x0dn.atkinlehner import (_fixed_point_table, _sorted_readers,
 from x0dn.embeddings import (element_embeds, embedding_count, local_nu,
                              locally_embeds)
 from x0dn.errors import DomainError
-from x0dn.genus import (_hall_index, check_algebra, check_pair, e_k, genus,
+from x0dn.genus import (_hall_index, _level, check_pair, e_k, genus,
                         is_definite)
 from x0dn.localpoints import (_local_table, local_obstructions,
                               prime_level_quotient_points, qp_curve_points,
                               qp_quotient_points, real_component_count)
-from x0dn.pipeline import cs_bound, dn_cutoff
+from x0dn.pipeline import cs_bound, dn_cutoff, genus_floor
 from x0dn.quadorders import (_sqrt_mod_prime, class_number, is_discriminant,
                              is_fundamental_discriminant,
                              order_from_discriminant, unit_norm)
@@ -125,7 +125,7 @@ TYPED = [
 def test_memos_are_typed(call, good, bad):
     """A float or bool argument is a DomainError, before and after the
     int call is memoized: no memo answers it from the int entry."""
-    for memo in (genus, fixed_point_count, check_algebra, _hall_index,
+    for memo in (genus, fixed_point_count, _level, _hall_index,
                  _fixed_point_table, _local_table, _subgroup_table,
                  class_number, factorize):
         memo.cache_clear()
@@ -148,8 +148,9 @@ def test_memos_are_bounded(memo):
 
 # (function, good arguments, the same with a float, a bool, a zero or a
 # negative where a positive int belongs, a composite where a prime belongs,
-# a square where a squarefree int belongs, or a radicand that is zero or a
-# square, the name the error must give)
+# a square where a squarefree int belongs, a radicand that is zero or a
+# square, None or a str where an int belongs, or an int or None where an
+# iterable of Hall divisors belongs, the name the error must give)
 BAD_SCALARS = [
     (dn_cutoff, (2,), (2.5,), "gmax"),
     (dn_cutoff, (1,), (True,), "gmax"),
@@ -201,6 +202,15 @@ BAD_SCALARS = [
     (cs_bound, (2, 0, 2, 1), (-1, 0, 2, 1), "cs_bound"),
     (cs_bound, (2, 0, 1, 1), (2, 0, 0, 1), "cs_bound"),
     (cs_bound, (2, 0, 2, 0), (2, -1, 2, 0), "cs_bound"),
+    (genus_floor, (6,), (None,), "genus_floor"),
+    (genus_floor, (6,), ("6",), "genus_floor"),
+    (genus_floor, (6,), (7.5,), "genus_floor"),
+    (subgroup_quotient_genus, (6, 7, [14]), (6, 7, 14),
+     "subgroup_quotient_genus"),
+    (subgroup_quotient_genus, (6, 7, [14]), (6, 7, None),
+     "subgroup_quotient_genus"),
+    (subgroup_quotient_genus, (6, 7, [14]), (30, 7, 14),
+     "subgroup_quotient_genus"),
 ]
 
 

@@ -9,7 +9,7 @@ from x0dn.embeddings import (_disc_type, _embeds, _local_product,
                              element_embeds, embedding_count, is_definite,
                              local_nu, locally_embeds)
 from x0dn.errors import DomainError
-from x0dn.genus import _hall_index, _local_data, check_algebra, e_k
+from x0dn.genus import _hall_index, check_algebra, e_k
 from x0dn.quadorders import is_discriminant, order_from_discriminant
 
 
@@ -171,7 +171,7 @@ def test_every_reader_of_the_case_split_agrees_with_local_nu():
             primes = prime_divisors(d * n)
             for order in OWNER_ORDERS:
                 nus = [local_nu(order, p, d, n) for p in primes]
-                assert _local_product(order, _local_data(d, n)) == prod(nus)
+                assert _local_product(order, check_algebra(d, n)) == prod(nus)
                 for skip in ((), primes[:1]):
                     kept = [nu for p, nu in zip(primes, nus) if p not in skip]
                     real_in_definite = order > 0 and is_definite(d)

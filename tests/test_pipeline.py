@@ -10,7 +10,7 @@ from x0dn.arith import euler_phi, is_squarefree, omega, prime_divisors
 from x0dn.atkinlehner import fixed_point_count, group_elements
 from x0dn.errors import DomainError, IntegralityError, PipelineError
 from x0dn.fixtures import load_fixtures
-from x0dn.genus import genus
+from x0dn.genus import _hall_index, _level, genus
 from x0dn.pipeline import (AIRR2_PAIRS, ALL_AL, GENUS_CAP_BIELLIPTIC,
                            GENUS_CAP_TRIGONAL, UNKNOWN,
                            _pair_values, _pairs, _sieve, airr2_report,
@@ -456,6 +456,36 @@ def test_positive_rank_pairs(fixtures):
     assert positive_rank_pairs(fixtures) == [(6, 17), (6, 23), (6, 41),
                                              (6, 71), (10, 13), (10, 17),
                                              (10, 29), (22, 7), (22, 17)]
+
+
+def test_index_built_only_where_a_table_is_read(fixtures):
+    """A pair gets an Atkin--Lehner index (genus._hall_index) only where
+    a sweep reads its tables: the candidate enumerations ask genus
+    alone and build none, and each sweep builds one per pair whose
+    tables it reads: the 357 bielliptic candidates, and the 179 trigonal
+    ones whose fixed-point tables Schweizer's test reads, those of genus
+    >= 2 and not 1 mod 4.  Counted from cold memos, once load_fixtures,
+    which checks every key, is done."""
+    runs = {
+        "bielliptic_candidates": lambda: bielliptic_candidates(fixtures),
+        "trigonal_candidates": trigonal_candidates,
+        "low_genus_pairs": low_genus_pairs,
+        "classify_bielliptic": lambda: classify_bielliptic(fixtures),
+        "classify_trigonal": lambda: classify_trigonal(fixtures),
+        "airr2_report": lambda: airr2_report(fixtures),
+    }
+    builds = {}
+    for name, run in runs.items():
+        for memo in (genus, _level, _hall_index, fixed_point_count,
+                     atkinlehner._fixed_point_table,
+                     atkinlehner._subgroup_table):
+            memo.cache_clear()
+        run()
+        builds[name] = _hall_index.cache_info().misses
+    assert builds == {
+        "bielliptic_candidates": 0, "trigonal_candidates": 0,
+        "low_genus_pairs": 0, "classify_bielliptic": 357,
+        "classify_trigonal": 179, "airr2_report": 357}
 
 
 def test_airr2_report(fixtures):
