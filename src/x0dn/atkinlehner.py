@@ -261,9 +261,10 @@ def subgroup_quotient_genus(d: int, n: int, gens) -> int:
     is looked up in the pair's _subgroup_table, which holds its genus;
     any other gens are spanned and checked by _span, and their genus is
     summed from the pair's fixed-point table by _riemann_hurwitz.  gens
-    that are not an iterable, such as a bare int or None, raise
-    DomainError."""
-    if not hasattr(gens, "__iter__"):
+    that are not an iterable, such as a bare int or None, or that are a
+    str or bytes, whose items are characters or bytes and not Hall
+    divisors, raise DomainError."""
+    if not hasattr(gens, "__iter__") or isinstance(gens, (str, bytes)):
         raise DomainError(f"subgroup_quotient_genus wants an iterable of"
                           f" Hall divisors, got {gens!r}")
     if isinstance(gens, frozenset):

@@ -2,7 +2,11 @@
 
 The global count is h(R) times a product of local embedding numbers over
 the primes dividing DN (Eichler).  The local numbers follow Ogg's
-case-by-case formula, which _nu holds once for every caller.
+case-by-case formula, which genus._nu holds once for every caller, the
+elliptic point counts among them; genus._disc_type reads an order's
+local type off its discriminant (Lemma 1 of genus), and
+genus._local_product multiplies the local numbers over a level's data.
+This module counts and tests orders with them.
 
 An algebra here is given by its (squarefree) discriminant d: an even
 number of prime factors means indefinite, odd means totally definite.
@@ -10,49 +14,23 @@ For a definite algebra there are several classes of Eichler orders of a
 given level; positivity of every local number says exactly that R
 embeds into at least one of them, provided R is imaginary.
 
-Local types.  An order is named by its discriminant disc = d0 f^2, d0
-fundamental.  At a prime q it has the local type (k, l), with
-k = v_q(f) and l the Kronecker symbol (d0/q).  At a prime q of DN the
-pair has the local datum (q, e): e = 0 for q | D and e = v_q(N) >= 1
-for q | N.  Ogg's number nu_q(R) depends on R only through (k, l), on
-the pair only through e, and is 1 at q prime to DN.  A level's data are
-read once, by the validator that returns them (genus.check_algebra, or
-genus._level for a pair): the public functions ask it, and
-genus._hall_index, a per-pair table, holds each mask with the data of
-the primes prime to m, so no embedding question re-reads d % q or
-v_q(N) per prime.
+An order is named by its discriminant, and the local datum (q, e) of a
+prime of DN is genus's: e = 0 for q | D and e = v_q(N) >= 1 for q | N.
+A level's data are read once, by the validator that returns them
+(genus.check_algebra, or genus._level for a pair): the public functions
+ask it, and genus._hall_index, a per-pair table, holds each mask with
+the data of the primes prime to m, so no embedding question re-reads
+d % q or v_q(N) per prime.
 The data of D/p at level N, for p | D, are those of (D, N) less p.
 
-Lemma 1.  The local type of disc at q is read off disc (_disc_type):
-  * at odd q, with v = v_q(disc), it is (floor(v/2), 0) when v is odd,
-    and (v/2, (u/q)) with u = disc/q^v when v is even;
-  * at q = 2, with disc = 2^a u and u odd, it is ((a - 3)/2, 0) for odd
-    a; (a/2, 1) for even a with u = 1 mod 8; (a/2, -1) for even a with
-    u = 5 mod 8; and (a/2 - 1, 0) otherwise.
-So no discriminant is factored and d0 and f are never formed.
-
-Proof.
-  * At odd q, v_q(d0) is 0 or 1 and v = v_q(d0) + 2 v_q(f), so
-    v_q(f) = floor(v/2), and q | d0, l = 0, when v is odd.  Otherwise
-    write f = q^k f'; then u = d0 f'^2, and f'^2 is a nonzero square
-    mod q, so l = (u/q).
-  * At q = 2, 2^a u = d0 f^2 and the odd part of f^2 is 1 mod 8, so the
-    odd part of d0 is u mod 8, and v_2(d0) + 2 v_2(f) = a with v_2(d0)
-    in {0, 2, 3}.  A fundamental d0 is 1 mod 4 when odd, 12 mod 16 when
-    v_2(d0) = 2, and 8 times an odd number when v_2(d0) = 3.  So odd a
-    gives v_2(d0) = 3, v_2(f) = (a - 3)/2, l = 0; even a gives
-    v_2(d0) = 0 for u = 1 mod 4, with v_2(f) = a/2 and l = (u/2), which
-    is 1 for u = 1 and -1 for u = 5 mod 8; and v_2(d0) = 2 for
-    u = 3 mod 4, with v_2(f) = a/2 - 1 and l = 0.
-
 Lemma 2.  Let r be a nonzero integer, not a square, and (K, l) the
-local type of the discriminant 4r at q (Lemma 1).  An element x with
-x^2 = r lies in an Eichler order of level N (of some class, when the
-algebra is definite) exactly when r < 0 or the algebra is indefinite,
-and at every q | DN some 0 <= k <= K has nu_q(k, l) > 0.  So no radicand
-is factored and no order is built per divisor of the conductor.  The
-test (_embeds) asks k = 0 first, Z[sqrt(r)] localized, and the deeper
-k only when that factor is 0 and K >= 1.
+local type of the discriminant 4r at q (Lemma 1 of genus).  An element
+x with x^2 = r lies in an Eichler order of level N (of some class, when
+the algebra is definite) exactly when r < 0 or the algebra is
+indefinite, and at every q | DN some 0 <= k <= K has nu_q(k, l) > 0.
+So no radicand is factored and no order is built per divisor of the
+conductor.  The test (_embeds) asks k = 0 first, Z[sqrt(r)] localized,
+and the deeper k only when that factor is 0 and K >= 1.
 
 Proof.  x lies in an Eichler order O exactly when Q(x) meets O in an
 order R containing Z[x] = Z[sqrt(r)], and then R embeds optimally; so
@@ -69,9 +47,10 @@ with nu_q(k, l) > 0".
 
 from math import isqrt
 
-from .arith import is_prime, psi_p
+from .arith import is_prime
 from .errors import DomainError
-from .genus import _level, check_algebra, is_definite
+from .genus import (_disc_type, _level, _local_product, _nu, check_algebra,
+                    is_definite)
 from .quadorders import _check_discriminant, class_number
 
 
@@ -79,49 +58,6 @@ def _check_prime(p: int) -> None:
     """DomainError unless p is a prime of type int (a bool is not)."""
     if type(p) is not int or not is_prime(p):
         raise DomainError(f"p = {p!r} is not a prime")
-
-
-def _nu(q: int, e: int, k: int, ell: int) -> int:
-    """Ogg's local embedding number at the prime q of DN, with the
-    pair's local datum e there (0 for q | D, v_q(N) for q | N), of an
-    order of local type (k, ell): the one copy of the case split."""
-    if not e:
-        return 1 - (1 if k else ell)
-    if e == 1:
-        return 1 + (1 if k else ell)
-    # q^2 | N: everything is controlled by e against 2k
-    if e >= 2 * k + 2:
-        return 2 * psi_p(q, k) if ell == 1 else 0
-    if e == 2 * k + 1:
-        if ell == 1:
-            return 2 * psi_p(q, k)
-        if ell == 0:
-            return q ** k
-        return 0
-    if e == 2 * k:
-        return q ** (k - 1) * (q + 1 + ell)
-    # e <= 2k - 1: the order is locally deep below the level
-    half = e // 2
-    if e % 2 == 0:
-        return q ** half + q ** (half - 1)
-    return 2 * q ** half
-
-
-def _disc_type(disc: int, q: int) -> tuple[int, int]:
-    """The local type (v_q(f), (d0/q)) at q of the order of discriminant
-    disc = d0 f^2, read off disc by Lemma 1 of the module docstring; at
-    odd q the symbol (u/q) is Euler's criterion."""
-    v = 0
-    while disc % q == 0:
-        disc //= q
-        v += 1
-    if q > 2:
-        return v // 2, 0 if v % 2 else 1 if pow(disc, q // 2, q) == 1 else -1
-    if v % 2:
-        return (v - 3) // 2, 0
-    if disc % 4 == 1:
-        return v // 2, 1 if disc % 8 == 1 else -1
-    return v // 2 - 1, 0
 
 
 def local_nu(disc: int, p: int, d: int, n: int) -> int:
@@ -136,19 +72,6 @@ def local_nu(disc: int, p: int, d: int, n: int) -> int:
         if q == p:
             return _nu(q, e, *_disc_type(disc, q))
     return 1
-
-
-def _local_product(disc: int, local) -> int:
-    """The local embedding numbers (_nu) of the order of discriminant
-    disc, valid by construction, multiplied over the local data (q, e)
-    in local; the product stops at its first zero factor.  Every factor
-    is at least 0."""
-    nu = 1
-    for q, e in local:
-        nu *= _nu(q, e, *_disc_type(disc, q))
-        if not nu:
-            break
-    return nu
 
 
 def _count_away(discs, local) -> int:

@@ -11,11 +11,43 @@ read a pair in use for a lookup.  The index is a per-pair table built
 from _level's data: check_pair and the other per-pair tables read it,
 and a pair gets one only where a workload reads its masks.
 
+It owns too what the datum e is read against: Ogg's local embedding
+number (_nu), the one copy of his case split, and the local type of an
+order (_disc_type).  An order is named by its discriminant
+disc = d0 f^2, d0 fundamental; at a prime q its local type is (k, l),
+with k = v_q(f) and l the Kronecker symbol (d0/q).  Ogg's number
+nu_q(R) depends on R only through (k, l), on the pair only through e,
+and is 1 at q prime to DN.  The elliptic points of order 2 and 3 are
+the optimal embeddings of Z[i] and Z[zeta_3], of discriminants -4 and
+-3 and class number one, so e_4 and e_3 are their products of _nu over
+the local data (_local_product), and the module embeddings reads the
+same three functions for every other order.
+
+Lemma 1.  The local type of disc at q is read off disc (_disc_type):
+  * at odd q, with v = v_q(disc), it is (floor(v/2), 0) when v is odd,
+    and (v/2, (u/q)) with u = disc/q^v when v is even;
+  * at q = 2, with disc = 2^a u and u odd, it is ((a - 3)/2, 0) for odd
+    a; (a/2, 1) for even a with u = 1 mod 8; (a/2, -1) for even a with
+    u = 5 mod 8; and (a/2 - 1, 0) otherwise.
+So no discriminant is factored and d0 and f are never formed.
+
+Proof.
+  * At odd q, v_q(d0) is 0 or 1 and v = v_q(d0) + 2 v_q(f), so
+    v_q(f) = floor(v/2), and q | d0, l = 0, when v is odd.  Otherwise
+    write f = q^k f'; then u = d0 f'^2, and f'^2 is a nonzero square
+    mod q, so l = (u/q).
+  * At q = 2, 2^a u = d0 f^2 and the odd part of f^2 is 1 mod 8, so the
+    odd part of d0 is u mod 8, and v_2(d0) + 2 v_2(f) = a with v_2(d0)
+    in {0, 2, 3}.  A fundamental d0 is 1 mod 4 when odd, 12 mod 16 when
+    v_2(d0) = 2, and 8 times an odd number when v_2(d0) = 3.  So odd a
+    gives v_2(d0) = 3, v_2(f) = (a - 3)/2, l = 0; even a gives
+    v_2(d0) = 0 for u = 1 mod 4, with v_2(f) = a/2 and l = (u/2), which
+    is 1 for u = 1 and -1 for u = 5 mod 8; and v_2(d0) = 2 for
+    u = 3 mod 4, with v_2(f) = a/2 - 1 and l = 0.
+
 All arithmetic is over the integers: 12(g - 1) is computed exactly and
-must be divisible by 12, or IntegralityError is raised.  The local
-factors of the elliptic point counts e_4 and e_3 (the rules for (-4/p)
-and (-3/p) at p | D, p || N and p^2 | N) live in _elliptic_factor, which
-e_k reads; genus is the one place that assembles 12(g - 1).
+must be divisible by 12, or IntegralityError is raised.  genus is the
+one place that assembles 12(g - 1).
 """
 
 from functools import lru_cache
@@ -30,7 +62,7 @@ def check_algebra(d: int, n: int) -> tuple[tuple[int, int], ...]:
     a level n >= 1 prime to d, both of type int (a bool is not).
     Returns the local datum (q, e) of each prime q of dn, q ascending:
     e = 0 for q | d and e = v_q(n) for q | n, the convention of
-    _elliptic_factor and embeddings._nu, applied here only."""
+    _nu, applied here only."""
     if type(d) is not int or type(n) is not int:
         raise DomainError(f"D and N must be integers, got {d!r} and {n!r}")
     if d < 2 or not is_squarefree(d):
@@ -55,11 +87,11 @@ def is_definite(d: int) -> bool:
 def _level(d: int, n: int) -> tuple[tuple[int, int], ...]:
     """The one validator of a pair: the local data of (D, N)
     (check_algebra), and DomainError unless D has an even number of
-    primes as well.  Callers work through one pair at a time, so the
-    memo keeps the last pair, and genus, e_k and the index read a pair
-    in use for a lookup."""
+    primes as well, counted as the data with e = 0.  Callers work
+    through one pair at a time, so the memo keeps the last pair, and
+    genus, e_k and the index read a pair in use for a lookup."""
     local = check_algebra(d, n)
-    if is_definite(d):
+    if sum(not e for _, e in local) % 2:
         raise DomainError(
             f"D = {d} has an odd number of prime factors (definite algebra)")
     return local
@@ -126,34 +158,72 @@ def _hall_index(d: int, n: int) -> tuple[
             tuple(parts))
 
 
-def _elliptic_factor(k: int, p: int, e: int) -> int:
-    """The local factor of e_k at a prime p: 1 - (-k/p) for p | D (pass
-    e = 0), 1 + (-k/p) for p || N (e = 1), and for p^e || N with e >= 2,
-    2 or 0 according to whether (-k/p) = 1.  (-4/p) is 0 at p = 2, else
-    1 or -1 as p = 1 or 3 mod 4; (-3/p) is 0 at p = 3, else 1 or -1 as
-    p = 1 or 2 mod 3.  Every factor is at most 2, the bound that the
-    pipeline's genus floor rests on."""
-    if k == 4:
-        s = 0 if p == 2 else 1 if p % 4 == 1 else -1
-    else:
-        s = 0 if p == 3 else 1 if p % 3 == 1 else -1
-    if e == 0:
-        return 1 - s
+def _nu(q: int, e: int, k: int, ell: int) -> int:
+    """Ogg's local embedding number at the prime q of DN, with the
+    pair's local datum e there (0 for q | D, v_q(N) for q | N), of an
+    order of local type (k, ell): the one copy of the case split.  At
+    k = 0 it is 1 - ell, 1 + ell, or 2 or 0 as ell = 1 or not, so at
+    most 2, the bound that the pipeline's genus floor rests on."""
+    if not e:
+        return 1 - (1 if k else ell)
     if e == 1:
-        return 1 + s
-    return 2 if s == 1 else 0
+        return 1 + (1 if k else ell)
+    # q^2 | N: everything is controlled by e against 2k
+    if e >= 2 * k + 2:
+        return 2 * psi_p(q, k) if ell == 1 else 0
+    if e == 2 * k + 1:
+        if ell == 1:
+            return 2 * psi_p(q, k)
+        if ell == 0:
+            return q ** k
+        return 0
+    if e == 2 * k:
+        return q ** (k - 1) * (q + 1 + ell)
+    # e <= 2k - 1: the order is locally deep below the level
+    half = e // 2
+    if e % 2 == 0:
+        return q ** half + q ** (half - 1)
+    return 2 * q ** half
+
+
+def _disc_type(disc: int, q: int) -> tuple[int, int]:
+    """The local type (v_q(f), (d0/q)) at q of the order of discriminant
+    disc = d0 f^2, read off disc by Lemma 1 of the module docstring; at
+    odd q the symbol (u/q) is Euler's criterion."""
+    v = 0
+    while disc % q == 0:
+        disc //= q
+        v += 1
+    if q > 2:
+        return v // 2, 0 if v % 2 else 1 if pow(disc, q // 2, q) == 1 else -1
+    if v % 2:
+        return (v - 3) // 2, 0
+    if disc % 4 == 1:
+        return v // 2, 1 if disc % 8 == 1 else -1
+    return v // 2 - 1, 0
+
+
+def _local_product(disc: int, local) -> int:
+    """The local embedding numbers (_nu) of the order of discriminant
+    disc, valid by construction, multiplied over the local data (q, e)
+    in local; the product stops at its first zero factor.  Every factor
+    is at least 0."""
+    nu = 1
+    for q, e in local:
+        nu *= _nu(q, e, *_disc_type(disc, q))
+        if not nu:
+            break
+    return nu
 
 
 def e_k(d: int, n: int, k: int) -> int:
     """Number of elliptic points of order 2 (k = 4) or 3 (k = 3): the
-    product of _elliptic_factor over the primes of D and of N, read off
-    the pair's local data (_level)."""
+    optimal embeddings of Z[i] or Z[zeta_3], the order of discriminant
+    -k, whose class number is one, so the _local_product of -k over the
+    pair's local data (_level)."""
     if type(k) is not int or k not in (3, 4):
         raise DomainError(f"e_k wants k in (3, 4), got k = {k!r}")
-    out = 1
-    for p, e in _level(d, n):
-        out *= _elliptic_factor(k, p, e)
-    return out
+    return _local_product(-k, _level(d, n))
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)

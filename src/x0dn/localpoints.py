@@ -22,7 +22,7 @@ is its rows, each m's finished tuple of verdicts, built once per pair:
 local_obstructions returns one row, and the p-adic lookups read one
 verdict off a row (_status).  An order is named by its
 discriminant, whose local types every embedding question reads
-(embeddings._disc_type).  The number of real components, which needs
+(genus._disc_type).  The number of real components, which needs
 the class numbers of the real orders, is computed for its one m by
 real_component_count.
 """
@@ -36,10 +36,10 @@ from .arith import (
     omega,
     pell_pm2_solvable,
 )
-from .embeddings import (_check_prime, _count_away, _disc_type, _embeds,
-                         _local_product)
+from .embeddings import _check_prime, _count_away, _embeds
 from .errors import IntegralityError
-from .genus import _hall_index, _involution_mask, check_pair
+from .genus import (_disc_type, _hall_index, _involution_mask,
+                    _local_product, check_pair)
 from .quadorders import _sqrt_orders
 
 EMPTY = "empty"
@@ -187,10 +187,10 @@ def _local_table(d: int, n: int) -> tuple[tuple[LocalVerdict, ...], ...]:
     is prime: the quotient has Q_p-points iff N is not inert in
     Q(sqrt(-q)), that is iff the symbol (d0/N) of its field discriminant
     d0 is not -1, which is the symbol of the local type of -4q at N
-    (embeddings._disc_type).  Elsewhere no row has a Clark03 verdict.
+    (genus._disc_type).  Elsewhere no row has a Clark03 verdict.
 
     Every embedding question here reads the local types that
-    embeddings._disc_type reads off a discriminant, against the local
+    genus._disc_type reads off a discriminant, against the local
     data (q, e) that the pair's index holds, with no discriminant
     factored and nothing validated again: _local_product for the real
     orders, over the data of the primes prime to m, and Lemma 2's

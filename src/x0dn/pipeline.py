@@ -66,7 +66,8 @@ def genus_floor(dn: int) -> int:
     """Lower bound for the genus of every X_0^D(N) with DN equal to the
     given product M: 1 + ceil((phi(M) - 7 * 2^omega(M)) / 12).
 
-    Lemma: every local factor of e_4 and of e_3 is at most 2, so
+    Lemma: e_4 and e_3 are products over the primes of DN of Ogg's
+    local numbers (genus._nu) at k = 0, each at most 2, so
     3 e_4 + 4 e_3 <= 7 * 2^omega(DN); and psi(N) >= phi(N), so
     12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3 >= phi(DN) - 7 * 2^omega(DN).
 
@@ -138,7 +139,8 @@ def _pair_values(tables, discs):
     beyond the tables carries no pair.
 
     The value is at most 12(g - 1): every local factor of e_4 and of e_3
-    is at most 2, so 3 e_4 + 4 e_3 <= 7 * 2^omega(DN), and
+    (genus._nu at k = 0) is at most 2, so
+    3 e_4 + 4 e_3 <= 7 * 2^omega(DN), and
     12(g - 1) = phi(D) psi(N) - 3 e_4 - 4 e_3 with omega(DN) =
     omega(D) + omega(N) for N prime to D."""
     phi, psi, _, two_omega = tables

@@ -149,8 +149,9 @@ def test_memos_are_bounded(memo):
 # (function, good arguments, the same with a float, a bool, a zero or a
 # negative where a positive int belongs, a composite where a prime belongs,
 # a square where a squarefree int belongs, a radicand that is zero or a
-# square, None or a str where an int belongs, or an int or None where an
-# iterable of Hall divisors belongs, the name the error must give)
+# square, None or a str where an int belongs, or an int, None, a str or
+# bytes where an iterable of Hall divisors belongs, the name the error
+# must give)
 BAD_SCALARS = [
     (dn_cutoff, (2,), (2.5,), "gmax"),
     (dn_cutoff, (1,), (True,), "gmax"),
@@ -210,6 +211,10 @@ BAD_SCALARS = [
     (subgroup_quotient_genus, (6, 7, [14]), (6, 7, None),
      "subgroup_quotient_genus"),
     (subgroup_quotient_genus, (6, 7, [14]), (30, 7, 14),
+     "subgroup_quotient_genus"),
+    (subgroup_quotient_genus, (6, 7, [14]), (6, 7, "14"),
+     "subgroup_quotient_genus"),
+    (subgroup_quotient_genus, (6, 7, [14]), (6, 7, b"14"),
      "subgroup_quotient_genus"),
 ]
 

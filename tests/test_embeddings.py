@@ -5,11 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import element_embeds_by_orders
 from x0dn.arith import is_prime, kronecker, prime_divisors, valuation
-from x0dn.embeddings import (_disc_type, _embeds, _local_product,
-                             element_embeds, embedding_count, is_definite,
-                             local_nu, locally_embeds)
+from x0dn.embeddings import (_embeds, element_embeds, embedding_count,
+                             is_definite, local_nu, locally_embeds)
 from x0dn.errors import DomainError
-from x0dn.genus import _hall_index, check_algebra, e_k
+from x0dn.genus import (_disc_type, _hall_index, _local_product,
+                        check_algebra, e_k)
 from x0dn.quadorders import is_discriminant, order_from_discriminant
 
 

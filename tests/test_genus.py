@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from _oracles import classical_genus, fraction_genus, jacquet_langlands_genus
 from x0dn.arith import factorize, is_prime, kronecker, valuation
 from x0dn.errors import DomainError
-from x0dn.genus import (_elliptic_factor, _hall_index, _involution_mask,
+from x0dn.genus import (_disc_type, _hall_index, _involution_mask, _nu,
                         check_algebra, check_pair, e_k, genus)
 
 # Discriminant/level pairs of genus 0 and of genus 1 (complete lists).
@@ -57,12 +57,14 @@ def test_elliptic_point_counts():
 
 
 def test_elliptic_factor_against_kronecker():
-    # the residue rules for (-4/p) and (-3/p) agree with the Kronecker
-    # symbol at every prime below 3,000, at D and at N to every exponent
+    # the local factors of e_4 and e_3, Ogg's numbers of Z[i] and
+    # Z[zeta_3] read off their discriminants -4 and -3, agree with the
+    # Kronecker symbol at every prime below 3,000, at D and at N to
+    # every exponent
     for p in filter(is_prime, range(3000)):
         for k in (3, 4):
             s = kronecker(-k, p)
-            assert [_elliptic_factor(k, p, e) for e in range(4)] == [
+            assert [_nu(p, e, *_disc_type(-k, p)) for e in range(4)] == [
                 1 - s, 1 + s, 2 * (s == 1), 2 * (s == 1)], (k, p)
 
 
