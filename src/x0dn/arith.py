@@ -64,9 +64,9 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 def is_squarefree(n: int) -> bool:
     """Whether no square of a prime divides the int n (a bool is not
-    one).  The sign is ignored, so -6 is squarefree, as
-    quadorders.is_fundamental_discriminant needs of a negative
-    discriminant; 0, which every square divides, is not."""
+    one).  The sign is ignored, so -6 is squarefree, as the mod-4 rule
+    of a fundamental discriminant needs of -24 = 4 (-6); 0, which every
+    square divides, is not."""
     if type(n) is not int:
         raise DomainError(f"is_squarefree wants an integer, got {n!r}")
     if n == 0:

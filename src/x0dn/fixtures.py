@@ -60,11 +60,14 @@ def _record(lineno: int, line: str) -> tuple[str, tuple, tuple]:
         raise _fail(lineno, line, "empty citation")
     if len(body) != len(names):
         raise _fail(lineno, line, f"{tag} wants {','.join(names)}")
-    try:
-        values = {name: f if name == "verdict" else int(f)
-                  for name, f in zip(names, body)}
-    except ValueError:
-        raise _fail(lineno, line, "non-integer field") from None
+    # an integer field is an optional "-" and ASCII digits: int() would
+    # also read "2_6" as 26, "+5" as 5 and non-ASCII digits
+    if any(name != "verdict"
+           and not (f.isascii() and f.removeprefix("-").isdigit())
+           for name, f in zip(names, body)):
+        raise _fail(lineno, line, "non-integer field")
+    values = {name: f if name == "verdict" else int(f)
+              for name, f in zip(names, body)}
     key = tuple(values.pop(name) for name in ("D", "N", "m") if name in values)
     d, n, m = (*key, 1, 1)[:3]  # a level-one key has N = 1, a pair m = 1
     try:

@@ -1,10 +1,10 @@
 """Quadratic orders and their class numbers, both signatures, exact.
 
 The package names every order by its discriminant disc = d0 f^2, d0
-fundamental; only this module splits it into (d0, f) (_split), for the
-conductor formula and for order_from_discriminant.  A class number
-takes one of two routes.  For f > 1, Dedekind's formula for orders
-(Cox, Primes of the form x^2 + ny^2, Thm 7.24) gives
+fundamental; only class_number splits it into (d0, f) (_order_of), for
+the conductor formula.  A class number takes one of two routes.  For
+f > 1, Dedekind's formula for orders (Cox, Primes of the form
+x^2 + ny^2, Thm 7.24) gives
 
     h(disc) = h(d0) * prod_{p^e || f} p^(e-1) (p - (d0/p)) / k,
 
@@ -87,8 +87,8 @@ roots:
 from functools import lru_cache
 from math import isqrt
 
-from .arith import (MEMO_SIZE, _trial_division, factorize, is_squarefree,
-                    kronecker, pell_minus_solvable, smallest_prime_factors)
+from .arith import (MEMO_SIZE, _trial_division, factorize, kronecker,
+                    pell_minus_solvable, smallest_prime_factors)
 from .errors import DomainError, IntegralityError
 
 
@@ -112,33 +112,6 @@ def _check_discriminant(disc: int, name: str) -> None:
             f"{name} wants a quadratic discriminant, got {disc!r}")
 
 
-def is_fundamental_discriminant(d: int) -> bool:
-    """Field discriminants: d = 1 mod 4 squarefree, or 4s with s = 2, 3
-    mod 4 squarefree.  1 itself is excluded."""
-    if type(d) is not int:
-        raise DomainError(f"is_fundamental_discriminant wants an integer, "
-                          f"got {d!r}")
-    if d in (0, 1):
-        return False
-    if d % 4 == 1:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        s = d // 4
-        return s % 4 in (2, 3) and is_squarefree(s)
-    return False
-
-
-def _split(s: int, t: int) -> tuple[int, int]:
-    """(d0, f) of the discriminant s t^2, s squarefree, d0 fundamental:
-    (s, t) for s = 1 mod 4, and (4s, t/2) otherwise, as then t is even
-    (an odd t would give s t^2 = s = 2, 3 mod 4).  Either way
-    s t^2 = d0 f^2 with d0 fundamental.  Its one reader is _order_of,
-    for the conductor formula of class_number and for
-    order_from_discriminant; every other order is named by its
-    discriminant alone."""
-    return (s, t) if s % 4 == 1 else (4 * s, t // 2)
-
-
 def _sqrt_orders(r: int) -> tuple[int, ...]:
     """The discriminants of the orders of sqrt(r), r not a square:
     4r, of Z[sqrt(r)], and, when r = 1 mod 4, r, of Z[(1 + sqrt(r))/2].
@@ -148,19 +121,19 @@ def _sqrt_orders(r: int) -> tuple[int, ...]:
     return (4 * r, r) if r % 4 == 1 else (4 * r,)
 
 
-def _order_of(disc: int, factors) -> tuple[int, int]:
-    """(d0, f) of the discriminant disc, given the prime powers of
-    |disc|: disc = s t^2 with s squarefree, split by _split."""
+def _order_of(disc: int) -> tuple[int, int]:
+    """(d0, f) of the discriminant disc = d0 f^2, d0 fundamental, from
+    the prime powers of |disc| by trial division (the memo of
+    class_number, its one reader, keeps the answer; a one-off
+    discriminant would only crowd the memo of factorize).  disc = s t^2
+    with s squarefree, and (d0, f) is (s, t) for s = 1 mod 4 and
+    (4s, t/2) otherwise, as then t is even (an odd t would give
+    disc = s t^2 = s = 2, 3 mod 4)."""
     s = -1 if disc < 0 else 1
-    for p, e in factors:
+    for p, e in _trial_division(abs(disc)):
         s *= p ** (e % 2)
-    return _split(s, isqrt(disc // s))
-
-
-def order_from_discriminant(disc: int) -> tuple[int, int]:
-    """Split disc as d0 * f^2 with d0 fundamental (_order_of)."""
-    _check_discriminant(disc, "order_from_discriminant")
-    return _order_of(disc, factorize(abs(disc)))
+    t = isqrt(disc // s)
+    return (s, t) if s % 4 == 1 else (4 * s, t // 2)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -230,11 +203,12 @@ def _sieve(bits: int) -> list[int]:
 def _crt_lift(disc: int, rest: list[int], r: int, p: int, e: int,
               local: dict[int, list[int]]) -> list[int]:
     """The residues x mod 2a with x^2 = disc (mod 4a), a = r p^e, p prime
-    to r and r odd when p = 2, from rest, those mod 2r.  For odd p they
-    are the CRT of rest with the roots of disc mod p^e; for p = 2 the
-    CRT of rest reduced mod r with the roots mod 2^(e+1) of disc mod
-    2^(e+2).  The prime-power roots are kept in local, keyed by p^e, so
-    they are computed once per p^e."""
+    to r, from rest, those mod 2r.  _roots lifts the primes of a in
+    ascending order, so p = 2 comes first, with r = 1 and rest the one
+    root disc mod 2, to which every root reduces: the answer is then the
+    roots mod 2^(e+1) of disc mod 2^(e+2).  For odd p it is the CRT of
+    rest with the roots of disc mod p^e.  The prime-power roots are kept
+    in local, keyed by p^e, so they are computed once per p^e."""
     q = p ** e
     roots = local.get(q)
     if roots is None:
@@ -244,22 +218,19 @@ def _crt_lift(disc: int, rest: list[int], r: int, p: int, e: int,
         else:
             roots = _prime_power_roots(disc, p, e)
         local[q] = roots
-    if not roots:
-        return []
     if p == 2:
-        m1, m2, rest = r, 2 * q, [u % r for u in rest]
-    else:
-        m1, m2 = 2 * r, q
-    inv = pow(m1, -1, m2)
-    return [u + m1 * ((v - u) * inv % m2) for u in rest for v in roots]
+        return roots
+    inv = pow(2 * r, -1, q)
+    return [u + 2 * r * ((v - u) * inv % q) for u in rest for v in roots]
 
 
 def _roots(disc: int, a: int, spf: list[int],
            local: dict[int, list[int]]) -> list[int]:
     """The residues x mod 2a with x^2 = disc (mod 4a), a >= 1, lifted
-    over the prime powers of a in ascending order (_crt_lift), with spf
-    the smallest prime factors of _sieve and local the prime-power roots
-    of disc shared by the calls for one disc."""
+    over the prime powers of a in ascending order (_crt_lift), from the
+    one root disc mod 2 at a = 1, so 2 is lifted first, with r = 1; spf
+    is the smallest prime factors of _sieve and local the prime-power
+    roots of disc shared by the calls for one disc."""
     roots, left = [disc % 2], a
     while left > 1:
         p, m = spf[left], a // left
@@ -450,9 +421,7 @@ def class_number(disc: int) -> int:
     parity is checked against the unit norm, read off half a continued
     fraction period (lemma (b)), and the final count against lemma (d)."""
     _check_discriminant(disc, "class_number")
-    # the memo of class_number keeps the answer; a one-off discriminant
-    # would only crowd the memo of factorize
-    d0, f = _order_of(disc, _trial_division(abs(disc)))
+    d0, f = _order_of(disc)
     if f > 1:
         h = class_number(d0)
         for p, e in factorize(f):

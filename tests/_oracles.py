@@ -110,11 +110,35 @@ def brute_hall_divisors(n: int) -> list[int]:
     return [m for m in range(1, n + 1) if n % m == 0 and gcd(m, n // m) == 1]
 
 
+def _squarefree(n: int) -> bool:
+    """No k^2 > 1 divides n, by trial division over every k; 0 is not
+    squarefree, and the sign is ignored."""
+    return n != 0 and all(n % (k * k) for k in range(2, isqrt(abs(n)) + 1))
+
+
+def is_fundamental(disc: int) -> bool:
+    """A field discriminant, by the mod-4 rule: disc = 1 mod 4 and
+    squarefree, or disc = 4s with s = 2, 3 mod 4 and squarefree; 1 is
+    not one."""
+    if disc % 4 == 1:
+        return disc != 1 and _squarefree(disc)
+    s = disc // 4
+    return disc % 4 == 0 and s % 4 in (2, 3) and _squarefree(s)
+
+
+def fundamental_split(disc: int) -> tuple[int, int]:
+    """(d0, f) with disc = d0 f^2 and d0 fundamental, for a discriminant
+    disc: the largest f with f^2 | disc and disc / f^2 fundamental, by a
+    scan over every f down from isqrt(|disc|).  The reference for
+    quadorders._order_of."""
+    return next((disc // (f * f), f) for f in range(isqrt(abs(disc)), 0, -1)
+                if disc % (f * f) == 0 and is_fundamental(disc // (f * f)))
+
+
 def valid_algebra(d: int, n: int) -> bool:
     """A quaternion discriminant d > 1 with no square factor, definite
     or not, and a level n >= 1 prime to it."""
-    return (d >= 2 and all(d % (k * k) for k in range(2, isqrt(d) + 1))
-            and n >= 1 and gcd(d, n) == 1)
+    return d >= 2 and _squarefree(d) and n >= 1 and gcd(d, n) == 1
 
 
 def valid_pair(d: int, n: int) -> bool:
@@ -405,13 +429,12 @@ def element_embeds_by_orders(radicand: int, d: int, n: int) -> bool:
     from x0dn.embeddings import locally_embeds
     from x0dn.errors import DomainError
     from x0dn.genus import check_algebra
-    from x0dn.quadorders import order_from_discriminant
     check_algebra(d, n)
     if radicand == 0:
         raise DomainError("element_embeds wants a nonzero radicand")
     if radicand > 0 and isqrt(radicand) ** 2 == radicand:
         raise DomainError(f"radicand {radicand} is a perfect square")
-    d0, conductor = order_from_discriminant(4 * radicand)
+    d0, conductor = fundamental_split(4 * radicand)
     return any(locally_embeds(d0 * f * f, d, n)
                for f in range(1, conductor + 1) if conductor % f == 0)
 
@@ -545,11 +568,10 @@ def _prime_level_quotient_points(d: int, n: int, m: int, p: int) -> str:
     """Clark03 at Q_p for X_0^{pq}(N)/<w_{pq}>, N prime."""
     from x0dn.arith import is_prime, kronecker, omega
     from x0dn.localpoints import EMPTY, NONEMPTY, NOT_APPLICABLE
-    from x0dn.quadorders import order_from_discriminant
     if omega(d) != 2 or m != d or not is_prime(n) or d % p != 0:
         return NOT_APPLICABLE
     q = d // p
-    dk, _ = order_from_discriminant(-4 * q)
+    dk, _ = fundamental_split(-4 * q)
     return EMPTY if kronecker(dk, n) == -1 else NONEMPTY
 
 

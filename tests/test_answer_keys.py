@@ -12,8 +12,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
-from x0dn.quadorders import (class_number,  # noqa: E402
-                             is_fundamental_discriminant)
+from _oracles import is_fundamental  # noqa: E402
+from x0dn.quadorders import class_number  # noqa: E402
 
 # pairs checked per omega(DN) class: a profile at omega = 6 costs about
 # fifteen times one at omega = 2
@@ -46,7 +46,7 @@ def test_class_numbers_match_pool():
     # both routes of class_number, at both signs: the reduced forms for
     # fundamental discriminants, the conductor formula for the others
     for sign in (-1, 1):
-        fundamental = {is_fundamental_discriminant(d) for d in discs
+        fundamental = {is_fundamental(d) for d in discs
                        if d * sign > 0}
         assert fundamental == {True, False}, sign
     for disc in discs:

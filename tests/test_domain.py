@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import valid_algebra, valid_index, valid_pair
+from _oracles import fundamental_split, valid_algebra, valid_index, valid_pair
 from x0dn.arith import (continued_fraction_sqrt, euler_phi, factorize,
                         is_prime, is_squarefree, kronecker, omega,
                         pell_pm2_solvable, prime_divisors, psi_p,
@@ -28,8 +28,7 @@ from x0dn.localpoints import (_local_table, local_obstructions,
                               qp_quotient_points, real_component_count)
 from x0dn.pipeline import cs_bound, dn_cutoff, genus_floor
 from x0dn.quadorders import (_sqrt_mod_prime, class_number, is_discriminant,
-                             is_fundamental_discriminant,
-                             order_from_discriminant, unit_norm)
+                             unit_norm)
 
 D_RANGE = range(-3, 50)
 N_RANGE = range(-2, 14)
@@ -162,9 +161,8 @@ BAD_SCALARS = [
     (e_k, (6, 5, 4), (6, 5, 4.0), "k"),
     (is_discriminant, (-4,), (-4.0,), "is_discriminant"),
     (is_discriminant, (5,), (5.0,), "is_discriminant"),
-    (is_fundamental_discriminant, (5,), (5.0,), "is_fundamental_discriminant"),
-    (order_from_discriminant, (-4,), (-4.0,), "order_from_discriminant"),
-    (order_from_discriminant, (-4,), (True,), "order_from_discriminant"),
+    (class_number, (-4,), (-4.0,), "class_number"),
+    (class_number, (-4,), (True,), "class_number"),
     (is_prime, (2,), (2.0,), "is_prime"),
     (is_prime, (2,), (True,), "is_prime"),
     (kronecker, (2, 3), (1.5, 3), "kronecker"),
@@ -233,13 +231,14 @@ def test_bad_scalars_are_refused_by_name(call, good, bad, name):
 
 def test_squarefree_ignores_the_sign():
     """is_squarefree reads |n|, so a negative int is in its domain: -6 is
-    squarefree, as is_fundamental_discriminant needs of -24 = 4 (-6) and
-    of -15, and 0 is not.  A composite p is refused by valuation, which
-    reads a prime only."""
+    squarefree, as the mod-4 rule of a fundamental discriminant
+    (_oracles.fundamental_split) needs of -24 = 4 (-6) and of -15, and 0
+    is not.  A composite p is refused by valuation, which reads a prime
+    only."""
     assert is_squarefree(-6) is True and is_squarefree(-15) is True
     assert is_squarefree(-12) is False and is_squarefree(0) is False
-    assert is_fundamental_discriminant(-24)
-    assert is_fundamental_discriminant(-15)
+    assert fundamental_split(-24) == (-24, 1)
+    assert fundamental_split(-15) == (-15, 1)
     with pytest.raises(DomainError, match=r"\bvaluation\b"):
         valuation(8, 4)
 

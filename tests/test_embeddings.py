@@ -3,14 +3,14 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import element_embeds_by_orders
+from _oracles import element_embeds_by_orders, fundamental_split
 from x0dn.arith import is_prime, kronecker, prime_divisors, valuation
 from x0dn.embeddings import (_embeds, element_embeds, embedding_count,
                              is_definite, local_nu, locally_embeds)
 from x0dn.errors import DomainError
 from x0dn.genus import (_disc_type, _hall_index, _local_product,
                         check_algebra, e_k)
-from x0dn.quadorders import is_discriminant, order_from_discriminant
+from x0dn.quadorders import is_discriminant
 
 
 def test_local_nu_ramified_and_unramified():
@@ -238,14 +238,14 @@ def test_disc_type_is_the_factored_type():
     for disc in range(-5000, 5001):
         if not is_discriminant(disc):
             continue
-        d0, f = order_from_discriminant(disc)
+        d0, f = fundamental_split(disc)
         for q in primes:
             want = valuation(f, q), kronecker(d0, q)
             assert _disc_type(disc, q) == want, (disc, q)
             checked += 1
     assert checked == 4930 * 15
     for dbar in range(1, 1000):
-        d0, _ = order_from_discriminant(-4 * dbar)
+        d0, _ = fundamental_split(-4 * dbar)
         for n in primes:
             if dbar % n:
                 assert _disc_type(-4 * dbar, n)[1] == kronecker(d0, n), (

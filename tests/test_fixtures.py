@@ -121,6 +121,13 @@ def test_rank_rows_cover_exactly_non_no_rows(fx):
         "BIELLIPTIC_L1,6,1,Rotger02",  # one field too many
         "AUT_OVERRIDE,21,5,1,KMV11",
         "RANK,6,5,15,,Ribet90",  # empty middle field
+        # an integer field is an optional "-" and ASCII digits only
+        "HYPERELLIPTIC,2_6,1,Ogg83",
+        "HYPERELLIPTIC,\u0665\u0667,1,Ogg83",  # Arabic-Indic 57
+        "HYPERELLIPTIC,+26,1,Ogg83",
+        "RANK,6,17,102,1_0,Ribet90\nRATIONALITY,6,17,102,3,yes,PS23",
+        "RANK,6,17,102,--1,Ribet90\nRATIONALITY,6,17,102,3,yes,PS23",
+        "RANK,6,17,102,-,Ribet90\nRATIONALITY,6,17,102,3,yes,PS23",
         # a rank must name a rationality row of verdict yes or unknown,
         # wherever that row stands in the file
         "RATIONALITY,6,17,102,3,yes,PS23\nRANK,6,17,34,1,Ribet90",

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from x0dn import quadorders
 from x0dn.arith import smallest_prime_factors
 from x0dn.errors import DomainError
-from x0dn.quadorders import (_imaginary_count, _prime_power_roots,
-                             _real_count, _real_unit_index, _root_counts,
-                             _roots, _sieve, _split, class_number,
-                             is_discriminant,
-                             is_fundamental_discriminant,
-                             order_from_discriminant, unit_norm)
+from x0dn.quadorders import (_imaginary_count, _order_of,
+                             _prime_power_roots, _real_count,
+                             _real_unit_index, _root_counts, _roots, _sieve,
+                             class_number, is_discriminant, unit_norm)
 
 from _oracles import (_brute_reduced_indefinite, _rho,
                       brute_imaginary_class_number, cycle_class_number,
-                      cycle_unit_norm, imaginary_form_count,
-                      narrow_cycle_count, real_forms_scan, real_orbit_count)
+                      cycle_unit_norm, fundamental_split, imaginary_form_count,
+                      is_fundamental, narrow_cycle_count, real_forms_scan,
+                      real_orbit_count)
 
 
 def test_discriminant_predicates():
@@ -27,47 +26,54 @@ def test_discriminant_predicates():
     assert not is_discriminant(1) and not is_discriminant(0)
     assert not is_discriminant(2) and not is_discriminant(-6)
     assert not is_discriminant(4) and not is_discriminant(16)
-    assert is_fundamental_discriminant(-4)
-    assert is_fundamental_discriminant(-8)
-    assert is_fundamental_discriminant(-3)
-    assert is_fundamental_discriminant(13)
-    assert not is_fundamental_discriminant(-28)   # = -7 * 2^2
-    assert not is_fundamental_discriminant(-12)
-    assert not is_fundamental_discriminant(45)
-    assert not is_fundamental_discriminant(1)
+    # the oracle's mod-4 rule, which the split tests below read
+    assert is_fundamental(-4)
+    assert is_fundamental(-8)
+    assert is_fundamental(-3)
+    assert is_fundamental(13)
+    assert not is_fundamental(-28)   # = -7 * 2^2
+    assert not is_fundamental(-12)
+    assert not is_fundamental(45)
+    assert not is_fundamental(1)
 
 
 def test_order_splitting():
-    assert order_from_discriminant(-28) == (-7, 2)
-    assert order_from_discriminant(-360) == (-40, 3)
-    assert order_from_discriminant(-4) == (-4, 1)
-    d0, f = order_from_discriminant(45)
+    assert _order_of(-28) == (-7, 2)
+    assert _order_of(-360) == (-40, 3)
+    assert _order_of(-4) == (-4, 1)
+    d0, f = _order_of(45)
     assert (d0, f) == (5, 3)
     assert d0 * f * f == 45
+    # class_number, the one reader of the split, checks the discriminant
     with pytest.raises(DomainError):
-        order_from_discriminant(-6)
+        class_number(-6)
     with pytest.raises(DomainError):
-        order_from_discriminant(16)
+        class_number(16)
 
 
 def test_unchecked_splits_pass_the_checks():
-    # order_from_discriminant splits unchecked: each (d0, f) must have a
-    # fundamental d0 and a conductor f >= 1, and give back the
-    # discriminant asked for
-    for disc in range(-3000, 3000):
+    # _order_of splits unchecked: for every discriminant with
+    # 0 < |disc| <= 3000 it must give the oracle's split, whose d0 is
+    # fundamental and whose d0 f^2 is the discriminant asked for
+    checked = 0
+    for disc in range(-3000, 3001):
         if is_discriminant(disc):
-            d0, f = order_from_discriminant(disc)
-            assert is_fundamental_discriminant(d0) and f >= 1, disc
+            d0, f = _order_of(disc)
+            assert (d0, f) == fundamental_split(disc), disc
+            assert is_fundamental(d0) and f >= 1, disc
             assert d0 * f * f == disc, disc
+            checked += 1
+    assert checked == 2946
 
 
-def test_split_is_order_from_discriminant():
-    # the one copy of the d0 f^2 split of s t^2, for every squarefree s
-    # with 1 < |s| <= 200, of either sign, and 1 <= t <= 12: d0 is
+def test_split_matches_the_oracle_on_s_t_squared():
+    # the d0 f^2 split of s t^2, for every squarefree s with
+    # 1 < |s| <= 200, of either sign, and 1 <= t <= 12: d0 is
     # fundamental, f >= 1 and d0 f^2 gives back s t^2, so d0 is the
     # one fundamental discriminant with s t^2 / d0 a square, and (d0, f)
-    # is the split that order_from_discriminant finds by factoring s t^2.
-    # s t^2 is a discriminant except at s = 2, 3 mod 4 with t odd
+    # is the split that the oracle finds by scanning the f with
+    # f^2 | s t^2.  s t^2 is a discriminant except at s = 2, 3 mod 4
+    # with t odd
     checked = 0
     for a in range(2, 201):
         if any(a % (k * k) == 0 for k in range(2, isqrt(a) + 1)):
@@ -77,10 +83,10 @@ def test_split_is_order_from_discriminant():
                 if not is_discriminant(s * t * t):
                     assert s % 4 in (2, 3) and t % 2, (s, t)
                     continue
-                d0, f = _split(s, t)
-                assert is_fundamental_discriminant(d0) and f >= 1, (s, t)
+                d0, f = _order_of(s * t * t)
+                assert is_fundamental(d0) and f >= 1, (s, t)
                 assert d0 * f * f == s * t * t, (s, t)
-                assert (d0, f) == order_from_discriminant(s * t * t), (s, t)
+                assert (d0, f) == fundamental_split(s * t * t), (s, t)
                 checked += 1
     assert checked == 1932
 
@@ -130,11 +136,11 @@ def test_conductor_formula_imaginary():
     # Q(i), whose unit index is 3 and 2
     cases, fields = 0, set()
     for disc in range(-15_000, 0):
-        if disc % 4 not in (0, 1) or is_fundamental_discriminant(disc):
+        if disc % 4 not in (0, 1) or is_fundamental(disc):
             continue
         want = brute_imaginary_class_number(disc)
         assert class_number(disc) == want, disc
-        fields.add(order_from_discriminant(disc)[0])
+        fields.add(fundamental_split(disc)[0])
         cases += 1
     assert {-3, -4} <= fields
     assert cases == 2940
@@ -180,7 +186,7 @@ def test_real_class_numbers_vs_cycle_reference():
         if is_discriminant(disc):
             want = cycle_class_number(disc)
             assert class_number(disc) == want, disc
-            if is_fundamental_discriminant(disc):
+            if is_fundamental(disc):
                 assert _real_count(disc) == want, disc
             else:
                 assert real_orbit_count(disc) == want, disc
@@ -244,7 +250,7 @@ def test_imaginary_enumeration_by_a_vs_scan():
         if is_discriminant(disc):
             want = imaginary_form_count(disc)
             assert class_number(disc) == want, disc
-            if is_fundamental_discriminant(disc):
+            if is_fundamental(disc):
                 assert _imaginary_count(disc) == want, disc
                 fundamental += 1
     assert fundamental == 3043
@@ -260,7 +266,7 @@ def test_root_count_lemma():
     # start later
     checked, late = 0, 0
     for disc in range(-2999, 0):
-        if not is_fundamental_discriminant(disc):
+        if not is_fundamental(disc):
             continue
         amax, a0 = isqrt(-disc // 3), isqrt((-disc - 1) // 4)
         r = _root_counts(disc, smallest_prime_factors(amax), amax)
@@ -282,7 +288,7 @@ def test_root_count_lemma():
     # reduced forms with a > 0 holds one with 2a <= s
     checked, orbits = 0, 0
     for disc in range(6, 3000):
-        if not is_fundamental_discriminant(disc):
+        if not is_fundamental(disc):
             continue
         s = isqrt(disc)
         r = _root_counts(disc, smallest_prime_factors(s // 2), s // 2)
@@ -418,13 +424,13 @@ def test_conductor_formula_real():
     # that is with f | y_k
     cases, deep = 0, 0
     for disc in range(5, 12_000):
-        if not is_discriminant(disc) or is_fundamental_discriminant(disc):
+        if not is_discriminant(disc) or is_fundamental(disc):
             continue
         h_plus = narrow_cycle_count(disc)
         want = h_plus if cycle_unit_norm(disc) == -1 else h_plus // 2
         assert class_number(disc) == want, disc
         cases += 1
-        d0, f = order_from_discriminant(disc)
+        d0, f = fundamental_split(disc)
         if d0 < 200:
             x, y = _fundamental_unit(d0)
             xk, yk, index = x, y, 1
@@ -445,7 +451,7 @@ def test_narrow_class_count_divisible_by_genus_number(disc):
     if disc % 4 not in (0, 1) or not is_discriminant(disc):
         return
     h_plus = narrow_cycle_count(disc)
-    d0, f = order_from_discriminant(disc)
+    d0, f = fundamental_split(disc)
     if f == 1:
         mu = omega(abs(d0))
         assert h_plus % 2 ** (mu - 1) == 0
